@@ -6,7 +6,10 @@
  *
  *   $ ./examples/fusion_explorer 657.xz_s_1 [max_insts]
  *   $ ./examples/fusion_explorer --list
- *   $ ./examples/fusion_explorer --trace 605.mcf_s   # pipeview lines
+ *   $ ./examples/fusion_explorer --trace 605.mcf_s > mcf.kanata
+ *
+ * --trace prints the µ-op lifecycle trace of a short Helios run as a
+ * Kanata pipeline view; open the file in the Konata viewer.
  */
 
 #include <cstdio>
@@ -18,6 +21,7 @@
 #include "harness/report.hh"
 #include "harness/runner.hh"
 #include "sim/hart.hh"
+#include "telemetry/lifecycle.hh"
 #include "uarch/pipeline.hh"
 
 using namespace helios;
@@ -25,7 +29,7 @@ using namespace helios;
 namespace
 {
 
-/// Print the first committed µ-ops of a Helios run, pipeview-style.
+/// Print the µ-op lifecycles of a short Helios run as Kanata text.
 void
 traceRun(const Workload &workload, uint64_t budget)
 {
@@ -33,12 +37,11 @@ traceRun(const Workload &workload, uint64_t budget)
     Hart hart(memory);
     hart.reset(workload.program());
     HartFeed feed(hart, budget);
-    CoreParams params = CoreParams::icelake(FusionMode::Helios);
-    params.traceOut = &std::cout;
-    std::printf("  seq    pc    [Fetch Rename Dispatch Issue Complete "
-                "@commit]\n");
-    Pipeline pipeline(params, feed);
+    Pipeline pipeline(CoreParams::icelake(FusionMode::Helios), feed);
+    LifecycleTracer tracer;
+    pipeline.attach(&tracer);
     pipeline.run();
+    tracer.writeKonata(std::cout);
 }
 
 } // namespace

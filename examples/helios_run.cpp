@@ -27,7 +27,6 @@
  *                                          (load in Perfetto / chrome:
  *                                          //tracing) plus a Konata
  *                                          pipeline view to FILE.kanata
- *       --pipeview                         legacy commit trace on stdout
  *       --stats                            dump every counter (per
  *                                          config with --sweep)
  *       --cpi-stack                        print the exact top-down
@@ -133,7 +132,7 @@
  *                                          sweeps skip the fast-
  *                                          forward entirely
  *       --audit                            attach the pipeline invariant
- *                                          auditor (needs HELIOS_AUDIT);
+ *                                          auditor;
  *                                          with --sweep, runs the
  *                                          differential harness and
  *                                          prints its JSON report on
@@ -157,7 +156,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iostream>
 #include <iterator>
 #include <sstream>
 
@@ -192,7 +190,7 @@ usage()
 {
     std::fprintf(stderr,
                  "usage: helios_run <file.s> [--config NAME] "
-                 "[--max-insts N] [--trace FILE] [--pipeview] "
+                 "[--max-insts N] [--trace FILE] "
                  "[--stats] [--cpi-stack] [--report FILE] "
                  "[--profile FILE] [--window N] [--annotate] "
                  "[--time] [--functional] [--engine fast|reference] "
@@ -563,7 +561,7 @@ main(int argc, char **argv)
     bool sampling_tuned = false; ///< --interval/--warmup given
     std::string checkpoint_dir;
     unsigned jobs = 0;
-    bool pipeview = false, dump_stats = false, functional_only = false;
+    bool dump_stats = false, functional_only = false;
     bool cpi_stack = false, sweep = false, audit = false;
     bool annotate = false, timing = false;
     bool fast_engine = true, engine_chosen = false;
@@ -633,8 +631,6 @@ main(int argc, char **argv)
             ledger_path = value_of(i, "--ledger");
         } else if (arg == "--annotate") {
             annotate = true;
-        } else if (arg == "--pipeview") {
-            pipeview = true;
         } else if (arg == "--stats") {
             dump_stats = true;
         } else if (arg == "--cpi-stack") {
@@ -863,18 +859,14 @@ main(int argc, char **argv)
             return 0;
         }
 
-        if (audit && !auditHooksCompiled())
-            fatal("--audit needs the pipeline audit hooks; rebuild "
-                  "with -DHELIOS_AUDIT=ON");
         if (audit && functional_only)
             fatal("--audit checks the timing pipeline; drop "
                   "--functional");
         if (functional_only &&
-            (!trace_path.empty() || cpi_stack || pipeview ||
+            (!trace_path.empty() || cpi_stack ||
              !profile_path.empty() || annotate))
-            fatal("--trace/--cpi-stack/--pipeview/--profile/"
-                  "--annotate need the timing model; drop "
-                  "--functional");
+            fatal("--trace/--cpi-stack/--profile/--annotate need the "
+                  "timing model; drop --functional");
         if (engine_chosen && !functional_only)
             fatal("--engine selects the functional execution engine; "
                   "add --functional");
@@ -888,9 +880,9 @@ main(int argc, char **argv)
             fatal("--profile is not routed through the differential "
                   "harness; drop --audit or --sweep");
         if (sample_count &&
-            (!trace_path.empty() || pipeview || annotate ||
+            (!trace_path.empty() || annotate ||
              !profile_path.empty() || audit))
-            fatal("--trace/--pipeview/--annotate/--profile/--audit "
+            fatal("--trace/--annotate/--profile/--audit "
                   "observe every committed instruction; sampled runs "
                   "measure only windows — drop --sample or those "
                   "flags");
@@ -971,19 +963,17 @@ main(int argc, char **argv)
         } else {
             HartFeed feed(hart, max_insts);
             CoreParams params = CoreParams::icelake(mode);
-            LifecycleTracer tracer;
-            if (pipeview)
-                params.traceOut = &std::cout;
-            if (!trace_path.empty())
-                params.tracer = &tracer;
             params.sampleHistograms = !trace_path.empty() ||
                                       !report_path.empty() || cpi_stack;
             params.profile = !profile_path.empty() || annotate;
             params.profileWindowCycles = window_cycles;
             Pipeline pipeline(params, feed);
+            LifecycleTracer tracer;
+            if (!trace_path.empty())
+                pipeline.attach(&tracer);
             PipelineAuditor auditor(params);
             if (audit)
-                pipeline.attachAuditor(&auditor);
+                pipeline.attach(&auditor);
             HostSpan sim_span("detailed-sim");
             sim_span.arg("config", fusionModeName(mode));
             const PipelineResult result = pipeline.run();

@@ -61,9 +61,6 @@ runDifferential(const std::vector<const Workload *> &workloads,
     if (opts.modes.size() < 2)
         fatal("differential run needs at least two fusion modes "
               "(got %zu)", opts.modes.size());
-    if (opts.audit && !auditHooksCompiled())
-        fatal("differential audit requested but the pipeline audit "
-              "hooks were compiled out; rebuild with -DHELIOS_AUDIT=ON");
 
     const size_t num_modes = opts.modes.size();
 

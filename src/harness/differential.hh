@@ -51,7 +51,7 @@ struct DiffOptions
      */
     double ipcTolerance = 0.02;
 
-    /** Attach a PipelineAuditor to every run (needs HELIOS_AUDIT). */
+    /** Attach a PipelineAuditor to every run. */
     bool audit = false;
 
     /** Worker threads for the underlying runMatrix (0 = default). */
@@ -98,8 +98,7 @@ struct DiffReport
  * Run @a workloads through every configuration in @a opts.modes and
  * cross-check the results. Cells run through runMatrix(), so the
  * sweep parallelizes across (workload, mode) and results are
- * deterministic. fatal() if opts requests fewer than two modes or
- * audit without HELIOS_AUDIT hooks compiled in.
+ * deterministic. fatal() if opts requests fewer than two modes.
  */
 DiffReport runDifferential(const std::vector<const Workload *> &workloads,
                            const DiffOptions &opts = {});

@@ -85,16 +85,13 @@ buildElfImage(const Program &prog)
         offset += seg.bytes.size();
     }
 
-    std::vector<uint8_t> image;
-    image.reserve(size_t(offset));
-
     // ELF header.
-    const uint8_t ident[16] = {0x7f, 'E', 'L', 'F',
-                               2,  // ELFCLASS64
-                               1,  // ELFDATA2LSB
-                               1,  // EV_CURRENT
-                               0, 0, 0, 0, 0, 0, 0, 0, 0};
-    image.insert(image.end(), ident, ident + 16);
+    std::vector<uint8_t> image = {0x7f, 'E', 'L', 'F',
+                                  2,  // ELFCLASS64
+                                  1,  // ELFDATA2LSB
+                                  1,  // EV_CURRENT
+                                  0, 0, 0, 0, 0, 0, 0, 0, 0};
+    image.reserve(size_t(offset));
     put<uint16_t>(image, 2);    // e_type = ET_EXEC
     put<uint16_t>(image, 243);  // e_machine = EM_RISCV
     put<uint32_t>(image, 1);    // e_version

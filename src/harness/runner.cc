@@ -157,7 +157,7 @@ runOne(const Workload &workload, const CoreParams &params,
     std::unique_ptr<PipelineAuditor> auditor;
     if (params.audit) {
         auditor = std::make_unique<PipelineAuditor>(params);
-        pipeline.attachAuditor(auditor.get());
+        pipeline.attach(auditor.get());
     }
     const PipelineResult pres = pipeline.run();
 

@@ -8,6 +8,7 @@
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "telemetry/chrome_trace.hh"
 #include "telemetry/host_metrics.hh"
 
 namespace helios
@@ -106,56 +107,27 @@ void
 HostTracer::writeChromeTrace(std::ostream &out) const
 {
     std::lock_guard<std::mutex> lock(impl->mutex);
+    ChromeTraceWriter trace(out, "ms");
 
-    out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-    bool first = true;
-    auto emit = [&](const JsonValue &event) {
-        if (!first)
-            out << ",\n";
-        first = false;
-        out << event.dump();
-    };
-
-    auto metadata = [&](const char *what, unsigned tid,
-                        const std::string &value) {
-        JsonValue meta = JsonValue::object();
-        meta.set("name", what);
-        meta.set("ph", "M");
-        meta.set("pid", uint64_t(0));
-        meta.set("tid", uint64_t(tid));
-        JsonValue args = JsonValue::object();
-        args.set("name", value);
-        meta.set("args", args);
-        emit(meta);
-    };
-
-    metadata("process_name", 0, "helios harness");
+    trace.metadata("process_name", 0, "helios harness");
     bool named_main = false;
     for (const auto &[track, name] : impl->threadNames) {
-        metadata("thread_name", track, name);
+        trace.metadata("thread_name", track, name);
         named_main = named_main || track == 0;
     }
     if (!named_main)
-        metadata("thread_name", 0, "main");
+        trace.metadata("thread_name", 0, "main");
 
     for (const Impl::Event &event : impl->events) {
-        JsonValue json = JsonValue::object();
-        json.set("name", event.name);
-        json.set("cat", event.category);
-        json.set("ph", "X");
-        json.set("ts", event.begin);
-        json.set("dur", event.dur);
-        json.set("pid", uint64_t(0));
-        json.set("tid", uint64_t(event.track));
+        JsonValue args;
         if (!event.args.empty()) {
-            JsonValue args = JsonValue::object();
+            args = JsonValue::object();
             for (const auto &[key, value] : event.args)
                 args.set(key, value);
-            json.set("args", std::move(args));
         }
-        emit(json);
+        trace.span(event.name, event.category, event.begin, event.dur,
+                   event.track, args);
     }
-    out << "\n]}\n";
 }
 
 bool

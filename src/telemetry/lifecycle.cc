@@ -6,6 +6,7 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "isa/disasm.hh"
+#include "telemetry/chrome_trace.hh"
 
 namespace helios
 {
@@ -94,7 +95,7 @@ LifecycleTracer::capture(const Uop &uop) const
 }
 
 void
-LifecycleTracer::recordCommit(const Uop &uop, uint64_t cycle)
+LifecycleTracer::onCommit(const Uop &uop, uint64_t cycle)
 {
     UopLifecycle rec = capture(uop);
     rec.retire = cycle;
@@ -103,8 +104,8 @@ LifecycleTracer::recordCommit(const Uop &uop, uint64_t cycle)
 }
 
 void
-LifecycleTracer::recordSquash(const Uop &uop, uint64_t cycle,
-                              const char *reason)
+LifecycleTracer::onSquash(const Uop &uop, uint64_t cycle,
+                          const char *reason)
 {
     UopLifecycle rec = capture(uop);
     rec.retire = cycle;
@@ -124,23 +125,8 @@ LifecycleTracer::writeChromeTrace(std::ostream &out) const
     // expressed as microseconds (Perfetto's native unit). µ-ops are
     // spread over a bank of tracks so concurrent lifetimes stack.
     constexpr unsigned numTracks = 32;
-    out << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
-    bool first = true;
-    auto emit = [&](const JsonValue &event) {
-        if (!first)
-            out << ",\n";
-        first = false;
-        out << event.dump();
-    };
-
-    JsonValue meta = JsonValue::object();
-    meta.set("name", "process_name");
-    meta.set("ph", "M");
-    meta.set("pid", uint64_t(0));
-    JsonValue args = JsonValue::object();
-    args.set("name", "helios pipeline");
-    meta.set("args", args);
-    emit(meta);
+    ChromeTraceWriter trace(out, "ns");
+    trace.metadata("process_name", 0, "helios pipeline");
 
     for (const UopLifecycle &rec : log) {
         const uint64_t tid = rec.seq % numTracks;
@@ -160,35 +146,18 @@ LifecycleTracer::writeChromeTrace(std::ostream &out) const
         if (rec.squashed)
             common_args.set("squash_reason", rec.squashReason);
 
-        for (const StageSpan &span : stageSpans(rec)) {
-            JsonValue event = JsonValue::object();
-            event.set("name", strFormat("%s %llu: %s", span.name,
-                                        (unsigned long long)rec.seq,
-                                        rec.disasm.c_str()));
-            event.set("cat", rec.squashed ? "squashed" : "uop");
-            event.set("ph", "X");
-            event.set("ts", span.begin);
-            event.set("dur", span.end - span.begin);
-            event.set("pid", uint64_t(0));
-            event.set("tid", tid);
-            event.set("args", common_args);
-            emit(event);
-        }
-        if (rec.squashed) {
-            JsonValue event = JsonValue::object();
-            event.set("name", strFormat("squash %llu (%s)",
-                                        (unsigned long long)rec.seq,
-                                        rec.squashReason.c_str()));
-            event.set("cat", "squash");
-            event.set("ph", "i");
-            event.set("ts", rec.retire);
-            event.set("pid", uint64_t(0));
-            event.set("tid", tid);
-            event.set("s", "t");
-            emit(event);
-        }
+        for (const StageSpan &span : stageSpans(rec))
+            trace.span(strFormat("%s %llu: %s", span.name,
+                                 (unsigned long long)rec.seq,
+                                 rec.disasm.c_str()),
+                       rec.squashed ? "squashed" : "uop", span.begin,
+                       span.end - span.begin, tid, common_args);
+        if (rec.squashed)
+            trace.instant(strFormat("squash %llu (%s)",
+                                    (unsigned long long)rec.seq,
+                                    rec.squashReason.c_str()),
+                          "squash", rec.retire, tid);
     }
-    out << "\n]}\n";
 }
 
 // ---------------------------------------------------------------------

@@ -9,10 +9,9 @@
  *  - Chrome `trace_event` JSON (`writeChromeTrace`), loadable in
  *    Perfetto / chrome://tracing.
  *
- * The tracer is pull-free and passive: the pipeline calls
- * recordCommit()/recordSquash() when a CoreParams::tracer is attached,
- * and each call copies the timestamps the µ-op already carries. With
- * no tracer attached the hot path pays a single predictable branch.
+ * The tracer is a passive PipelineObserver (uarch/observer.hh):
+ * attach it with Pipeline::attach(), and each commit or squash event
+ * copies the timestamps the µ-op already carries.
  */
 
 #ifndef TELEMETRY_LIFECYCLE_HH
@@ -23,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "uarch/uop.hh"
+#include "uarch/observer.hh"
 
 namespace helios
 {
@@ -66,15 +65,12 @@ struct UopLifecycle
  * µ-op), so attach the tracer to bounded runs — every figure-scale
  * sweep runs with tracing off.
  */
-class LifecycleTracer
+class LifecycleTracer final : public PipelineObserver
 {
   public:
-    /** Called by the pipeline when @a uop retires. */
-    void recordCommit(const Uop &uop, uint64_t cycle);
-
-    /** Called by the pipeline when @a uop is squashed. */
-    void recordSquash(const Uop &uop, uint64_t cycle,
-                      const char *reason);
+    void onCommit(const Uop &uop, uint64_t cycle) override;
+    void onSquash(const Uop &uop, uint64_t cycle,
+                  const char *reason) override;
 
     const std::vector<UopLifecycle> &records() const { return log; }
     size_t numRecords() const { return log.size(); }

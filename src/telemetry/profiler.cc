@@ -232,7 +232,7 @@ ProfileWindow::fromJson(const JsonValue &value)
 const ProfileSite *
 ProfileData::find(uint64_t pc) const
 {
-    // Sites are sorted by pc (finalize()).
+    // Sites are sorted by pc (onFinish()).
     auto it = std::lower_bound(
         sites.begin(), sites.end(), pc,
         [](const ProfileSite &site, uint64_t key) {
@@ -335,14 +335,13 @@ FusionProfiler::closeWindow()
 }
 
 void
-FusionProfiler::onCycle(const char *category, uint64_t blocked_pc,
-                        bool blocked_valid)
+FusionProfiler::onCycleEnd(const CycleView &view)
 {
     ++current.cycles;
-    ++current.cpi[category];
+    ++current.cpi[view.cpiCategory];
     ++cyclesSeen;
-    if (blocked_valid)
-        ++site(blocked_pc).stalls[category];
+    if (view.headBlocked)
+        ++site(view.blockedPc).stalls[view.cpiCategory];
     if (windowCycles && current.cycles >= windowCycles)
         closeWindow();
 }
@@ -450,7 +449,7 @@ FusionProfiler::oracleScan(const Uop &uop)
 }
 
 void
-FusionProfiler::recordCommit(const Uop &uop)
+FusionProfiler::onCommit(const Uop &uop, uint64_t)
 {
     ++site(uop.dyn.pc).executions;
     current.instructions += uop.archInsts();
@@ -503,31 +502,31 @@ FusionProfiler::recordCommit(const Uop &uop)
 }
 
 void
-FusionProfiler::recordSquash(const Uop &uop)
+FusionProfiler::onSquash(const Uop &uop, uint64_t, const char *)
 {
     ++site(uop.dyn.pc).squashes;
 }
 
 void
-FusionProfiler::recordAttempt(uint64_t tail_pc)
+FusionProfiler::onPredictorAttempt(uint64_t tail_pc)
 {
     ++site(tail_pc).attempts;
 }
 
 void
-FusionProfiler::recordMispredict(uint64_t tail_pc)
+FusionProfiler::onPredictorMispredict(uint64_t tail_pc)
 {
     ++site(tail_pc).mispredicts;
 }
 
 void
-FusionProfiler::recordBreak(uint64_t tail_pc, ProfBreak reason)
+FusionProfiler::onPredictorBreak(uint64_t tail_pc, ProfBreak reason)
 {
     ++site(tail_pc).breaks[profBreakName(reason)];
 }
 
 void
-FusionProfiler::finalize(uint64_t total_cycles)
+FusionProfiler::onFinish(bool, uint64_t total_cycles)
 {
     helios_assert(!finalized, "profiler finalized twice");
     finalized = true;

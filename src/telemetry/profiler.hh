@@ -13,11 +13,11 @@
  * oracle-minus-predictor coverage gap per site (the paper's
  * 12.2%-vs-13.6% story, decomposed).
  *
- * Like the LifecycleTracer, the profiler is passive and opt-in: the
- * pipeline owns one only when CoreParams::profile is set, every hook
- * is a single predictable null check when it is not, and the profiler
- * writes no counters into the pipeline's StatGroup — a profiled run
- * is bit-identical to an unprofiled one (tier-1 checked).
+ * Like the LifecycleTracer, the profiler is a passive PipelineObserver
+ * (uarch/observer.hh): the pipeline builds and attaches one only when
+ * CoreParams::profile is set, and the profiler writes no counters into
+ * the pipeline's StatGroup — a profiled run is bit-identical to an
+ * unprofiled one (tier-1 checked).
  */
 
 #ifndef TELEMETRY_PROFILER_HH
@@ -32,8 +32,8 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "uarch/observer.hh"
 #include "uarch/params.hh"
-#include "uarch/uop.hh"
 
 namespace helios
 {
@@ -203,43 +203,29 @@ struct ProfileData
 };
 
 /**
- * Collects ProfileData during a pipeline run. All record* hooks are
- * called by the pipeline (null-checked at the call site); finalize()
- * closes the last window and freezes the data.
+ * Collects ProfileData from the pipeline's events; onFinish() closes
+ * the last window and freezes the data.
  */
-class FusionProfiler
+class FusionProfiler final : public PipelineObserver
 {
   public:
     explicit FusionProfiler(const CoreParams &params);
 
-    /**
-     * Called once per cycle after the commit stage attributed the
-     * cycle to @a category (a cpi.* literal). When the attribution
-     * charged a blocked ROB head, @a blocked_valid is true and
-     * @a blocked_pc is that µ-op's head PC.
-     */
-    void onCycle(const char *category, uint64_t blocked_pc,
-                 bool blocked_valid);
+    // ---- PipelineObserver events (see observer.hh) ----
+    /** Charges the cycle's cpi.* category to the window, and to the
+     *  blocked ROB head's site. */
+    void onCycleEnd(const CycleView &view) override;
+    /** Also runs the oracle pair-finder. */
+    void onCommit(const Uop &uop, uint64_t cycle) override;
+    void onSquash(const Uop &uop, uint64_t cycle,
+                  const char *reason) override;
+    void onPredictorAttempt(uint64_t tail_pc) override;
+    void onPredictorMispredict(uint64_t tail_pc) override;
+    void onPredictorBreak(uint64_t tail_pc, ProfBreak reason) override;
+    /** Flushes the last window and sorts the sites. */
+    void onFinish(bool drained, uint64_t cycle) override;
 
-    /** Called when @a uop retires (also runs the oracle finder). */
-    void recordCommit(const Uop &uop);
-
-    /** Called when @a uop is squashed. */
-    void recordSquash(const Uop &uop);
-
-    /** Predictor attempted to fuse at tail site @a tail_pc. */
-    void recordAttempt(uint64_t tail_pc);
-
-    /** A predicted pair tailed at @a tail_pc resolved incorrect. */
-    void recordMispredict(uint64_t tail_pc);
-
-    /** A predicted pair tailed at @a tail_pc was broken pre-issue. */
-    void recordBreak(uint64_t tail_pc, ProfBreak reason);
-
-    /** Close the run: flush the last window, sort the sites. */
-    void finalize(uint64_t total_cycles);
-
-    /** Valid after finalize(). */
+    /** Valid after onFinish(). */
     const ProfileData &data() const { return result; }
 
   private:

@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "fusion/idiom.hh"
+#include "uarch/pipeline.hh"
 
 namespace helios
 {
@@ -66,6 +67,12 @@ AuditViolation::toJson() const
 }
 
 PipelineAuditor::PipelineAuditor(const CoreParams &p) : params(p) {}
+
+void
+Pipeline::attachAuditor(PipelineAuditor *auditor)
+{
+    attach(auditor);
+}
 
 PipelineAuditor::Rec *
 PipelineAuditor::findRec(uint64_t seq)
@@ -477,7 +484,7 @@ PipelineAuditor::onCommit(const Uop &uop, uint64_t cycle)
 }
 
 void
-PipelineAuditor::onSquash(const Uop &uop, uint64_t cycle)
+PipelineAuditor::onSquash(const Uop &uop, uint64_t cycle, const char *)
 {
     ++checks;
     auto drop = [&](uint64_t seq) {
@@ -510,7 +517,7 @@ PipelineAuditor::onSquash(const Uop &uop, uint64_t cycle)
 }
 
 void
-PipelineAuditor::onCycleEnd(const AuditView &view)
+PipelineAuditor::onCycleEnd(const CycleView &view)
 {
     ++cyclesAudited;
     checks += 6;
@@ -539,7 +546,7 @@ PipelineAuditor::onCycleEnd(const AuditView &view)
 }
 
 void
-PipelineAuditor::checkOrderedScan(const AuditView &view)
+PipelineAuditor::checkOrderedScan(const CycleView &view)
 {
     auto check_order = [&](const char *name,
                            const RingBuffer<Uop *> *queue) {
@@ -579,7 +586,7 @@ PipelineAuditor::pruneCommitted()
 }
 
 void
-PipelineAuditor::finalize(bool drained, uint64_t cycle)
+PipelineAuditor::onFinish(bool drained, uint64_t cycle)
 {
     ++checks;
     if (!drained)

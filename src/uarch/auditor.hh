@@ -24,10 +24,9 @@
  *
  * The auditor is passive: it records violations (with the offending
  * seq and cycle for replay) instead of aborting, so a harness can
- * collect a machine-readable report across many runs. Pipeline hook
- * call sites compile away entirely unless the HELIOS_AUDIT CMake
- * option is on; the class itself is always built so unit tests can
- * drive it directly.
+ * collect a machine-readable report across many runs. It is one
+ * PipelineObserver (uarch/observer.hh) among others; unit tests drive
+ * its hooks directly.
  */
 
 #ifndef UARCH_AUDITOR_HH
@@ -40,23 +39,11 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/ring.hh"
+#include "uarch/observer.hh"
 #include "uarch/params.hh"
-#include "uarch/uop.hh"
 
 namespace helios
 {
-
-/** True when the pipeline's hook call sites were compiled in. */
-constexpr bool
-auditHooksCompiled()
-{
-#ifdef HELIOS_AUDIT
-    return true;
-#else
-    return false;
-#endif
-}
 
 /** One detected invariant violation. */
 struct AuditViolation
@@ -70,63 +57,28 @@ struct AuditViolation
     std::string toJson() const;
 };
 
-/** Read-only snapshot of the pipeline structures for per-cycle checks. */
-struct AuditView
-{
-    uint64_t cycle = 0;
-    const RingBuffer<Uop *> *rob = nullptr;
-    const RingBuffer<Uop *> *aq = nullptr;
-    const RingBuffer<Uop *> *lq = nullptr;
-    const RingBuffer<Uop *> *sq = nullptr;
-    unsigned iqCount = 0;
-    size_t drainCount = 0;
-    size_t inflightCount = 0;
-    unsigned allocatedRegs = 0;
-};
-
-class PipelineAuditor
+class PipelineAuditor final : public PipelineObserver
 {
   public:
     explicit PipelineAuditor(const CoreParams &params);
 
-    // ---- event hooks (called by the pipeline, or directly by tests) --
-    /** A µ-op entered the machine (first fetch or post-squash refetch). */
-    void onFetch(const Uop &uop, uint64_t cycle);
-
-    /**
-     * A fused pair formed. @a absorbed is true when the tail µ-op
-     * leaves the machine immediately (consecutive and oracle fusion);
-     * predicted pairs absorb their tail later, at marker validation.
-     */
+    // ---- PipelineObserver events (see observer.hh) ----
+    void onFetch(const Uop &uop, uint64_t cycle) override;
     void onFusePair(const Uop &head, const DynInst &tail,
-                    FusionKind kind, bool absorbed, uint64_t cycle);
-
-    /** A predicted pair's tail marker validated at Dispatch. */
+                    FusionKind kind, bool absorbed,
+                    uint64_t cycle) override;
     void onTailAbsorbed(uint64_t tail_seq, uint64_t head_seq,
-                        uint64_t cycle);
-
-    /** A pending pair unfused; the tail re-dispatches on its own. */
-    void onUnfuse(const Uop &head, uint64_t tail_seq, uint64_t cycle);
-
-    /** A µ-op issued (execution latency now scheduled). */
-    void onIssue(const Uop &uop, uint64_t cycle);
-
-    /** The ROB head committed. */
-    void onCommit(const Uop &uop, uint64_t cycle);
-
-    /** A µ-op was squashed (it may be refetched later). */
-    void onSquash(const Uop &uop, uint64_t cycle);
-
-    /** End-of-cycle structural checks. */
-    void onCycleEnd(const AuditView &view);
-
-    /**
-     * End-of-run accounting. @a drained is true when the pipeline
-     * emptied naturally (exactly-once checks only make sense then;
-     * an instruction- or cycle-budget abort legitimately leaves
-     * in-flight work behind).
-     */
-    void finalize(bool drained, uint64_t cycle);
+                        uint64_t cycle) override;
+    void onUnfuse(const Uop &head, uint64_t tail_seq,
+                  uint64_t cycle) override;
+    void onIssue(const Uop &uop, uint64_t cycle) override;
+    void onCommit(const Uop &uop, uint64_t cycle) override;
+    void onSquash(const Uop &uop, uint64_t cycle,
+                  const char *reason) override;
+    /** Structural checks. */
+    void onCycleEnd(const CycleView &view) override;
+    /** Exactly-once accounting, only when the run @a drained. */
+    void onFinish(bool drained, uint64_t cycle) override;
 
     // ---- results ----
     bool ok() const { return theViolations.empty(); }
@@ -189,7 +141,7 @@ class PipelineAuditor
                 std::string detail);
     void checkPairAtCommit(const Uop &uop, const Rec &head_rec,
                            uint64_t cycle);
-    void checkOrderedScan(const AuditView &view);
+    void checkOrderedScan(const CycleView &view);
     void pruneCommitted();
 
     const CoreParams params;

@@ -7,13 +7,10 @@
 #define UARCH_PARAMS_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 
 namespace helios
 {
-
-class LifecycleTracer;
 
 /**
  * The five evaluated configurations (Section V-A) plus the baseline.
@@ -111,20 +108,9 @@ struct CoreParams
     uint64_t maxCycles = UINT64_MAX;
 
     /** Attach a PipelineAuditor to harness-level runs (runOne and the
-     *  differential harness honor this). Requires the HELIOS_AUDIT
-     *  build option; a fatal() error when the hooks are compiled out. */
+     *  differential harness honor this). Other observers, such as the
+     *  µ-op lifecycle tracer, attach to a Pipeline directly. */
     bool audit = false;
-
-    /** Optional pipeview-style event trace: one line per committed
-     *  µ-op plus fusion/flush events (nullptr: disabled). */
-    std::ostream *traceOut = nullptr;
-
-    /** Optional µ-op lifecycle tracer (src/telemetry): records every
-     *  committed/squashed µ-op's stage timestamps plus fusion
-     *  annotations for Konata / Chrome-trace export. Non-owning;
-     *  nullptr disables tracing (the hot path then pays one
-     *  predictable branch per commit/squash). */
-    LifecycleTracer *tracer = nullptr;
 
     /** Sample telemetry histograms into stats(): per-cycle ROB/IQ/
      *  LQ/SQ occupancy, fusion-pair distance at commit, and predictor
@@ -167,8 +153,8 @@ struct CoreParams
  * folded over a stable `name=value;` text form, so the digest is
  * independent of struct layout, padding and compiler.
  *
- * Deliberately excluded: pure observers (audit, tracing, histogram
- * sampling, profiling, pool-recycling debug mode), which are
+ * Deliberately excluded: pure observers (audit, histogram sampling,
+ * profiling, pool-recycling debug mode), which are
  * tier-1-guaranteed not to change any result, and the run-control
  * budget (maxInstructions/maxCycles), which the run ledger keys
  * separately. Two runs with equal (program hash, config hash, budget)

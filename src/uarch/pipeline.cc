@@ -1,34 +1,11 @@
 #include "uarch/pipeline.hh"
 
 #include <algorithm>
-#include <ostream>
-
-#include "isa/disasm.hh"
 
 #include "common/logging.hh"
 #include "fusion/fusion_predictor.hh"
 #include "fusion/tage_fp.hh"
-#include "telemetry/lifecycle.hh"
 #include "telemetry/profiler.hh"
-#include "uarch/auditor.hh"
-
-/**
- * Invariant-auditor hook. Compiles to nothing unless the HELIOS_AUDIT
- * CMake option is on, so the hot loop carries zero audit cost in
- * figure-scale builds; with the option on, an unattached auditor costs
- * one predictable branch per event.
- */
-#ifdef HELIOS_AUDIT
-#define AUDIT_HOOK(call)                                                \
-    do {                                                                \
-        if (auditor)                                                    \
-            auditor->call;                                              \
-    } while (0)
-#else
-#define AUDIT_HOOK(call)                                                \
-    do {                                                                \
-    } while (0)
-#endif
 
 namespace helios
 {
@@ -110,7 +87,7 @@ Pipeline::bindHotStats(StatGroup &group)
 }
 
 Pipeline::Pipeline(const CoreParams &p, InstructionFeed &f)
-    : params(p), feed(f), tracer(p.tracer), hot(bindHotStats(statGroup)),
+    : params(p), feed(f), hot(bindHotStats(statGroup)),
       caches(params), uopPool(p.poolRecycling),
       decodePipe(p.frontendDepth + 5),
       aq(p.aqSize),
@@ -150,23 +127,13 @@ Pipeline::Pipeline(const CoreParams &p, InstructionFeed &f)
             "fusion.fp_agreement", Histogram::linear(2, 1));
     }
 
-    if (params.profile)
+    if (params.profile) {
         profiler = std::make_unique<FusionProfiler>(params);
+        attach(profiler.get());
+    }
 }
 
 Pipeline::~Pipeline() = default;
-
-void
-Pipeline::attachAuditor(PipelineAuditor *a)
-{
-#ifdef HELIOS_AUDIT
-    auditor = a;
-#else
-    if (a)
-        fatal("pipeline audit hooks were compiled out; rebuild with "
-              "-DHELIOS_AUDIT=ON to attach an auditor");
-#endif
-}
 
 void
 Pipeline::inflightInsert(Uop *uop)
@@ -286,7 +253,7 @@ Pipeline::fetchStage()
         uop->fetchHistory = bpred.fusionHistory();
         inflightInsert(uop);
         group.uops.push_back(uop);
-        AUDIT_HOOK(onFetch(*uop, cycle));
+        notify(&PipelineObserver::onFetch, *uop, cycle);
         hot.fetchUops++;
         if (dyn.inst.isStore()) {
             helios_assert(unresolvedKind[dyn.seq & inflightMask] ==
@@ -376,8 +343,8 @@ Pipeline::applyConsecutiveFusion(std::vector<Uop *> &group)
                 head->idiom = idiom;
                 head->hasTail = true;
                 head->tailDyn = tail->dyn;
-                AUDIT_HOOK(onFusePair(*head, tail->dyn, head->fusion,
-                                      /*absorbed=*/true, cycle));
+                notify(&PipelineObserver::onFusePair, *head, tail->dyn,
+                       head->fusion, /*absorbed=*/true, cycle);
                 uopPool.release(inflightErase(tail->seq));
                 out.push_back(head);
                 i += 2;
@@ -397,8 +364,7 @@ Pipeline::tryPredictedFusion(Uop *tail)
     if (!pred.valid)
         return false;
     literalCounter("fusion.fp_attempts")++;
-    if (profiler)
-        profiler->recordAttempt(tail->dyn.pc);
+    notify(&PipelineObserver::onPredictorAttempt, tail->dyn.pc);
 
     if (tail->fusion != FusionKind::None || tail->isTailMarker)
         return false;
@@ -438,8 +404,8 @@ Pipeline::tryPredictedFusion(Uop *tail)
     tail->isTailMarker = true;
     tail->pairSeq = head->seq;
 
-    AUDIT_HOOK(onFusePair(*head, tail->dyn, FusionKind::NcsfMem,
-                          /*absorbed=*/false, cycle));
+    notify(&PipelineObserver::onFusePair, *head, tail->dyn,
+           FusionKind::NcsfMem, /*absorbed=*/false, cycle);
     ++pendingNcsf;
     literalCounter("fusion.fp_applied")++;
     literalCounter("fusion.fp_distance_sum") += pred.distance;
@@ -756,9 +722,8 @@ Pipeline::tryOracleFusion(Uop *tail)
                 cand->tailDyn = tail->dyn;
                 cand->fusion = FusionKind::NcsfMem;
                 cand->pairSeq = tail->seq;
-                AUDIT_HOOK(onFusePair(*cand, tail->dyn,
-                                      FusionKind::NcsfMem,
-                                      /*absorbed=*/true, cycle));
+                notify(&PipelineObserver::onFusePair, *cand, tail->dyn,
+                       FusionKind::NcsfMem, /*absorbed=*/true, cycle);
                 fused = true;
             }
         }
@@ -899,7 +864,7 @@ Pipeline::renameNormal(Uop *uop)
         Uop *marker = findInflight(uop->pairSeq);
         helios_assert(marker && marker->isTailMarker,
                       "nest-unfuse lost its marker");
-        AUDIT_HOOK(onUnfuse(*uop, uop->pairSeq, cycle));
+        notify(&PipelineObserver::onUnfuse, *uop, uop->pairSeq, cycle);
         marker->isTailMarker = false;
         marker->pairSeq = 0;
         marker->fpPred.valid = false;
@@ -915,9 +880,8 @@ Pipeline::renameNormal(Uop *uop)
             marker->profBreak = ProfBreak::NestLimit;
         if (uop->profBreak == ProfBreak::None)
             uop->profBreak = ProfBreak::NestLimit;
-        if (profiler)
-            profiler->recordBreak(marker->dyn.pc,
-                                  ProfBreak::NestLimit);
+        notify(&PipelineObserver::onPredictorBreak, marker->dyn.pc,
+               ProfBreak::NestLimit);
         helios_pending = false;
     }
 
@@ -1040,9 +1004,8 @@ Pipeline::renameMarker(Uop *marker)
         literalCounter("fusion.unfuse_deadlock")++;
         if (marker->profBreak == ProfBreak::None) {
             marker->profBreak = ProfBreak::Deadlock;
-            if (profiler)
-                profiler->recordBreak(marker->dyn.pc,
-                                      ProfBreak::Deadlock);
+            notify(&PipelineObserver::onPredictorBreak, marker->dyn.pc,
+                   ProfBreak::Deadlock);
         }
     }
     if (head->isStore() && head->storeInCatalyst) {
@@ -1050,9 +1013,8 @@ Pipeline::renameMarker(Uop *marker)
         literalCounter("fusion.unfuse_store_catalyst")++;
         if (marker->profBreak == ProfBreak::None) {
             marker->profBreak = ProfBreak::StoreCatalyst;
-            if (profiler)
-                profiler->recordBreak(marker->dyn.pc,
-                                      ProfBreak::StoreCatalyst);
+            notify(&PipelineObserver::onPredictorBreak, marker->dyn.pc,
+                   ProfBreak::StoreCatalyst);
         }
     }
     if (head->serializingInCatalyst) {
@@ -1060,9 +1022,8 @@ Pipeline::renameMarker(Uop *marker)
         literalCounter("fusion.unfuse_serializing")++;
         if (marker->profBreak == ProfBreak::None) {
             marker->profBreak = ProfBreak::Serializing;
-            if (profiler)
-                profiler->recordBreak(marker->dyn.pc,
-                                      ProfBreak::Serializing);
+            notify(&PipelineObserver::onPredictorBreak, marker->dyn.pc,
+                   ProfBreak::Serializing);
         }
     }
 
@@ -1084,9 +1045,8 @@ Pipeline::renameMarker(Uop *marker)
         literalCounter("fusion.unfuse_late_raw")++;
         if (marker->profBreak == ProfBreak::None) {
             marker->profBreak = ProfBreak::LateRaw;
-            if (profiler)
-                profiler->recordBreak(marker->dyn.pc,
-                                      ProfBreak::LateRaw);
+            notify(&PipelineObserver::onPredictorBreak, marker->dyn.pc,
+                   ProfBreak::LateRaw);
         }
     }
 
@@ -1223,7 +1183,7 @@ Pipeline::dispatchStage()
                     return;
                 }
 
-                AUDIT_HOOK(onUnfuse(*head, uop->seq, cycle));
+                notify(&PipelineObserver::onUnfuse, *head, uop->seq, cycle);
                 unfuseInPlace(head);
                 maybeReady(head);
                 if (head->fpPred.valid)
@@ -1231,8 +1191,8 @@ Pipeline::dispatchStage()
                 literalCounter("fusion.mispredicts")++;
                 if (head->profBreak == ProfBreak::None)
                     head->profBreak = uop->profBreak;
-                if (profiler)
-                    profiler->recordMispredict(uop->dyn.pc);
+                notify(&PipelineObserver::onPredictorMispredict,
+                       uop->dyn.pc);
 
                 // Convert the marker into a real µ-op.
                 uop->isTailMarker = false;
@@ -1298,7 +1258,8 @@ Pipeline::dispatchStage()
             maybeReady(head);
             literalCounter("fusion.validated")++;
             renamedQueue.pop_front();
-            AUDIT_HOOK(onTailAbsorbed(uop->seq, head->seq, cycle));
+            notify(&PipelineObserver::onTailAbsorbed, uop->seq, head->seq,
+                   cycle);
             uopPool.release(inflightErase(uop->seq));
             --slots;
             continue;
@@ -1472,8 +1433,8 @@ Pipeline::executeStore(Uop *uop)
                 fusionPred->resolve(load->fpPred, false);
                 literalCounter("fusion.mispredicts")++;
                 literalCounter("fusion.mispredict_violation")++;
-                if (profiler)
-                    profiler->recordMispredict(load->tailDyn.pc);
+                notify(&PipelineObserver::onPredictorMispredict,
+                       load->tailDyn.pc);
             }
             if (flushRequestSeq == invalidSeq ||
                 load->seq < flushRequestSeq) {
@@ -1497,7 +1458,7 @@ Pipeline::scheduleCompletion(Uop *uop, unsigned latency)
         --iqCount;
     }
     events.push({uop->doneCycle, uop->seq, uop->uid, uint8_t(2)});
-    AUDIT_HOOK(onIssue(*uop, cycle));
+    notify(&PipelineObserver::onIssue, *uop, cycle);
 }
 
 void
@@ -1524,7 +1485,7 @@ Pipeline::scheduleSplitCompletion(Uop *uop, unsigned head_latency,
         events.push({tail_done, uop->seq, uop->uid, uint8_t(1)});
         events.push({head_done, uop->seq, uop->uid, uint8_t(2)});
     }
-    AUDIT_HOOK(onIssue(*uop, cycle));
+    notify(&PipelineObserver::onIssue, *uop, cycle);
 }
 
 void
@@ -1595,8 +1556,8 @@ Pipeline::issueStage()
                 fusionPred->resolve(uop->fpPred, false);
                 literalCounter("fusion.mispredicts")++;
                 literalCounter("fusion.mispredict_region")++;
-                if (profiler)
-                    profiler->recordMispredict(uop->tailDyn.pc);
+                notify(&PipelineObserver::onPredictorMispredict,
+                       uop->tailDyn.pc);
                 if (flushRequestSeq == invalidSeq ||
                     uop->seq < flushRequestSeq) {
                     flushRequestSeq = uop->seq;
@@ -1779,34 +1740,6 @@ Pipeline::countFusedPair(const Uop *uop)
     }
 }
 
-void
-Pipeline::traceCommit(const Uop *uop) const
-{
-    std::ostream &out = *params.traceOut;
-    out << strFormat("%6llu 0x%05llx ",
-                     (unsigned long long)uop->seq,
-                     (unsigned long long)uop->dyn.pc);
-    out << strFormat(
-        "[F%llu R%llu D%llu I%llu C%llu @%llu] ",
-        (unsigned long long)uop->fetchCycle,
-        (unsigned long long)uop->renameCycle,
-        (unsigned long long)uop->dispatchCycle,
-        (unsigned long long)uop->issueCycle,
-        (unsigned long long)uop->doneCycle,
-        (unsigned long long)cycle);
-    out << disassemble(uop->dyn.inst);
-    if (uop->hasTail) {
-        const char *kind = uop->fusion == FusionKind::CsfOther
-                               ? "CSF-idiom"
-                               : (uop->tailDyn.seq == uop->dyn.seq + 1
-                                      ? "CSF"
-                                      : "NCSF");
-        out << "  <" << kind << " + "
-            << disassemble(uop->tailDyn.inst) << ">";
-    }
-    out << '\n';
-}
-
 /**
  * Commit wrapper: runs the retirement loop, then attributes the cycle
  * to exactly one `cpi.*` category (retired / frontend-starved / the
@@ -1827,22 +1760,18 @@ Pipeline::commitStage()
     helios_assert(cycle != lastCpiCycle,
                   "cpi.* attributed twice in one cycle");
     lastCpiCycle = cycle;
-    const char *category = "cpi.frontend";
+    cpiCategory = "cpi.frontend";
     if (commitsThisCycle > 0) {
-        category = "cpi.retiring";
+        cpiCategory = "cpi.retiring";
         hot.cpiRetiring++;
     } else {
         if (cpiBlockReason)
-            category = cpiBlockReason;
-        literalCounter(category)++;
+            cpiCategory = cpiBlockReason;
+        literalCounter(cpiCategory)++;
     }
-    if (profiler) {
-        // Charge blocked-head cycles to the head µ-op's static PC.
-        const bool blocked = commitsThisCycle == 0 &&
-                             cpiBlockReason && !rob.empty();
-        profiler->onCycle(category,
-                          blocked ? rob.front()->dyn.pc : 0, blocked);
-    }
+    // Latched now: a squash later this cycle may remove the head.
+    headBlocked = commitsThisCycle == 0 && cpiBlockReason && !rob.empty();
+    blockedPc = headBlocked ? rob.front()->dyn.pc : 0;
 }
 
 void
@@ -1906,14 +1835,8 @@ Pipeline::commitStageImpl()
             }
         }
 
-        AUDIT_HOOK(onCommit(*uop, cycle));
-        if (tracer)
-            tracer->recordCommit(*uop, cycle);
-        if (profiler)
-            profiler->recordCommit(*uop);
+        notify(&PipelineObserver::onCommit, *uop, cycle);
         ++commitsThisCycle;
-        if (params.traceOut)
-            traceCommit(uop);
         hot.commitInsts += uop->archInsts();
         hot.commitUops++;
         if (uop->isLoad()) {
@@ -2002,9 +1925,6 @@ Pipeline::squashFrom(uint64_t seq_min, const char *reason)
     // Formatted flush reason: safe through counter() since the cache
     // keys on content and views the name interned inside StatGroup.
     counter(strFormat("flush.%s", reason))++;
-    if (params.traceOut)
-        *params.traceOut << "FLUSH  " << reason << " from seq "
-                         << seq_min << " @" << cycle << '\n';
 
     // Solution ii) of Section IV-C: if a surviving fused µ-op's tail
     // would be squashed, move the flush point up to that head.
@@ -2073,11 +1993,7 @@ Pipeline::squashFrom(uint64_t seq_min, const char *reason)
         if (!uop)
             continue;
         ++squashed_count;
-        AUDIT_HOOK(onSquash(*uop, cycle));
-        if (tracer)
-            tracer->recordSquash(*uop, cycle, reason);
-        if (profiler)
-            profiler->recordSquash(*uop);
+        notify(&PipelineObserver::onSquash, *uop, cycle, reason);
         if (uop->isTailMarker) {
             // The head is older; if it survived we would have moved
             // the flush point above, so the head must be squashed and
@@ -2179,21 +2095,17 @@ Pipeline::run()
             histSq->addSample(sqList.size());
         }
 
-#ifdef HELIOS_AUDIT
-        if (auditor) {
-            AuditView view;
-            view.cycle = cycle;
-            view.rob = &rob;
-            view.aq = &aq;
-            view.lq = &lqList;
-            view.sq = &sqList;
-            view.iqCount = iqCount;
-            view.drainCount = drainQueue.size();
-            view.inflightCount = inflightCount;
-            view.allocatedRegs = allocatedRegs;
-            auditor->onCycleEnd(view);
-        }
-#endif
+        if (!observers.empty())
+            notify(&PipelineObserver::onCycleEnd,
+                   CycleView{.cycle = cycle, .rob = &rob, .aq = &aq,
+                             .lq = &lqList, .sq = &sqList,
+                             .iqCount = iqCount,
+                             .drainCount = drainQueue.size(),
+                             .inflightCount = inflightCount,
+                             .allocatedRegs = allocatedRegs,
+                             .cpiCategory = cpiCategory,
+                             .headBlocked = headBlocked,
+                             .blockedPc = blockedPc});
 
         // Sampled-simulation warmup boundary: latch the headline
         // counters the first cycle the commit count crosses the armed
@@ -2242,13 +2154,7 @@ Pipeline::run()
     if (feedExhausted && inflightCount == 0 && allocatedRegs != 0)
         warn("PRF leak: %u registers still allocated at drain",
              allocatedRegs);
-    AUDIT_HOOK(finalize(drained, cycle));
-#ifndef HELIOS_AUDIT
-    (void)drained;
-#endif
-
-    if (profiler)
-        profiler->finalize(cycle);
+    notify(&PipelineObserver::onFinish, drained, cycle);
 
     literalCounter("cycles") += cycle;
     PipelineResult result;

@@ -33,6 +33,7 @@
 #include "uarch/branch_pred.hh"
 #include "uarch/cache.hh"
 #include "uarch/mem_filter.hh"
+#include "uarch/observer.hh"
 #include "uarch/params.hh"
 #include "uarch/storeset.hh"
 #include "uarch/uop.hh"
@@ -43,7 +44,6 @@ namespace helios
 
 class FusionProfiler;
 class Histogram;
-class LifecycleTracer;
 class PipelineAuditor;
 
 /** Result summary of a pipeline run. */
@@ -73,12 +73,16 @@ class Pipeline
     const StatGroup &stats() const { return statGroup; }
     StatGroup &stats() { return statGroup; }
 
-    /**
-     * Attach a per-cycle invariant auditor (non-owning; must outlive
-     * run()). Requires the HELIOS_AUDIT build option: when the hooks
-     * are compiled out, attaching a non-null auditor is a fatal()
-     * configuration error rather than a silently unaudited run.
-     */
+    /** Send every event of run() to @a observer as well (non-owning;
+     *  must outlive run()). */
+    void attach(PipelineObserver *observer)
+    {
+        observers.push_back(observer);
+    }
+
+    /** attach() under its older name, which perfbench/workloads.cc
+     *  still calls. Defined in auditor.cc, so this header and
+     *  pipeline.cc need not know the auditor. */
     void attachAuditor(PipelineAuditor *auditor);
 
     /** Per-PC fusion-site profile, when CoreParams::profile asked for
@@ -136,7 +140,6 @@ class Pipeline
                                   const Uop *tail) const;
     void unfuseInPlace(Uop *head);
     void countFusedPair(const Uop *head);
-    void traceCommit(const Uop *uop) const;
 
     // ---- rename helpers ----
     void renameNormal(Uop *uop);
@@ -235,11 +238,20 @@ class Pipeline
     const CoreParams params;
     InstructionFeed &feed;
 
-    PipelineAuditor *auditor = nullptr; ///< optional, non-owning
-    LifecycleTracer *tracer = nullptr;  ///< optional, non-owning
-    /** Owned; non-null only when CoreParams::profile is set. The
-     *  profiler keeps all data private (no statGroup counters), so a
-     *  profiled run's stat dump matches an unprofiled one. */
+    /** Send one event to every attached observer. */
+    template <typename... Params, typename... Args>
+    void
+    notify(void (PipelineObserver::*event)(Params...), const Args &...args)
+    {
+        for (PipelineObserver *observer : observers)
+            (observer->*event)(args...);
+    }
+
+    std::vector<PipelineObserver *> observers; ///< non-owning
+    /** Owned and attached; non-null only when CoreParams::profile is
+     *  set. The profiler keeps all data private (no statGroup
+     *  counters), so a profiled run's stat dump matches an unprofiled
+     *  one. */
     std::unique_ptr<FusionProfiler> profiler;
 
     StatGroup statGroup;
@@ -283,8 +295,12 @@ class Pipeline
     Histogram *histFpAgreement = nullptr;
 
     // Per-cycle CPI attribution (see commitStage): the blocked-head
-    // category of the current cycle, cleared each cycle.
+    // category of the current cycle, cleared each cycle, and the
+    // charge it led to (reported in the cycle's CycleView).
     const char *cpiBlockReason = nullptr;
+    const char *cpiCategory = nullptr;
+    bool headBlocked = false;
+    uint64_t blockedPc = 0;
     unsigned commitsThisCycle = 0;
     uint64_t lastCpiCycle = ~0ULL; ///< double-attribution guard
     CacheHierarchy caches;

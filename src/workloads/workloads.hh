@@ -48,10 +48,11 @@ struct Workload
      * instead of assembling `source`. ELF-loaded workloads
      * (harness/elf_image.hh: makeElfWorkload) use it to ride every
      * harness — runOne, runMatrix, the differential sweeps — without
-     * the harness knowing where the program came from. Last member so
-     * the suite's positional aggregate initializers stay valid.
+     * the harness knowing where the program came from. Last member,
+     * with a default, so the suite's positional aggregate initializers
+     * stay valid and complete.
      */
-    std::function<Program()> makeProgram;
+    std::function<Program()> makeProgram = {};
 
     /** Assemble the kernel (or run makeProgram when set). */
     Program program() const;

@@ -10,8 +10,7 @@
  *  - corruption: hook sequences describing executions the pipeline
  *    must never produce (dropped µ-op, out-of-order commit, illegal
  *    pair, oversized queue, ...) are fed to the auditor directly; each
- *    must be caught. These run in any build — the auditor class is
- *    compiled even when the pipeline's hooks are off.
+ *    must be caught.
  */
 
 #include <cstdio>
@@ -172,9 +171,6 @@ class AuditorFuzz : public ::testing::TestWithParam<unsigned>
 
 TEST_P(AuditorFuzz, RandomProgramRunsCleanUnderEveryMode)
 {
-    if (!auditHooksCompiled())
-        GTEST_SKIP() << "pipeline built without HELIOS_AUDIT hooks";
-
     Rng rng(GetParam() * 0x9e3779b9u + 101);
     const Workload workload = makeWorkload(
         "fuzz" + std::to_string(GetParam()), randomProgram(rng));
@@ -224,7 +220,7 @@ TEST(AuditorCorruption, CleanRunIsClean)
         auditor.onFetch(makeUop(aluDyn(seq)), seq);
     for (uint64_t seq = 0; seq < 4; ++seq)
         auditor.onCommit(makeUop(aluDyn(seq)), 10 + seq);
-    auditor.finalize(true, 20);
+    auditor.onFinish(true, 20);
     EXPECT_TRUE(auditor.ok()) << auditor.toJson();
     EXPECT_GT(auditor.checksPerformed(), 0u);
     EXPECT_EQ(auditor.uopsAudited(), 4u);
@@ -240,7 +236,7 @@ TEST(AuditorCorruption, DroppedUopDetected)
             continue; // µ-op silently vanishes
         auditor.onCommit(makeUop(aluDyn(seq)), 10 + seq);
     }
-    auditor.finalize(true, 20);
+    auditor.onFinish(true, 20);
     EXPECT_FALSE(auditor.ok());
     EXPECT_TRUE(caught(auditor, "leak.inflight")) << auditor.toJson();
     EXPECT_TRUE(caught(auditor, "leak.count")) << auditor.toJson();
@@ -354,7 +350,7 @@ TEST(AuditorCorruption, StructuralOverflowDetected)
         rob.push_back(&storage.back());
     }
 
-    AuditView view;
+    CycleView view;
     view.cycle = 1;
     view.rob = &rob;
     auditor.onCycleEnd(view);
@@ -371,7 +367,7 @@ TEST(AuditorCorruption, LoadQueueDisorderDetected)
     lq.push_back(&younger); // inverted
     lq.push_back(&older);
 
-    AuditView view;
+    CycleView view;
     view.lq = &lq;
     // Ordered scans are sampled; drive enough cycles to trigger one.
     for (uint64_t cycle = 1; cycle <= 64; ++cycle) {
@@ -386,11 +382,11 @@ TEST(AuditorCorruption, SquashedUopMayRefetch)
     PipelineAuditor auditor(CoreParams::icelake(FusionMode::Helios));
     auditor.onFetch(makeUop(aluDyn(0)), 0);
     auditor.onFetch(makeUop(aluDyn(1)), 0);
-    auditor.onSquash(makeUop(aluDyn(1)), 5);
+    auditor.onSquash(makeUop(aluDyn(1)), 5, "test");
     auditor.onFetch(makeUop(aluDyn(1)), 6); // refetch after squash
     auditor.onCommit(makeUop(aluDyn(0)), 10);
     auditor.onCommit(makeUop(aluDyn(1)), 11);
-    auditor.finalize(true, 20);
+    auditor.onFinish(true, 20);
     EXPECT_TRUE(auditor.ok()) << auditor.toJson();
 }
 

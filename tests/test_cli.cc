@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -49,10 +50,21 @@ runCli(const std::string &args)
     return WEXITSTATUS(status);
 }
 
+/**
+ * A path inside this test's own scratch directory. ctest runs every
+ * discovered test as its own process, concurrently under -j, so
+ * tests must not share file names.
+ */
 std::string
 tempPath(const char *name)
 {
-    return ::testing::TempDir() + name;
+    const ::testing::TestInfo *test =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    const std::string dir = ::testing::TempDir() + "cli_" +
+                            test->test_suite_name() + "." + test->name() +
+                            "/";
+    std::filesystem::create_directories(dir);
+    return dir + name;
 }
 
 /** A path no process can create: inside a missing directory. */
@@ -185,8 +197,9 @@ TEST(Cli, TimeFlagWorksWithFunctional)
               2)
         << out;
     EXPECT_GE(seconds, 0.0);
-    if (seconds > 0)
+    if (seconds > 0) {
         EXPECT_GT(minst, 0.0);
+    }
 }
 
 TEST(Cli, TimeFlagWorksWithFunctionalReferenceEngine)

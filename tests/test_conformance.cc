@@ -43,6 +43,15 @@ struct ConformanceCase
     uint64_t expected = 0;   ///< architected a0 at the exit ecall
 };
 
+/** gtest prints a parameter without a printer as its raw bytes, which
+ *  for the pointers here change with ASLR — and ctest names each
+ *  discovered case after that printout. Print the stable name. */
+void
+PrintTo(const ConformanceCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 /** One engine's observables at the exit ecall. */
 struct EngineState
 {

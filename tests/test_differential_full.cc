@@ -18,7 +18,7 @@ TEST(DifferentialFull, AllWorkloadsAllConfigs)
 {
     DiffOptions opts;
     opts.maxInsts = 50'000;
-    opts.audit = auditHooksCompiled();
+    opts.audit = true;
 
     const DiffReport report = runDifferentialAll(opts);
 

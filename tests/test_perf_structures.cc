@@ -24,6 +24,7 @@
 
 #include "common/ring.hh"
 #include "harness/runner.hh"
+#include "observed_run.hh"
 #include "telemetry/lifecycle.hh"
 #include "telemetry/profiler.hh"
 #include "uarch/auditor.hh"
@@ -199,7 +200,7 @@ TEST(PoolRecycling, SquashStormBitIdenticalToDebugFallback)
              {FusionMode::None, FusionMode::Helios,
               FusionMode::Oracle}) {
             CoreParams recycled = CoreParams::icelake(mode);
-            recycled.audit = auditHooksCompiled();
+            recycled.audit = true;
             CoreParams pristine = recycled;
             pristine.poolRecycling = false;
 
@@ -220,12 +221,8 @@ TEST(PoolRecycling, SquashStormBitIdenticalToDebugFallback)
             EXPECT_GT(a.stat("flush.squashed_uops"), 0u)
                 << tag(workload, mode);
             // ...and both disciplines audit clean.
-            if (auditHooksCompiled()) {
-                EXPECT_TRUE(a.auditViolations.empty())
-                    << tag(workload, mode);
-                EXPECT_TRUE(b.auditViolations.empty())
-                    << tag(workload, mode);
-            }
+            EXPECT_TRUE(a.auditViolations.empty()) << tag(workload, mode);
+            EXPECT_TRUE(b.auditViolations.empty()) << tag(workload, mode);
         }
     }
 }
@@ -247,17 +244,14 @@ TEST(RingWraparound, CommitOrderSurvivesSeqWrapInEveryMode)
         params.iqSize = 16;
         params.lqSize = 8;
         params.sqSize = 6;
-        params.audit = auditHooksCompiled();
+        PipelineAuditor auditor(params);
         LifecycleTracer tracer;
-        params.tracer = &tracer;
 
-        const RunResult result =
-            runOne(findWorkload("qsort"), params, 30'000);
+        const RunResult result = observedRun(
+            findWorkload("qsort"), params, 30'000, {&auditor, &tracer});
         ASSERT_GT(result.uops, 8192u) << fusionModeName(mode);
-        if (auditHooksCompiled()) {
-            EXPECT_TRUE(result.auditViolations.empty())
-                << fusionModeName(mode);
-        }
+        EXPECT_TRUE(auditor.ok())
+            << fusionModeName(mode) << ": " << auditor.toJson();
 
         // Committed µ-ops must appear in strict program order with
         // monotone retire stamps, no matter how often their seq

@@ -6,9 +6,10 @@
  * The load-bearing guarantees under test:
  *  - the exact CPI stack partitions total cycles (residual 0) under
  *    every fusion mode;
- *  - attaching the tracer and histogram sampling changes NOTHING
- *    about the simulation (observer-effect guard: identical
- *    architectural checksum, commit counts and cycle count);
+ *  - attaching every pipeline observer and turning on histogram
+ *    sampling changes NOTHING about the simulation (observer-effect
+ *    guard, at the PipelineObserver interface: identical
+ *    architectural state, counts and stat dump);
  *  - one lifecycle record per committed µ-op, and both trace export
  *    formats are well-formed;
  *  - RunReport files survive a save → parse round trip bit-exactly.
@@ -22,7 +23,10 @@
 #include "common/stats.hh"
 #include "harness/run_report.hh"
 #include "harness/runner.hh"
+#include "observed_run.hh"
 #include "telemetry/lifecycle.hh"
+#include "telemetry/profiler.hh"
+#include "uarch/auditor.hh"
 
 using namespace helios;
 
@@ -38,14 +42,18 @@ const FusionMode allModes[] = {FusionMode::None,
                                FusionMode::Helios,
                                FusionMode::Oracle};
 
+/** A smoke-budget run; with a @a tracer, histogram sampling is on
+ *  and the tracer is attached to the pipeline. */
 RunResult
 telemetryRun(const char *workload, FusionMode mode,
              LifecycleTracer *tracer)
 {
     CoreParams params = CoreParams::icelake(mode);
-    params.tracer = tracer;
-    params.sampleHistograms = tracer != nullptr;
-    return runOne(findWorkload(workload), params, smokeBudget);
+    if (!tracer)
+        return runOne(findWorkload(workload), params, smokeBudget);
+    params.sampleHistograms = true;
+    return observedRun(findWorkload(workload), params, smokeBudget,
+                       {tracer});
 }
 
 } // namespace
@@ -213,23 +221,43 @@ TEST(CpiStack, ExactUnderEveryFusionMode)
 
 TEST(Telemetry, ObserverEffectGuard)
 {
+    // Every observer, attached together through the PipelineObserver
+    // interface, plus histogram sampling, against a run with nothing
+    // attached and sampling off. sha flushes often at this budget, so
+    // squash, unfuse and fusion-mispredict events fire too.
+    const Workload &workload = findWorkload("sha");
     for (FusionMode mode : allModes) {
-        const RunResult plain = telemetryRun("crc32", mode, nullptr);
-        LifecycleTracer tracer;
-        const RunResult traced = telemetryRun("crc32", mode, &tracer);
+        const char *name = fusionModeName(mode);
+        CoreParams params = CoreParams::icelake(mode);
+        const RunResult plain =
+            observedRun(workload, params, smokeBudget, {});
 
-        EXPECT_EQ(plain.archChecksum, traced.archChecksum)
-            << fusionModeName(mode);
-        EXPECT_EQ(plain.memChecksum, traced.memChecksum)
-            << fusionModeName(mode);
-        EXPECT_EQ(plain.cycles, traced.cycles) << fusionModeName(mode);
-        EXPECT_EQ(plain.instructions, traced.instructions)
-            << fusionModeName(mode);
-        EXPECT_EQ(plain.stat("commit.uops"),
-                  traced.stat("commit.uops"))
-            << fusionModeName(mode);
-        EXPECT_DOUBLE_EQ(plain.ipc(), traced.ipc())
-            << fusionModeName(mode);
+        params.profileWindowCycles = 1000;
+        params.sampleHistograms = true;
+        PipelineAuditor auditor(params);
+        FusionProfiler profiler(params);
+        LifecycleTracer tracer;
+        const RunResult observed = observedRun(
+            workload, params, smokeBudget, {&auditor, &profiler, &tracer});
+
+        EXPECT_EQ(plain.archChecksum, observed.archChecksum) << name;
+        EXPECT_EQ(plain.memChecksum, observed.memChecksum) << name;
+        EXPECT_EQ(plain.cycles, observed.cycles) << name;
+        EXPECT_EQ(plain.instructions, observed.instructions) << name;
+        EXPECT_EQ(plain.uops, observed.uops) << name;
+        EXPECT_EQ(plain.stats.dump(), observed.stats.dump()) << name;
+
+        // ...and each observer saw the whole run.
+        EXPECT_TRUE(auditor.ok()) << name << ": " << auditor.toJson();
+        EXPECT_GT(auditor.checksPerformed(), 0u) << name;
+        EXPECT_EQ(profiler.data().totalCycles, observed.cycles) << name;
+        EXPECT_GT(profiler.data().windows.size(), 1u) << name;
+        EXPECT_EQ(tracer.numCommitted(), observed.uops) << name;
+        EXPECT_EQ(plain.stats.findHistogram("occupancy.rob"), nullptr);
+        const Histogram *rob =
+            observed.stats.findHistogram("occupancy.rob");
+        ASSERT_NE(rob, nullptr) << name;
+        EXPECT_EQ(rob->samples(), observed.cycles) << name;
     }
 }
 

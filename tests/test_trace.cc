@@ -1,12 +1,11 @@
-/** @file Pipeline event-trace tests. */
-
-#include <sstream>
+/** @file Pipeline event-trace tests (the µ-op lifecycle tracer). */
 
 #include <gtest/gtest.h>
 
 #include "asm/assembler.hh"
 #include "harness/runner.hh"
 #include "sim/hart.hh"
+#include "telemetry/lifecycle.hh"
 #include "uarch/pipeline.hh"
 
 using namespace helios;
@@ -35,23 +34,26 @@ TEST(PipelineTrace, CommitLinesAndFusionMarkers)
     Hart hart(mem);
     hart.reset(assemble(source));
     HartFeed feed(hart);
-    CoreParams params = CoreParams::icelake(FusionMode::Helios);
-    std::ostringstream trace;
-    params.traceOut = &trace;
-    Pipeline pipeline(params, feed);
+    Pipeline pipeline(CoreParams::icelake(FusionMode::Helios), feed);
+    LifecycleTracer tracer;
+    pipeline.attach(&tracer);
     const PipelineResult result = pipeline.run();
 
-    const std::string text = trace.str();
-    // One line per committed µ-op (plus event lines).
-    size_t lines = 0;
-    for (char c : text)
-        lines += c == '\n';
-    EXPECT_GE(lines, result.uops);
-    // Cycle stamps and disassembly are present.
-    EXPECT_NE(text.find("[F"), std::string::npos);
-    EXPECT_NE(text.find("ld t0, 0(s0)"), std::string::npos);
-    // NCSF fusion markers appear once the predictor warms up.
-    EXPECT_NE(text.find("<NCSF + ld t1, 16(s0)>"), std::string::npos);
+    // One record per committed µ-op, with cycle stamps and disassembly.
+    EXPECT_EQ(tracer.numCommitted(), result.uops);
+    bool head_alone = false, ncsf_pair = false;
+    for (const UopLifecycle &rec : tracer.records()) {
+        if (rec.squashed)
+            continue;
+        EXPECT_GT(rec.retire, rec.fetch) << rec.disasm;
+        head_alone |= rec.disasm == "ld t0, 0(s0)";
+        // The NCSF pair appears once the predictor warms up.
+        ncsf_pair |= rec.fusion == FusionKind::NcsfMem &&
+                     rec.pairDistance > 1 &&
+                     rec.disasm == "ld t0, 0(s0) + ld t1, 16(s0)";
+    }
+    EXPECT_TRUE(head_alone);
+    EXPECT_TRUE(ncsf_pair);
 }
 
 TEST(PipelineTrace, DisabledByDefault)
