@@ -590,13 +590,30 @@ main(int argc, char **argv)
                 guest_argv.push_back(argv[j]);
             i = argc;
         } else if (arg == "--config") {
-            mode = fusionModeFromName(value_of(i, "--config"));
+            try {
+                mode = fusionModeFromName(value_of(i, "--config"));
+            } catch (const FatalError &error) {
+                std::fprintf(stderr, "helios_run: %s\n", error.what());
+                usage();
+                return 2;
+            }
         } else if (arg == "--max-insts") {
-            max_insts =
-                std::strtoull(value_of(i, "--max-insts"), nullptr, 0);
+            max_insts = parseCount(value_of(i, "--max-insts"),
+                                   "--max-insts");
         } else if (arg == "--jobs") {
-            jobs = unsigned(
-                std::strtoul(value_of(i, "--jobs"), nullptr, 0));
+            const uint64_t count = parseCount(value_of(i, "--jobs"),
+                                              "--jobs");
+            // The same cap as HELIOS_JOBS; it also keeps the value
+            // from wrapping in the narrower worker count.
+            if (count > 1024) {
+                std::fprintf(stderr,
+                             "helios_run: --jobs %llu is absurdly "
+                             "large (at most 1024)\n",
+                             static_cast<unsigned long long>(count));
+                usage();
+                return 2;
+            }
+            jobs = unsigned(count);
         } else if (arg == "--trace") {
             trace_path = value_of(i, "--trace");
         } else if (arg == "--report") {
@@ -605,7 +622,7 @@ main(int argc, char **argv)
             profile_path = value_of(i, "--profile");
         } else if (arg == "--window") {
             window_cycles =
-                std::strtoull(value_of(i, "--window"), nullptr, 0);
+                parseCount(value_of(i, "--window"), "--window", true);
         } else if (arg == "--sample") {
             sample_count =
                 parseCount(value_of(i, "--sample"), "--sample");

@@ -28,9 +28,12 @@ namespace helios
 const BuildInfo &
 buildInfo()
 {
-    static const BuildInfo info = {HELIOS_GIT_HASH, __VERSION__,
-                                   HELIOS_BUILD_FLAGS,
-                                   HELIOS_BUILD_TYPE};
+    // Leaked intentionally, like HostMetrics::global(): the atexit
+    // metrics writer reads it, and a function static first used after
+    // that writer was registered is destroyed before the writer runs.
+    static const BuildInfo &info =
+        *new BuildInfo{HELIOS_GIT_HASH, __VERSION__, HELIOS_BUILD_FLAGS,
+                       HELIOS_BUILD_TYPE};
     return info;
 }
 

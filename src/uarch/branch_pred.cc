@@ -1,5 +1,7 @@
 #include "uarch/branch_pred.hh"
 
+#include <algorithm>
+
 namespace helios
 {
 
@@ -12,34 +14,22 @@ Tage::Tage()
     base.resize(1u << baseBits);
     for (auto &counter : base)
         counter.set(2); // weakly taken
-    // Geometric history lengths, 4 .. ~160.
+    // Geometric history lengths, 4 .. 181.
     unsigned length = 4;
     for (unsigned t = 0; t < numTables; ++t) {
         tagged[t].resize(1u << tableBits);
-        historyLengths[t] = length;
+        historyWindows[t] = std::min(length, 63u);
+        indexFold[t].init(historyWindows[t], tableBits);
+        tagFold[t].init(historyWindows[t], tagBits);
+        tagFold2[t].init(historyWindows[t], tagBits - 1);
         length = length * 17 / 10 + 1;
     }
-}
-
-uint64_t
-Tage::foldHistory(unsigned length, unsigned bits) const
-{
-    uint64_t folded = 0;
-    unsigned consumed = 0;
-    while (consumed < length) {
-        const unsigned chunk = std::min(length - consumed, bits);
-        folded ^= (ghist >> consumed) & ((1ULL << chunk) - 1);
-        consumed += chunk;
-    }
-    return folded & ((1ULL << bits) - 1);
 }
 
 unsigned
 Tage::tableIndex(unsigned table, uint64_t pc) const
 {
-    const uint64_t folded = foldHistory(
-        std::min<unsigned>(historyLengths[table], 63), tableBits);
-    return ((pc >> 2) ^ (pc >> (tableBits - 2)) ^ folded ^
+    return ((pc >> 2) ^ (pc >> (tableBits - 2)) ^ indexFold[table].value ^
             (pathHist >> (table + 1))) &
            ((1u << tableBits) - 1);
 }
@@ -47,11 +37,8 @@ Tage::tableIndex(unsigned table, uint64_t pc) const
 uint16_t
 Tage::tableTag(unsigned table, uint64_t pc) const
 {
-    const uint64_t folded = foldHistory(
-        std::min<unsigned>(historyLengths[table], 63), tagBits);
-    const uint64_t folded2 = foldHistory(
-        std::min<unsigned>(historyLengths[table], 63), tagBits - 1);
-    return ((pc >> 2) ^ folded ^ (folded2 << 1)) &
+    return ((pc >> 2) ^ tagFold[table].value ^
+            (uint64_t(tagFold2[table].value) << 1)) &
            ((1u << tagBits) - 1);
 }
 
@@ -148,7 +135,15 @@ Tage::update(uint64_t pc, bool taken)
 void
 Tage::updateHistory(bool taken)
 {
-    ghist = (ghist << 1) | (taken ? 1 : 0);
+    const unsigned newest = taken ? 1 : 0;
+    for (unsigned t = 0; t < numTables; ++t) {
+        const unsigned outgoing =
+            unsigned(ghist >> (historyWindows[t] - 1)) & 1;
+        indexFold[t].update(newest, outgoing);
+        tagFold[t].update(newest, outgoing);
+        tagFold2[t].update(newest, outgoing);
+    }
+    ghist = (ghist << 1) | newest;
     pathHist = (pathHist << 1) ^ (taken ? 3 : 1);
 }
 

@@ -41,6 +41,14 @@ class Tage
      *  predictor's gshare-like component). */
     uint16_t history() const { return uint16_t(ghist & 0xffff); }
 
+    static constexpr unsigned tableBits = 10;  // 1K entries per table
+    static constexpr unsigned tagBits = 9;
+
+    /** The index and tag predict() looks up in tagged table @a table
+     *  for the branch at @a pc, under the current history. */
+    unsigned tableIndex(unsigned table, uint64_t pc) const;
+    uint16_t tableTag(unsigned table, uint64_t pc) const;
+
   private:
     struct TaggedEntry
     {
@@ -49,18 +57,51 @@ class Tage
         SatCounter<2> useful;
     };
 
-    static constexpr unsigned baseBits = 13;   // 8K-entry bimodal
-    static constexpr unsigned tableBits = 10;  // 1K entries per table
-    static constexpr unsigned tagBits = 9;
+    /**
+     * Seznec's folded history register: the newest `length` bits of
+     * the global history XOR-folded into `width` bits (bit i of the
+     * history lands on bit i mod width). updateHistory() keeps it
+     * current in O(1) per branch, so a lookup never refolds.
+     */
+    struct FoldedHistory
+    {
+        uint16_t value = 0;
+        uint8_t width = 0;
+        uint8_t outPos = 0; ///< length mod width
 
-    unsigned tableIndex(unsigned table, uint64_t pc) const;
-    uint16_t tableTag(unsigned table, uint64_t pc) const;
+        void
+        init(unsigned length, unsigned bits)
+        {
+            width = uint8_t(bits);
+            outPos = uint8_t(length % bits);
+        }
+
+        /** Shift @a newest in; @a outgoing is the bit that leaves the
+         *  length-bit window. */
+        void
+        update(unsigned newest, unsigned outgoing)
+        {
+            unsigned v = (unsigned(value) << 1) | newest;
+            v ^= outgoing << outPos;
+            v ^= v >> width;
+            value = uint16_t(v & ((1u << width) - 1));
+        }
+    };
+
+    static constexpr unsigned baseBits = 13;   // 8K-entry bimodal
 
     std::vector<SatCounter<2>> base;
     std::array<std::vector<TaggedEntry>, numTables> tagged;
-    std::array<unsigned, numTables> historyLengths;
+    /** History bits each table hashes: its geometric length, capped
+     *  at the 63 that ghist can supply. */
+    std::array<unsigned, numTables> historyWindows;
     uint64_t ghist = 0; // bottom 64 bits of global history
     uint64_t pathHist = 0;
+    // Per table: the window folded to the index width, the tag width
+    // and one bit less than the tag width.
+    std::array<FoldedHistory, numTables> indexFold;
+    std::array<FoldedHistory, numTables> tagFold;
+    std::array<FoldedHistory, numTables> tagFold2;
 
     // State captured by predict() for the subsequent update().
     struct
@@ -72,8 +113,6 @@ class Tage
         unsigned indices[numTables] = {};
         uint16_t tags[numTables] = {};
     } last;
-
-    uint64_t foldHistory(unsigned length, unsigned bits) const;
 };
 
 /** Branch target buffer (4K entries, 4-way). */

@@ -45,6 +45,24 @@ inflightRingSize(const CoreParams &p)
     return nextPow2(2 * (2 * uop_capacity) + p.fetchWidth + 64);
 }
 
+/** Extra cycles a load pays when a store covers only part of it. */
+constexpr unsigned partialForwardPenalty = 10;
+
+/**
+ * Longest issue-to-completion latency CoreParams allows: the slowest
+ * functional unit, a partially forwarded load, or a line-crossing load
+ * that misses to memory (see issueStage and loadHalfLatency).
+ */
+uint64_t
+maxCompletionLatency(const CoreParams &p)
+{
+    const unsigned access =
+        std::max({p.l1Latency, p.l2Latency, p.l3Latency, p.memLatency});
+    return std::max({1u, p.aluLatency, p.mulLatency, p.divLatency,
+                     p.forwardLatency + partialForwardPenalty,
+                     access + p.lineCrossPenalty});
+}
+
 bool
 rangesOverlap(uint64_t a_begin, uint64_t a_end, uint64_t b_begin,
               uint64_t b_end)
@@ -99,6 +117,10 @@ Pipeline::Pipeline(const CoreParams &p, InstructionFeed &f)
     inflightSlots.resize(ring, nullptr);
     unresolvedKind.resize(ring, unresolvedNone);
     inflightMask = ring - 1;
+    // Events are due 1..maxCompletionLatency cycles ahead, so a wheel
+    // with more slots than that never wraps onto a pending cycle.
+    wheel.resize(nextPow2(maxCompletionLatency(p) + 1), noEvent);
+    wheelMask = wheel.size() - 1;
     if (params.fpKind == FpKind::Tage)
         fusionPred = std::make_unique<TageFusionPredictor>();
     else
@@ -549,36 +571,35 @@ storeNuclei(const Uop &uop, StoreNucleus out[2])
 } // namespace
 
 bool
-Pipeline::oracleDependent(const Uop *head, const Uop *tail) const
+Pipeline::oracleDependent(size_t head_index, size_t tail_index) const
 {
-    TaintWalk walk(head);
-    for (const Uop *u : aq) {
-        if (u->seq <= head->seq || u->seq >= tail->seq ||
-            u->isTailMarker)
-            continue;
-        walk.step(u);
+    TaintWalk walk(aq[head_index]);
+    for (size_t i = head_index + 1; i < tail_index; ++i) {
+        const Uop *u = aq[i];
+        if (!u->isTailMarker)
+            walk.step(u);
     }
-    return walk.tailDepends(tail->dyn.inst);
+    return walk.tailDepends(aq[tail_index]->dyn.inst);
 }
 
 bool
-Pipeline::catalystWritesTailSource(const Uop *head,
-                                   const Uop *tail) const
+Pipeline::catalystWritesTailSource(size_t head_index,
+                                   size_t tail_index) const
 {
     // An oracle pair renames at the head, before any catalyst µ-op,
     // so a tail source written inside the catalyst would resolve to
     // the older producer and the pair would issue too early. The
     // predictive scheme handles these pairs through the tail marker's
     // rename-time producer capture; the oracle must decline them.
-    const Instruction &t = tail->dyn.inst;
+    const Instruction &t = aq[tail_index]->dyn.inst;
     auto writes_source = [&t](const Instruction &inst) {
         return inst.writesReg() &&
                ((t.readsRs1() && inst.rd == t.rs1) ||
                 (t.isStore() && t.readsRs2() && inst.rd == t.rs2));
     };
-    for (const Uop *u : aq) {
-        if (u->seq <= head->seq || u->seq >= tail->seq ||
-            u->isTailMarker)
+    for (size_t i = head_index + 1; i < tail_index; ++i) {
+        const Uop *u = aq[i];
+        if (u->isTailMarker)
             continue;
         if (writes_source(u->dyn.inst))
             return true;
@@ -648,18 +669,19 @@ Pipeline::heliosDependent(const Uop *head, const Uop *marker) const
     return walk.tailDepends(marker->dyn.inst);
 }
 
+/** @a tail is the µ-op aqInsertStage just pushed onto the AQ. */
 bool
 Pipeline::tryOracleFusion(Uop *tail)
 {
     if (tail->fusion != FusionKind::None)
         return false;
 
-    for (size_t index = aq.size(); index-- > 0;) {
+    // The AQ is seq-ordered, so every older candidate sits below the
+    // tail and its catalyst is exactly the AQ entries in between.
+    const size_t tail_index = aq.size() - 1;
+    helios_assert(aq[tail_index] == tail, "oracle tail not at AQ back");
+    for (size_t index = tail_index; index-- > 0;) {
         Uop *cand = aq[index];
-        if (cand == tail)
-            continue;
-        if (cand->seq >= tail->seq)
-            continue;
         const uint64_t distance = tail->seq - cand->seq;
         if (distance > params.maxFusionDistance)
             break;
@@ -688,17 +710,17 @@ Pipeline::tryOracleFusion(Uop *tail)
             if (ok && tail->isStore() &&
                 cand->dyn.inst.baseReg() != tail->dyn.inst.baseReg())
                 ok = false;
-            if (ok && oracleDependent(cand, tail))
+            if (ok && oracleDependent(index, tail_index))
                 ok = false;
-            if (ok && catalystWritesTailSource(cand, tail))
+            if (ok && catalystWritesTailSource(index, tail_index))
                 ok = false;
             // Perfect knowledge: never hoist the tail over a catalyst
             // store that writes bytes the pair reads (the predictive
             // scheme learns this through ordering violations).
             if (ok && tail->isLoad()) {
-                for (const Uop *u : aq) {
-                    if (u->seq <= cand->seq || u->seq >= tail->seq ||
-                        u->isTailMarker || !u->isStore())
+                for (size_t i = index + 1; i < tail_index; ++i) {
+                    const Uop *u = aq[i];
+                    if (u->isTailMarker || !u->isStore())
                         continue;
                     const uint64_t s_begin = u->dyn.effAddr;
                     const uint64_t s_end = s_begin + u->dyn.memSize();
@@ -766,6 +788,10 @@ Pipeline::aqInsertStage()
 
             uop->inAq = true;
             uop->aqCycle = cycle;
+            // The oracle's catalyst walks and squash's chop() both rely
+            // on the AQ holding µ-ops in ascending seq order.
+            helios_assert(aq.empty() || aq.back()->seq < uop->seq,
+                          "AQ out of program order");
             aq.push_back(uop);
 
             if (params.fusion == FusionMode::Helios && uop->fpPred.valid)
@@ -1359,7 +1385,7 @@ Pipeline::loadHalfLatency(uint64_t load_seq, uint64_t begin,
             return params.forwardLatency;
         }
         hot.stlfPartial++;
-        return params.forwardLatency + 10;
+        return params.forwardLatency + partialForwardPenalty;
     }
 
     const uint64_t first_line = begin / params.lineBytes;
@@ -1448,6 +1474,23 @@ Pipeline::executeStore(Uop *uop)
 }
 
 void
+Pipeline::pushEvent(uint64_t due, const Uop *uop, uint8_t kind)
+{
+    helios_assert(due > cycle && due - cycle <= wheelMask,
+                  "completion event beyond the timing wheel");
+    uint32_t node = freeEvents;
+    if (node != noEvent) {
+        freeEvents = eventPool[node].next;
+    } else {
+        node = uint32_t(eventPool.size());
+        eventPool.emplace_back();
+    }
+    uint32_t &slot = wheel[due & wheelMask];
+    eventPool[node] = {uop->seq, uop->uid, slot, kind};
+    slot = node;
+}
+
+void
 Pipeline::scheduleCompletion(Uop *uop, unsigned latency)
 {
     uop->issued = true;
@@ -1457,7 +1500,7 @@ Pipeline::scheduleCompletion(Uop *uop, unsigned latency)
         uop->inIq = false;
         --iqCount;
     }
-    events.push({uop->doneCycle, uop->seq, uop->uid, uint8_t(2)});
+    pushEvent(uop->doneCycle, uop, 2);
     notify(&PipelineObserver::onIssue, *uop, cycle);
 }
 
@@ -1477,13 +1520,13 @@ Pipeline::scheduleSplitCompletion(Uop *uop, unsigned head_latency,
     // Each destination register is delivered at its own latency
     // (Section II-B); the µ-op is commit-eligible once both are.
     if (head_done == tail_done) {
-        events.push({uop->doneCycle, uop->seq, uop->uid, uint8_t(2)});
+        pushEvent(uop->doneCycle, uop, 2);
     } else if (head_done < tail_done) {
-        events.push({head_done, uop->seq, uop->uid, uint8_t(0)});
-        events.push({tail_done, uop->seq, uop->uid, uint8_t(2)});
+        pushEvent(head_done, uop, 0);
+        pushEvent(tail_done, uop, 2);
     } else {
-        events.push({tail_done, uop->seq, uop->uid, uint8_t(1)});
-        events.push({head_done, uop->seq, uop->uid, uint8_t(2)});
+        pushEvent(tail_done, uop, 1);
+        pushEvent(head_done, uop, 2);
     }
     notify(&PipelineObserver::onIssue, *uop, cycle);
 }
@@ -1629,55 +1672,62 @@ Pipeline::issueStage()
 // ---------------------------------------------------------------------
 
 void
-Pipeline::wakeDependents(Uop *uop)
+Pipeline::wakeDependents(std::vector<uint64_t> &list)
 {
-    auto wake = [this](std::vector<uint64_t> &list) {
-        for (uint64_t dep_seq : list) {
-            Uop *dep = findInflight(dep_seq);
-            if (!dep)
-                continue;
-            --dep->notReady;
-            maybeReady(dep);
-        }
-        list.clear();
-    };
-    wake(uop->dependents);
-    wake(uop->dependentsTail);
+    for (uint64_t dep_seq : list) {
+        Uop *dep = findInflight(dep_seq);
+        if (!dep)
+            continue;
+        --dep->notReady;
+        maybeReady(dep);
+    }
+    list.clear();
 }
 
 void
 Pipeline::completeExecution()
 {
-    while (!events.empty() && events.top().cycle <= cycle) {
-        const Event event = events.top();
-        events.pop();
+    // This cycle's slot holds exactly the events due now: run() visits
+    // every cycle, and pushEvent() keeps each event within one lap.
+    //
+    // The slot chains events in no meaningful order, and that order
+    // cannot move a simulated number:
+    //  - wakeups only decrement notReady, and decrements commute: a
+    //    dependent turns ready at its last decrement in any order;
+    //  - the ready list is kept sorted by seq, whatever the insertion
+    //    order;
+    //  - storeCompleted clears a store-set entry only if it still holds
+    //    the completing store's own seq;
+    //  - fetchBlockedUntil only grows, by max;
+    //  - one µ-op's events are due in distinct cycles, and nothing here
+    //    counts a stat or notifies an observer.
+    uint32_t &slot = wheel[cycle & wheelMask];
+    uint32_t node = slot;
+    slot = noEvent;
+    while (node != noEvent) {
+        const Event event = eventPool[node];
+        eventPool[node].next = freeEvents;
+        freeEvents = node;
+        node = event.next;
+
         Uop *uop = findInflight(event.seq);
         if (!uop || uop->uid != event.uid || uop->done)
             continue; // squashed (and possibly refetched)
-        auto wake_list = [this](std::vector<uint64_t> &list) {
-            for (uint64_t dep_seq : list) {
-                Uop *dep = findInflight(dep_seq);
-                if (!dep)
-                    continue;
-                --dep->notReady;
-                maybeReady(dep);
-            }
-            list.clear();
-        };
         if (event.kind == 0) {
             uop->headDone = true;
-            wake_list(uop->dependents);
+            wakeDependents(uop->dependents);
             continue;
         }
         if (event.kind == 1) {
             uop->tailDone = true;
-            wake_list(uop->dependentsTail);
+            wakeDependents(uop->dependentsTail);
             continue;
         }
         uop->done = true;
         uop->headDone = true;
         uop->tailDone = true;
-        wakeDependents(uop);
+        wakeDependents(uop->dependents);
+        wakeDependents(uop->dependentsTail);
 
         if (uop->isStore())
             storeSets.storeCompleted(uop->dyn.pc, uop->seq);
@@ -2112,11 +2162,11 @@ Pipeline::run()
         // target. Checked before the drain break so a window whose
         // warmup ends on the final cycle still latches.
         if (watch.atInsts && !watch.taken &&
-            statGroup.get("commit.insts") >= watch.atInsts) {
+            hot.commitInsts.value() >= watch.atInsts) {
             watch.taken = true;
             watch.cycles = cycle;
-            watch.instructions = statGroup.get("commit.insts");
-            watch.uops = statGroup.get("commit.uops");
+            watch.instructions = hot.commitInsts.value();
+            watch.uops = hot.commitUops.value();
             watch.fusedPairs = statGroup.get("pairs.csf_mem") +
                                statGroup.get("pairs.csf_other") +
                                statGroup.get("pairs.ncsf");
@@ -2130,7 +2180,7 @@ Pipeline::run()
             break;
         }
 
-        const uint64_t committed = statGroup.get("commit.insts");
+        const uint64_t committed = hot.commitInsts.value();
         if (committed != last_commit_count) {
             last_commit_count = committed;
             last_progress_cycle = cycle;
@@ -2159,8 +2209,8 @@ Pipeline::run()
     literalCounter("cycles") += cycle;
     PipelineResult result;
     result.cycles = cycle;
-    result.instructions = statGroup.get("commit.insts");
-    result.uops = statGroup.get("commit.uops");
+    result.instructions = hot.commitInsts.value();
+    result.uops = hot.commitUops.value();
     return result;
 }
 

@@ -20,7 +20,6 @@
 #include <array>
 #include <deque>
 #include <memory>
-#include <queue>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -135,9 +134,11 @@ class Pipeline
     void applyConsecutiveFusion(std::vector<Uop *> &group);
     bool tryPredictedFusion(Uop *tail);
     bool tryOracleFusion(Uop *tail);
-    bool oracleDependent(const Uop *head, const Uop *tail) const;
-    bool catalystWritesTailSource(const Uop *head,
-                                  const Uop *tail) const;
+    // The oracle's catalyst walks take AQ indices: the catalyst is
+    // aq[head_index + 1 .. tail_index - 1] (the AQ is seq-ordered).
+    bool oracleDependent(size_t head_index, size_t tail_index) const;
+    bool catalystWritesTailSource(size_t head_index,
+                                  size_t tail_index) const;
     void unfuseInPlace(Uop *head);
     void countFusedPair(const Uop *head);
 
@@ -160,7 +161,7 @@ class Pipeline
                                  unsigned tail_latency);
     unsigned loadHalfLatency(uint64_t load_seq, uint64_t begin,
                              uint64_t end);
-    void wakeDependents(Uop *uop);
+    void wakeDependents(std::vector<uint64_t> &list);
     void maybeReady(Uop *uop);
 
     // ---- recovery ----
@@ -376,16 +377,28 @@ class Pipeline
     // readyPrev/readyNext links in ascending seq order.
     Uop *readyHead = nullptr;
     Uop *readyTail = nullptr;
+
+    /**
+     * Completion events on a timing wheel: slot `c & wheelMask` chains
+     * every event due at cycle c. The constructor sizes the wheel above
+     * the longest latency CoreParams allows and pushEvent() asserts
+     * that horizon, so a slot never mixes two cycles. The chains are
+     * index-linked through one flat node pool (released nodes form a
+     * free list), so the wheel allocates nothing in steady state.
+     */
     struct Event
     {
-        uint64_t cycle;
         uint64_t seq;
         uint64_t uid;
-        uint8_t kind; ///< 0: head-half, 1: tail-half, 2: final
-        bool operator>(const Event &o) const { return cycle > o.cycle; }
+        uint32_t next; ///< next node in this slot or in the free list
+        uint8_t kind;  ///< 0: head-half, 1: tail-half, 2: final
     };
-    std::priority_queue<Event, std::vector<Event>, std::greater<>>
-        events;
+    static constexpr uint32_t noEvent = ~0u;
+    void pushEvent(uint64_t due, const Uop *uop, uint8_t kind);
+    std::vector<Event> eventPool;
+    std::vector<uint32_t> wheel; ///< per-slot chain head (or noEvent)
+    uint64_t wheelMask = 0;
+    uint32_t freeEvents = noEvent;
 
     unsigned iqCount = 0;
     unsigned allocatedRegs = 0;

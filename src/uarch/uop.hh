@@ -7,6 +7,7 @@
 #define UARCH_UOP_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "fusion/fusion_predictor.hh"
@@ -139,7 +140,9 @@ struct Uop
      * capacity of the three dependency vectors, so a UopPool-recycled
      * slot is indistinguishable from a new Uop but allocation-free in
      * steady state. Exactness matters: pooled and heap-per-µ-op runs
-     * must be bit-identical (tests/test_perf_structures.cc).
+     * must be bit-identical (tests/test_perf_structures.cc). The slot
+     * is rebuilt in place rather than move-assigned from a temporary
+     * Uop, which would write the whole record twice.
      */
     void
     recycle()
@@ -150,10 +153,11 @@ struct Uop
         tail_producers.clear();
         deps_head.clear();
         deps_tail.clear();
-        *this = Uop();
-        tailProducers = std::move(tail_producers);
-        dependents = std::move(deps_head);
-        dependentsTail = std::move(deps_tail);
+        std::destroy_at(this);
+        Uop *fresh = std::construct_at(this);
+        fresh->tailProducers = std::move(tail_producers);
+        fresh->dependents = std::move(deps_head);
+        fresh->dependentsTail = std::move(deps_tail);
     }
 
     bool

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/random.hh"
 #include "uarch/branch_pred.hh"
 
 using namespace helios;
@@ -39,7 +42,64 @@ jalrInst(uint8_t rd, uint8_t rs1)
     return inst;
 }
 
+/**
+ * Direct fold of the newest @a length bits of @a ghist into @a bits
+ * bits: XOR of consecutive @a bits-wide chunks. Tage once computed
+ * every index and tag this way on each lookup; it now keeps folded
+ * registers, and this loop is their oracle.
+ */
+uint64_t
+foldHistory(uint64_t ghist, unsigned length, unsigned bits)
+{
+    uint64_t folded = 0;
+    unsigned consumed = 0;
+    while (consumed < length) {
+        const unsigned chunk = std::min(length - consumed, bits);
+        folded ^= (ghist >> consumed) & ((1ULL << chunk) - 1);
+        consumed += chunk;
+    }
+    return folded & ((1ULL << bits) - 1);
+}
+
 } // namespace
+
+TEST(Tage, FoldedHistoryMatchesDirectFold)
+{
+    // Geometric history lengths of the tagged tables; each table
+    // hashes at most the 63 bits a 64-bit history register supplies.
+    const unsigned lengths[Tage::numTables] = {4,  7,  12,  21,
+                                               36, 62, 106, 181};
+    Tage tage;
+    Rng rng(18);
+    uint64_t ghist = 0, path = 0;
+    for (int i = 0; i < 100'000; ++i) {
+        const uint64_t pc = 0x10000 + 4 * rng.below(1u << 14);
+        const bool taken = rng.next() & 1;
+        tage.predict(pc);
+        tage.update(pc, taken);
+        tage.updateHistory(taken);
+        ghist = (ghist << 1) | (taken ? 1 : 0);
+        path = (path << 1) ^ (taken ? 3 : 1);
+
+        const uint64_t probe = 0x10000 + 4 * rng.below(1u << 14);
+        for (unsigned t = 0; t < Tage::numTables; ++t) {
+            const unsigned window = std::min(lengths[t], 63u);
+            const uint64_t index =
+                ((probe >> 2) ^ (probe >> (Tage::tableBits - 2)) ^
+                 foldHistory(ghist, window, Tage::tableBits) ^
+                 (path >> (t + 1))) &
+                ((1u << Tage::tableBits) - 1);
+            const uint64_t tag =
+                ((probe >> 2) ^ foldHistory(ghist, window, Tage::tagBits) ^
+                 (foldHistory(ghist, window, Tage::tagBits - 1) << 1)) &
+                ((1u << Tage::tagBits) - 1);
+            ASSERT_EQ(tage.tableIndex(t, probe), index)
+                << "table " << t << " after " << i + 1 << " outcomes";
+            ASSERT_EQ(tage.tableTag(t, probe), tag)
+                << "table " << t << " after " << i + 1 << " outcomes";
+        }
+    }
+}
 
 TEST(BranchPredictor, LearnsAlwaysTaken)
 {

@@ -213,6 +213,63 @@ TEST(Cli, TimeFlagWorksWithFunctionalReferenceEngine)
 }
 
 // ---------------------------------------------------------------------
+// Numeric flags and --config are strict: a unit suffix, a word, a sign
+// or an unknown name is a usage error (exit 2) that names the flag,
+// never a silently reinterpreted value or an abort.
+
+namespace
+{
+
+/** `helios_run ... FLAG VALUE` must exit 2 naming FLAG. */
+void
+expectBadCount(const std::string &flag, const std::string &value)
+{
+    std::string out;
+    EXPECT_EQ(runCliCapture(flag + " " + value, out), 2)
+        << flag << " " << value;
+    EXPECT_NE(out.find(flag + " needs a positive integer (got '" +
+                       value + "')"),
+              std::string::npos)
+        << out;
+}
+
+} // namespace
+
+TEST(Cli, MaxInstsRejectsMalformedCounts)
+{
+    for (const char *value : {"2k", "abc", "-5", "0", "1e3"})
+        expectBadCount("--max-insts", value);
+}
+
+TEST(Cli, JobsRejectsMalformedCounts)
+{
+    for (const char *value : {"2k", "abc", "-1", "0"})
+        expectBadCount("--jobs", value);
+    std::string out;
+    EXPECT_EQ(runCliCapture("--sweep --jobs 5000", out), 2);
+    EXPECT_NE(out.find("--jobs 5000 is absurdly large"),
+              std::string::npos)
+        << out;
+}
+
+TEST(Cli, WindowRejectsMalformedCountsButKeepsZero)
+{
+    for (const char *value : {"2k", "abc", "-1"})
+        expectBadCount("--window", value);
+    // 0 still disables the profiler's windowed samples.
+    EXPECT_EQ(runCli("--profile " + tempPath("p.json") + " --window 0"),
+              0);
+}
+
+TEST(Cli, UnknownConfigExitsTwoWithNamedError)
+{
+    std::string out;
+    EXPECT_EQ(runCliCapture("--config Bogus", out), 2);
+    EXPECT_NE(out.find("unknown fusion mode 'Bogus'"), std::string::npos)
+        << out;
+}
+
+// ---------------------------------------------------------------------
 // Real-binary (--elf) frontend
 
 namespace

@@ -228,6 +228,66 @@ TEST(PoolRecycling, SquashStormBitIdenticalToDebugFallback)
 }
 
 // ---------------------------------------------------------------------
+// Completion timing wheel
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** Counts commits that came before the µ-op's completion was due (a
+ *  wheel that wrapped onto a pending slot fires events early) and
+ *  commits of µ-ops that waited out @a latency after issue. */
+class CompletionWatch : public PipelineObserver
+{
+  public:
+    explicit CompletionWatch(unsigned latency) : latency(latency) {}
+
+    void
+    onCommit(const Uop &uop, uint64_t cycle) override
+    {
+        if (cycle < uop.doneCycle)
+            ++early;
+        if (uop.doneCycle - uop.issueCycle >= latency)
+            ++slow;
+    }
+
+    const unsigned latency;
+    uint64_t early = 0;
+    uint64_t slow = 0;
+};
+
+} // namespace
+
+TEST(TimingWheel, FarMemoryLatencyRunsToCompletion)
+{
+    // The completion wheel is sized from CoreParams, so a memory
+    // latency far above the default 200 cycles must still fit every
+    // event. A memory-bound kernel runs to its exit, leaves exactly
+    // the functional engine's state, and commits no µ-op before its
+    // completion was due. The suite's working sets fit the default
+    // 2 MiB L3, so the caches shrink until mcf's pointer chase misses.
+    const Workload &workload = findWorkload("605.mcf_s");
+    CoreParams params = CoreParams::icelake(FusionMode::Helios);
+    params.memLatency = 5000;
+    params.l1dBytes = 4 * 1024;
+    params.l1dWays = 4;
+    params.l2Bytes = 8 * 1024;
+    params.l2Ways = 4;
+    params.l3Bytes = 16 * 1024;
+    params.l3Ways = 4;
+    CompletionWatch watch(params.memLatency);
+    const RunResult timed =
+        observedRun(workload, params, UINT64_MAX, {&watch});
+    const FunctionalResult functional = runFunctional(workload);
+    ASSERT_TRUE(timed.exited);
+    EXPECT_EQ(timed.instructions, functional.instructions);
+    EXPECT_EQ(timed.archChecksum, functional.archChecksum);
+    EXPECT_EQ(timed.memChecksum, functional.memChecksum);
+    EXPECT_GT(watch.slow, 0u) << "no load paid the memory latency";
+    EXPECT_EQ(watch.early, 0u);
+}
+
+// ---------------------------------------------------------------------
 // Ring wraparound
 // ---------------------------------------------------------------------
 
