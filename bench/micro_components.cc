@@ -132,11 +132,7 @@ BM_PipelineSimulation(benchmark::State &state)
 }
 BENCHMARK(BM_PipelineSimulation)->Unit(benchmark::kMillisecond);
 
-/**
- * Functional emulation speed with and without the pre-decoded
- * program cache (range argument 1 / 0); the gap is the per-
- * instruction decode overhead the cache removes.
- */
+/** Functional emulation speed through Hart::runFast(). */
 static void
 BM_FunctionalEmulation(benchmark::State &state)
 {
@@ -145,16 +141,12 @@ BM_FunctionalEmulation(benchmark::State &state)
     for (auto _ : state) {
         Memory mem;
         Hart hart(mem);
-        hart.setDecodeCacheEnabled(state.range(0) != 0);
         hart.reset(program);
-        benchmark::DoNotOptimize(hart.run(100'000));
+        benchmark::DoNotOptimize(hart.runFast(100'000));
     }
     state.SetItemsProcessed(int64_t(state.iterations()) * 100'000);
 }
-BENCHMARK(BM_FunctionalEmulation)
-    ->Arg(1)
-    ->Arg(0)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FunctionalEmulation)->Unit(benchmark::kMillisecond);
 
 /** Streaming dynamic-trace delivery (forEachDynInst). */
 static void

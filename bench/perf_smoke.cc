@@ -24,23 +24,25 @@
  *                         (default 300000)
  *       --functional-insts N       instruction budget for the
  *                         functional cells (default 2000000 — the
- *                         functional engines are orders of magnitude
+ *                         functional paths are orders of magnitude
  *                         faster than the cycle model, so they need a
  *                         bigger budget for a stable wall-clock read)
  *       --functional-tolerance PCT max allowed functional
  *                         throughput drop vs the baseline (default 30)
- *       --min-functional-speedup X fail (exit 1) unless the fast
- *                         engine's geomean is at least X times the
- *                         reference engine's in this very run
- *                         (default 0 = disabled; CI passes a floor —
- *                         the ratio of two same-host measurements is
- *                         far less noisy than either absolute rate)
+ *       --min-functional-speedup X fail (exit 1) unless runFast's
+ *                         geomean is at least X times the step()
+ *                         loop's in this very run (default 0 =
+ *                         disabled; CI passes a floor — the ratio of
+ *                         two same-host measurements is far less noisy
+ *                         than either absolute rate)
  *
  * Besides the cycle-model matrix, a functional section measures raw
  * architectural instructions per host second on the same three
- * workloads under both functional engines (the reference step() loop
- * and the fast-forward decoder-cache engine), reporting per-cell
- * rates, per-engine geomeans and the fast/reference speedup.
+ * workloads along both functional paths: a Hart::step() loop through
+ * forEachDynInst (the per-instruction path the pipeline feed and the
+ * trace analyses run) and Hart::runFast() (threaded block dispatch
+ * with fused handlers), reporting per-cell rates, per-path geomeans
+ * and the fast/step speedup.
  *
  * The matrix is three workloads of deliberately different character
  * (605.mcf_s: pointer chasing and flushes; qsort: branchy integer
@@ -111,7 +113,7 @@ struct FunctionalCell
 const char *
 engineName(bool fast_path)
 {
-    return fast_path ? "fast" : "reference";
+    return fast_path ? "fast" : "step";
 }
 
 std::string
@@ -215,8 +217,8 @@ main(int argc, char **argv)
     std::printf("\ngeomean: %.2f Muops/s\n", headline / 1e6);
 
     // Functional section: raw architectural instructions per host
-    // second, reference step() loop vs fast-forward engine.
-    std::printf("\nfunctional engines — instructions per host second "
+    // second, step() loop vs runFast().
+    std::printf("\nfunctional paths — instructions per host second "
                 "(budget %llu)\n",
                 (unsigned long long)functional_insts);
 
@@ -227,24 +229,26 @@ main(int argc, char **argv)
     };
 
     Table functional_table({"workload", "engine", "insts", "Minst/s"});
-    std::vector<double> reference_rates, fast_rates;
+    std::vector<double> step_rates, fast_rates;
     for (FunctionalCell &cell : functional_cells) {
         const Workload &workload = findWorkload(cell.workload);
         for (int attempt = 0; attempt < runs; ++attempt) {
             Stopwatch timer;
-            const FunctionalResult result =
-                runFunctional(workload, functional_insts,
-                              cell.fastPath);
+            const uint64_t instructions =
+                cell.fastPath
+                    ? runFunctional(workload, functional_insts)
+                          .instructions
+                    : forEachDynInst(workload, functional_insts,
+                                     [](const DynInst &) {});
             const double seconds = timer.seconds();
             const double rate =
-                seconds > 0 ? double(result.instructions) / seconds
-                            : 0;
+                seconds > 0 ? double(instructions) / seconds : 0;
             if (rate > cell.instsPerSec) {
                 cell.instsPerSec = rate;
-                cell.instructions = result.instructions;
+                cell.instructions = instructions;
             }
         }
-        (cell.fastPath ? fast_rates : reference_rates)
+        (cell.fastPath ? fast_rates : step_rates)
             .push_back(cell.instsPerSec);
         functional_table.addRow(
             {cell.workload, engineName(cell.fastPath),
@@ -252,14 +256,13 @@ main(int argc, char **argv)
              Table::num(cell.instsPerSec / 1e6, 2)});
     }
     functional_table.print();
-    const double reference_geomean = geomean(reference_rates);
+    const double step_geomean = geomean(step_rates);
     const double fast_geomean = geomean(fast_rates);
-    const double speedup = reference_geomean > 0
-                               ? fast_geomean / reference_geomean
-                               : 0.0;
-    std::printf("\nfunctional geomean: reference %.2f Minst/s, "
+    const double speedup =
+        step_geomean > 0 ? fast_geomean / step_geomean : 0.0;
+    std::printf("\nfunctional geomean: step %.2f Minst/s, "
                 "fast %.2f Minst/s, speedup %.1fx\n",
-                reference_geomean / 1e6, fast_geomean / 1e6, speedup);
+                step_geomean / 1e6, fast_geomean / 1e6, speedup);
 
     if (!out_path.empty()) {
         JsonValue root = JsonValue::object();
@@ -280,8 +283,7 @@ main(int argc, char **argv)
         root.set("cells", std::move(cell_array));
         JsonValue functional = JsonValue::object();
         functional.set("max_insts", functional_insts);
-        functional.set("geomean_reference_insts_per_sec",
-                       reference_geomean);
+        functional.set("geomean_step_insts_per_sec", step_geomean);
         functional.set("geomean_fast_insts_per_sec", fast_geomean);
         functional.set("speedup", speedup);
         JsonValue functional_array = JsonValue::array();
@@ -307,7 +309,7 @@ main(int argc, char **argv)
     int failures = 0;
     if (min_functional_speedup > 0 &&
         speedup < min_functional_speedup) {
-        std::printf("\nfunctional fast-engine speedup %.1fx is below "
+        std::printf("\nfunctional runFast speedup %.1fx is below "
                     "the required %.1fx\n",
                     speedup, min_functional_speedup);
         ++failures;
@@ -367,9 +369,9 @@ main(int argc, char **argv)
                     change);
     }
 
-    // Functional cells get their own tolerance: the engines are so
-    // much faster than the cycle model that the same absolute noise
-    // is a different relative wobble.
+    // Functional cells get their own tolerance: the functional paths
+    // are so much faster than the cycle model that the same absolute
+    // noise is a different relative wobble.
     int functional_regressions = 0;
     if (base.has("functional")) {
         const JsonValue &base_functional_cells =

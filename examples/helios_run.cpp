@@ -87,14 +87,9 @@
  *                                          with --functional the line
  *                                          is wall seconds + Minst/s
  *       --functional                       skip the timing model and
- *                                          execute through the fast-
- *                                          forward engine (decoder
+ *                                          execute through
+ *                                          Hart::runFast (decoder
  *                                          cache + threaded dispatch)
- *       --engine fast|reference            functional engine choice
- *                                          (default fast; reference
- *                                          is the step()-loop baseline
- *                                          the fast engine is verified
- *                                          against)
  *       --sweep                            run ALL configurations as a
  *                                          parallel matrix and print a
  *                                          comparison table
@@ -139,11 +134,12 @@
  *                                          violation. Exit 1 when any
  *                                          invariant fails.
  *
- * Unknown options, options missing their argument, and output paths
- * (--trace/--report/--profile) that cannot be opened for writing exit
- * with status 2 — the last is checked up front so a long simulation
- * never runs just to lose its results. See OBSERVABILITY.md for the
- * trace, report and profile formats.
+ * Unknown options, options missing their argument, malformed
+ * HELIOS_JOBS / HELIOS_MAX_INSTS / HELIOS_HEARTBEAT values, and output
+ * paths (--trace/--report/--profile) that cannot be opened for writing
+ * exit with status 2 — the last is checked up front so a long
+ * simulation never runs just to lose its results. See
+ * OBSERVABILITY.md for the trace, report and profile formats.
  *
  * The program uses the same conventions as the workload suite: exit
  * through `li a7, 93; ecall` with the result in a0; `ecall` with
@@ -193,7 +189,7 @@ usage()
                  "[--max-insts N] [--trace FILE] "
                  "[--stats] [--cpi-stack] [--report FILE] "
                  "[--profile FILE] [--window N] [--annotate] "
-                 "[--time] [--functional] [--engine fast|reference] "
+                 "[--time] [--functional] "
                  "[--sweep] [--jobs N] [--audit] [--emit-elf FILE] "
                  "[--sample N] [--interval M] [--warmup K] "
                  "[--checkpoint-dir DIR] "
@@ -564,7 +560,6 @@ main(int argc, char **argv)
     bool dump_stats = false, functional_only = false;
     bool cpi_stack = false, sweep = false, audit = false;
     bool annotate = false, timing = false;
-    bool fast_engine = true, engine_chosen = false;
 
     // Options taking a value; missing values are a usage error (exit
     // 2), same as unknown options.
@@ -656,21 +651,6 @@ main(int argc, char **argv)
             timing = true;
         } else if (arg == "--functional") {
             functional_only = true;
-        } else if (arg == "--engine") {
-            const std::string engine = value_of(i, "--engine");
-            engine_chosen = true;
-            if (engine == "fast") {
-                fast_engine = true;
-            } else if (engine == "reference") {
-                fast_engine = false;
-            } else {
-                std::fprintf(stderr,
-                             "helios_run: unknown engine '%s' "
-                             "(fast|reference)\n",
-                             engine.c_str());
-                usage();
-                return 2;
-            }
         } else if (arg == "--sweep") {
             sweep = true;
         } else if (arg == "--audit") {
@@ -704,6 +684,14 @@ main(int argc, char **argv)
     }
     if (path.empty() && elf_path.empty()) {
         usage();
+        return 2;
+    }
+    // Bad HELIOS_JOBS / HELIOS_MAX_INSTS / HELIOS_HEARTBEAT values are
+    // usage errors too, caught before any work.
+    try {
+        validateRunEnvironment();
+    } catch (const FatalError &error) {
+        std::fprintf(stderr, "helios_run: %s\n", error.what());
         return 2;
     }
 
@@ -884,9 +872,6 @@ main(int argc, char **argv)
              !profile_path.empty() || annotate))
             fatal("--trace/--cpi-stack/--profile/--annotate need the "
                   "timing model; drop --functional");
-        if (engine_chosen && !functional_only)
-            fatal("--engine selects the functional execution engine; "
-                  "add --functional");
         if (sweep && !trace_path.empty())
             fatal("--trace records one run; pick a --config instead "
                   "of --sweep");
@@ -938,30 +923,19 @@ main(int argc, char **argv)
         Stopwatch timer;
         if (functional_only) {
             HostSpan functional_span("functional");
-            functional_span.arg("engine",
-                                fast_engine ? "fast" : "reference");
-            const uint64_t executed = fast_engine
-                                          ? hart.runFast(max_insts)
-                                          : hart.run(max_insts);
+            const uint64_t executed = hart.runFast(max_insts);
             functional_span.end();
             if (HostMetrics::global().enabled())
                 HostMetrics::global().recordGuestWork(executed, 0);
             const double elapsed = timer.seconds();
             const double minst_per_sec =
                 elapsed > 0 ? double(executed) / elapsed / 1e6 : 0.0;
-            if (fast_engine)
-                std::printf("functional: %llu instructions in %.3f s "
-                            "(%.1f M inst/s, fast engine: %zu cache "
-                            "entries, %zu fused pairs)\n",
-                            (unsigned long long)executed, elapsed,
-                            minst_per_sec, hart.fastCacheEntries(),
-                            hart.fastFusedPairs());
-            else
-                std::printf("functional: %llu instructions in %.3f s "
-                            "(%.1f M inst/s, reference engine, "
-                            "pre-decoded %zu static insts)\n",
-                            (unsigned long long)executed, elapsed,
-                            minst_per_sec, hart.decodeCacheSize());
+            std::printf("functional: %llu instructions in %.3f s "
+                        "(%.1f M inst/s, decoder cache: %zu entries, "
+                        "%zu fused pairs)\n",
+                        (unsigned long long)executed, elapsed,
+                        minst_per_sec, hart.fastCacheEntries(),
+                        hart.fastFusedPairs());
             if (timing)
                 std::printf("time: %.3f s wall, %.2f Minst/s "
                             "(functional)\n",
@@ -975,7 +949,7 @@ main(int argc, char **argv)
                 fres.exitCode = hart.exitCode();
                 fres.programHash = program.sourceHash;
                 noteLedgerOutcome(recordFunctionalToLedger(
-                    workload.name, fres, max_insts, fast_engine));
+                    workload.name, fres, max_insts));
             }
         } else {
             HartFeed feed(hart, max_insts);

@@ -53,7 +53,7 @@ main()
         Memory memory;
         Hart hart(memory);
         hart.reset(program);
-        hart.run();
+        hart.runFast();
         std::printf("functional result: a0 = %llu after %llu insts\n",
                     (unsigned long long)hart.exitCode(),
                     (unsigned long long)hart.instsExecuted());

@@ -9,6 +9,7 @@
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "harness/analysis.hh"
 #include "harness/runner.hh"
@@ -109,7 +110,7 @@ main()
     Memory memory;
     Hart hart(memory);
     hart.reset(workload.program());
-    hart.run();
+    hart.runFast();
     const uint64_t expected = reference();
     std::printf("checksum: asm %llu, reference %llu — %s\n",
                 (unsigned long long)hart.exitCode(),
@@ -119,7 +120,9 @@ main()
         return 1;
 
     // 2) Stream characterization (what could fuse?).
-    const auto trace = functionalTrace(workload);
+    std::vector<DynInst> trace;
+    forEachDynInst(workload, UINT64_MAX,
+                   [&](const DynInst &dyn) { trace.push_back(dyn); });
     const NcsfPotentialStats potential = analyzeNcsfPotential(trace);
     std::printf("pairable: CSF %.1f%%  NCSF %.1f%%  (of %llu µ-ops)\n",
                 100.0 * potential.fraction(potential.csfSbr +

@@ -1,11 +1,13 @@
 #include "harness/differential.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
 #include "asm/assembler.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "harness/elf_image.hh"
 #include "sim/hart.hh"
 #include "sim/memory.hh"
@@ -183,6 +185,7 @@ EngineDiffReport::toJson() const
         << ",\"workloads\":" << workloads.size()
         << ",\"traced_instructions\":" << tracedInstructions
         << ",\"untraced_instructions\":" << untracedInstructions
+        << ",\"untraced_stops\":" << untracedStops
         << ",\"violations\":[";
     for (size_t v = 0; v < violations.size(); ++v)
         out << (v ? "," : "") << violations[v].toJson();
@@ -240,6 +243,9 @@ EngineDiffReport
 runEngineDifferential(const std::vector<const Workload *> &workloads,
                       uint64_t max_insts, uint64_t traced_insts)
 {
+    // Largest runFast() budget between two compared stops.
+    constexpr int64_t max_chunk = 64;
+
     EngineDiffReport report;
     for (const Workload *workload : workloads) {
         report.workloads.push_back(workload->name);
@@ -250,23 +256,24 @@ runEngineDifferential(const std::vector<const Workload *> &workloads,
                 {workload->name, check, detail, seq});
         };
         std::ostringstream detail;
+        const Program prog = workload->program();
 
-        // 1. Traced lockstep: the engines must emit byte-identical
-        // DynInst records in program order.
+        // 1. Traced lockstep: step() must emit byte-identical DynInst
+        // records to the oracle's, in program order.
         {
-            Memory ref_mem, fast_mem;
-            Hart ref(ref_mem), fast(fast_mem);
-            ref.reset(workload->program());
-            fast.reset(workload->program());
+            Memory ref_mem, step_mem;
+            Hart ref(ref_mem), stepper(step_mem);
+            ref.reset(prog);
+            stepper.reset(prog);
             DynInst a, b;
             for (uint64_t n = 0; n < traced_insts; ++n) {
-                const bool more_ref = ref.step(a);
-                const bool more_fast = fast.stepFast(b);
-                if (more_ref != more_fast) {
+                const bool more_ref = ref.referenceStep(a);
+                const bool more_step = stepper.step(b);
+                if (more_ref != more_step) {
                     detail.str("");
-                    detail << "after " << n << " records the "
-                           << (more_ref ? "fast" : "reference")
-                           << " engine exited first";
+                    detail << "after " << n << " records "
+                           << (more_ref ? "step()" : "the oracle")
+                           << " exited first";
                     add("trace_length", detail.str(), n);
                     break;
                 }
@@ -283,8 +290,8 @@ runEngineDifferential(const std::vector<const Workload *> &workloads,
                     a.inst.raw != b.inst.raw) {
                     detail.str("");
                     detail << "DynInst diverges at seq " << a.seq
-                           << ": reference pc 0x" << std::hex << a.pc
-                           << " raw 0x" << a.inst.raw << ", fast pc 0x"
+                           << ": oracle pc 0x" << std::hex << a.pc
+                           << " raw 0x" << a.inst.raw << ", step pc 0x"
                            << b.pc << " raw 0x" << b.inst.raw;
                     add("dyninst_stream", detail.str(), a.seq);
                     break;
@@ -292,42 +299,57 @@ runEngineDifferential(const std::vector<const Workload *> &workloads,
             }
         }
 
-        // 2. Untraced end state: full-speed runs must land on the
-        // same architectural fingerprint.
-        const FunctionalResult ref_result =
-            runFunctional(*workload, max_insts, false);
-        const FunctionalResult fast_result =
-            runFunctional(*workload, max_insts, true);
-        report.untracedInstructions += ref_result.instructions;
-        if (ref_result.instructions != fast_result.instructions) {
-            detail.str("");
-            detail << "reference executed " << ref_result.instructions
-                   << " instructions, fast executed "
-                   << fast_result.instructions;
-            add("inst_count", detail.str());
+        // 2. Chunked untraced run: runFast() stops after a seeded
+        // random number of instructions, and the oracle must agree at
+        // every stop.
+        Memory ref_mem, fast_mem;
+        Hart ref(ref_mem), fast(fast_mem);
+        ref.reset(prog);
+        fast.reset(prog);
+        Rng rng(prog.sourceHash);
+        DynInst rec;
+        uint64_t executed = 0;
+        while (executed < max_insts && !ref.exited()) {
+            const uint64_t chunk = std::min<uint64_t>(
+                uint64_t(rng.range(1, max_chunk)), max_insts - executed);
+            const uint64_t fast_n = fast.runFast(chunk);
+            uint64_t ref_n = 0;
+            while (ref_n < chunk && ref.referenceStep(rec))
+                ++ref_n;
+            executed += ref_n;
+            ++report.untracedStops;
+            const uint64_t seq = ref.instsExecuted();
+            if (fast_n != ref_n ||
+                fast.instsExecuted() != ref.instsExecuted()) {
+                detail.str("");
+                detail << "runFast(" << chunk << ") executed " << fast_n
+                       << " to seq " << fast.instsExecuted()
+                       << ", the oracle " << ref_n << " to seq " << seq;
+                add("inst_count", detail.str(), seq);
+                break;
+            }
+            // archChecksum() covers the registers, pc, exit state and
+            // output; the pc and exit state are named for the message.
+            if (fast.archChecksum() != ref.archChecksum()) {
+                detail.str("");
+                detail << "oracle pc 0x" << std::hex << ref.pc()
+                       << " exit (" << ref.exited() << ", "
+                       << ref.exitCode() << ") checksum 0x"
+                       << ref.archChecksum() << ", runFast pc 0x"
+                       << fast.pc() << " exit (" << fast.exited() << ", "
+                       << fast.exitCode() << ") checksum 0x"
+                       << fast.archChecksum();
+                add("arch_state", detail.str(), seq);
+                break;
+            }
         }
-        if (ref_result.archChecksum != fast_result.archChecksum) {
-            detail.str("");
-            detail << "arch checksum 0x" << std::hex
-                   << ref_result.archChecksum << " vs 0x"
-                   << fast_result.archChecksum;
-            add("arch_state", detail.str());
-        }
-        if (ref_result.memChecksum != fast_result.memChecksum) {
+        report.untracedInstructions += executed;
+        if (ref_mem.checksum() != fast_mem.checksum()) {
             detail.str("");
             detail << "memory checksum 0x" << std::hex
-                   << ref_result.memChecksum << " vs 0x"
-                   << fast_result.memChecksum;
+                   << ref_mem.checksum() << " vs 0x"
+                   << fast_mem.checksum();
             add("mem_state", detail.str());
-        }
-        if (ref_result.exited != fast_result.exited ||
-            ref_result.exitCode != fast_result.exitCode) {
-            detail.str("");
-            detail << "exit state (" << ref_result.exited << ", "
-                   << ref_result.exitCode << ") vs ("
-                   << fast_result.exited << ", "
-                   << fast_result.exitCode << ")";
-            add("exit_state", detail.str());
         }
     }
     return report;

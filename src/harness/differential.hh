@@ -106,26 +106,26 @@ DiffReport runDifferential(const std::vector<const Workload *> &workloads,
 /** Convenience: the full workload suite. */
 DiffReport runDifferentialAll(const DiffOptions &opts = {});
 
-/** One fast-vs-reference engine equivalence failure. */
+/** One production-path-vs-oracle equivalence failure. */
 struct EngineDiffViolation
 {
     std::string workload;
     std::string check;  ///< "dyninst_stream", "trace_length",
-                        ///< "inst_count", "arch_state", "mem_state"
-                        ///< or "exit_state"
+                        ///< "inst_count", "arch_state" or "mem_state"
     std::string detail; ///< human-readable specifics
     uint64_t seq = 0;   ///< first diverging sequence number (0 if n/a)
 
     std::string toJson() const;
 };
 
-/** Result of a fast-vs-reference engine equivalence sweep. */
+/** Result of an engine equivalence sweep. */
 struct EngineDiffReport
 {
     std::vector<std::string> workloads;
     std::vector<EngineDiffViolation> violations;
     uint64_t tracedInstructions = 0;   ///< DynInsts compared in lockstep
-    uint64_t untracedInstructions = 0; ///< insts executed per engine
+    uint64_t untracedInstructions = 0; ///< insts runFast() executed
+    uint64_t untracedStops = 0;        ///< runFast() stops compared
 
     bool ok() const { return violations.empty(); }
 
@@ -134,19 +134,25 @@ struct EngineDiffReport
 };
 
 /**
- * Prove the fast-forward engine (Hart::runFast / Hart::stepFast)
- * bit-identical to the reference engine (Hart::run / Hart::step).
- * For each workload, two independent checks:
+ * Check the two production execution paths, Hart::step() and
+ * Hart::runFast() (both run sim/fast_ops.inc over the decoder cache),
+ * against the hart's decode-every-step oracle (sim/hart.hh), which
+ * decodes every instruction from memory. For each workload, two
+ * independent checks:
  *
- *  1. traced lockstep — step() and stepFast() advance private harts
- *     side by side and every DynInst field (seq, pc, nextPc, decoded
- *     instruction including the raw word, effective address, branch
- *     outcome) is compared record by record for the first
+ *  1. traced lockstep — step() and the oracle advance private
+ *     harts side by side and every DynInst field (seq, pc, nextPc,
+ *     decoded instruction including the raw word, effective address,
+ *     branch outcome) is compared record by record for the first
  *     @a traced_insts instructions;
- *  2. untraced end state — run() and runFast() execute under
- *     @a max_insts and the final Hart::archChecksum(),
- *     Memory::checksum(), executed-instruction count and exit
- *     status/code must all match.
+ *  2. chunked untraced run — runFast(k) for a seeded random k in
+ *     [1, 64] against k oracle steps, until the program
+ *     exits or @a max_insts have run. At every stop the executed
+ *     count, instsExecuted() and Hart::archChecksum() (registers, pc,
+ *     exit state, output) must match, and Memory::checksum() at the
+ *     end. The
+ *     stops land mid-block and between fused instructions, so
+ *     runFast()'s budget tail and off-text fallbacks run too.
  */
 EngineDiffReport
 runEngineDifferential(const std::vector<const Workload *> &workloads,
@@ -156,8 +162,8 @@ runEngineDifferential(const std::vector<const Workload *> &workloads,
 /**
  * Convenience: the full workload suite plus a self-modifying-code
  * kernel (smcPatchWorkload()) that patches instruction words inside
- * its own hot loop, exercising the decoder-cache invalidation path
- * under both engines, plus an ELF-loaded kernel
+ * its own hot loop, exercising the decoder-cache invalidation path,
+ * plus an ELF-loaded kernel
  * (elfChecksumWorkload()) that routes the real-binary frontend and
  * the Linux ecall shim through the same lockstep checks.
  */

@@ -1,9 +1,11 @@
 #include "harness/report.hh"
 
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 #include "common/logging.hh"
+#include "harness/runner.hh"
 #include "ledger/ledger.hh"
 #include "telemetry/host_trace.hh"
 
@@ -71,8 +73,16 @@ printBenchHeader(const std::string &title,
                  const std::string &description)
 {
     // Every bench prints this header first, so it doubles as the
-    // hook that arms HELIOS_HOST_TRACE / HELIOS_METRICS collection
-    // and the HELIOS_LEDGER run ledger.
+    // hook that rejects a bad HELIOS_JOBS / HELIOS_MAX_INSTS /
+    // HELIOS_HEARTBEAT before any work (a usage error: exit 2) and
+    // arms HELIOS_HOST_TRACE / HELIOS_METRICS collection and the
+    // HELIOS_LEDGER run ledger.
+    try {
+        validateRunEnvironment();
+    } catch (const FatalError &error) {
+        std::fprintf(stderr, "error: %s\n", error.what());
+        std::exit(2);
+    }
     initHostTelemetryFromEnv();
     initLedgerFromEnv();
     std::printf("==================================================\n");

@@ -57,15 +57,14 @@ recordRunToLedger(const RunResult &result, uint64_t max_insts)
 LedgerOutcome
 recordFunctionalToLedger(const std::string &workload,
                          const FunctionalResult &result,
-                         uint64_t max_insts, bool fast_path)
+                         uint64_t max_insts)
 {
     Ledger *ledger = Ledger::global();
     if (!ledger)
         return LedgerOutcome::Disarmed;
 
     const uint64_t budget = normalizeBudget(max_insts);
-    const std::string mode =
-        fast_path ? "functional-fast" : "functional-ref";
+    const std::string mode = "functional";
 
     LedgerKey key;
     key.programHash = result.programHash;

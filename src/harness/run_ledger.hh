@@ -46,14 +46,12 @@ LedgerOutcome recordRunToLedger(const RunResult &result,
 
 /**
  * Record one finished functional-only run. Functional runs carry no
- * CoreParams, so the config hash is 0 and the mode is
- * "functional-fast" / "functional-ref"; the blob is a small JSON
- * document of the architectural outcome.
+ * CoreParams, so the config hash is 0 and the mode is "functional";
+ * the blob is a small JSON document of the architectural outcome.
  */
 LedgerOutcome recordFunctionalToLedger(const std::string &workload,
                                        const FunctionalResult &result,
-                                       uint64_t max_insts,
-                                       bool fast_path);
+                                       uint64_t max_insts);
 
 /**
  * Record one finished sampled run (harness/sampling.hh). A sampled

@@ -53,6 +53,28 @@ parsePositiveEnv(const char *name, const char *text)
 }
 
 /**
+ * Seconds between sweep heartbeats: HELIOS_HEARTBEAT if set (a
+ * non-negative number; 0 turns the heartbeat off), else 30. fatal()
+ * on anything else, so a typo cannot silently read as 0.
+ */
+double
+heartbeatSeconds()
+{
+    const char *text = std::getenv("HELIOS_HEARTBEAT");
+    if (!text)
+        return 30.0;
+    errno = 0;
+    char *end = nullptr;
+    const double value = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE ||
+        !std::isfinite(value) || value < 0)
+        fatal("HELIOS_HEARTBEAT='%s' is not a number of seconds "
+              "(0 turns the heartbeat off)",
+              text);
+    return value;
+}
+
+/**
  * Sweep progress feedback, fed by workers as cells complete. Two
  * modes, both off the results path (pure observer):
  *
@@ -69,14 +91,12 @@ class MatrixProgress
   public:
     explicit MatrixProgress(size_t total_cells)
         : total(total_cells),
-          start(std::chrono::steady_clock::now())
+          start(std::chrono::steady_clock::now()),
+          heartbeat(heartbeatSeconds())
     {
         const char *env = std::getenv("HELIOS_PROGRESS");
         tty = isatty(fileno(stderr)) &&
               !(env && std::string(env) == "0");
-        heartbeatSeconds = 30.0;
-        if (const char *beat = std::getenv("HELIOS_HEARTBEAT"))
-            heartbeatSeconds = std::strtod(beat, nullptr);
     }
 
     ~MatrixProgress()
@@ -102,9 +122,9 @@ class MatrixProgress
             lastUpdate = elapsed;
             shown = true;
             Logger::global().progress(render(done, elapsed));
-        } else if (heartbeatSeconds > 0) {
+        } else if (heartbeat > 0) {
             std::lock_guard<std::mutex> lock(mutex);
-            if (elapsed - lastUpdate < heartbeatSeconds)
+            if (elapsed - lastUpdate < heartbeat)
                 return;
             lastUpdate = elapsed;
             inform("[matrix] %s", render(done, elapsed).c_str());
@@ -120,10 +140,10 @@ class MatrixProgress
 
     const size_t total;
     const std::chrono::steady_clock::time_point start;
+    const double heartbeat; ///< seconds between heartbeats; 0 = off
     std::atomic<size_t> completed{0};
     std::mutex mutex;
     double lastUpdate = 0.0;
-    double heartbeatSeconds = 30.0;
     bool tty = false;
     bool shown = false;
 };
@@ -325,8 +345,7 @@ runMatrix(const std::vector<MatrixCell> &cells, unsigned jobs)
 }
 
 FunctionalResult
-runFunctional(const Workload &workload, uint64_t max_insts,
-              bool fast_path)
+runFunctional(const Workload &workload, uint64_t max_insts)
 {
     Memory mem;
     Hart hart(mem);
@@ -334,28 +353,13 @@ runFunctional(const Workload &workload, uint64_t max_insts,
     hart.reset(prog);
 
     FunctionalResult result;
-    result.instructions =
-        fast_path ? hart.runFast(max_insts) : hart.run(max_insts);
+    result.instructions = hart.runFast(max_insts);
     result.archChecksum = hart.archChecksum();
     result.memChecksum = mem.checksum();
     result.exited = hart.exited();
     result.exitCode = hart.exitCode();
     result.programHash = prog.sourceHash;
     return result;
-}
-
-std::vector<DynInst>
-functionalTrace(const Workload &workload, uint64_t max_insts)
-{
-    Memory mem;
-    Hart hart(mem);
-    hart.reset(workload.program());
-
-    std::vector<DynInst> trace;
-    DynInst rec;
-    while (trace.size() < max_insts && hart.step(rec))
-        trace.push_back(rec);
-    return trace;
 }
 
 uint64_t
@@ -395,6 +399,14 @@ benchInstructionBudget()
     if (const char *env = std::getenv("HELIOS_MAX_INSTS"))
         return parsePositiveEnv("HELIOS_MAX_INSTS", env);
     return 200'000;
+}
+
+void
+validateRunEnvironment()
+{
+    defaultJobCount();
+    benchInstructionBudget();
+    heartbeatSeconds();
 }
 
 } // namespace helios

@@ -178,31 +178,16 @@ struct FunctionalResult
 };
 
 /**
- * Functional-only run through either execution engine: the fast-
- * forward engine (decoder cache + threaded dispatch, Hart::runFast)
- * or the reference step() loop. The two must be bit-identical — the
- * engine differential (runEngineDifferential) asserts it — so
- * @a fast_path is purely a throughput choice.
+ * Functional-only run: Hart::runFast() under @a max_insts, returning
+ * the final architectural fingerprint.
  */
 FunctionalResult runFunctional(const Workload &workload,
-                               uint64_t max_insts = UINT64_MAX,
-                               bool fast_path = true);
+                               uint64_t max_insts = UINT64_MAX);
 
 /**
- * Functional-only run: execute the workload and return the dynamic
- * instruction stream facts needed by the analysis figures (2, 4, 5).
- *
- * Prefer forEachDynInst() for large budgets — this variant
- * materializes the whole stream in memory.
- */
-std::vector<DynInst> functionalTrace(const Workload &workload,
-                                     uint64_t max_insts = UINT64_MAX);
-
-/**
- * Streaming functional run: execute the workload and hand each
- * dynamic instruction to @a visit as it retires, without buffering
- * the stream. Yields exactly the same records, in the same order, as
- * functionalTrace().
+ * Streaming functional run: execute the workload through Hart::step()
+ * and hand each dynamic instruction to @a visit as it retires,
+ * without buffering the stream.
  *
  * @return the number of instructions executed
  */
@@ -223,6 +208,15 @@ double geomean(const std::vector<double> &values);
  * zero-instruction run.
  */
 uint64_t benchInstructionBudget();
+
+/**
+ * Check the run-shaping environment variables up front: HELIOS_JOBS
+ * and HELIOS_MAX_INSTS (as defaultJobCount() and
+ * benchInstructionBudget() read them) and HELIOS_HEARTBEAT (seconds
+ * between sweep heartbeats, a non-negative number; 0 turns it off).
+ * fatal() naming the variable on the first bad value.
+ */
+void validateRunEnvironment();
 
 } // namespace helios
 

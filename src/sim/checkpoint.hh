@@ -51,9 +51,9 @@ struct Checkpoint
     uint64_t exitCode = 0;
     std::string output;       ///< bytes written to fds 1/2 so far
 
-    // Text segment bounds, so restore can rebuild the pre-decoded
-    // instruction cache from restored memory (covers self-modifying
-    // code: the cache is re-derived, never serialized).
+    // Text segment bounds, so restore can rebuild the decoder cache
+    // from restored memory (covers self-modifying code: the cache is
+    // re-derived, never serialized).
     uint64_t textBase = 0;
     uint64_t textLimit = 0;
 

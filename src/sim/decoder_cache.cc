@@ -1,12 +1,12 @@
 /**
  * @file
- * Fast-forward engine: decoder-cache construction and the two
- * dispatchers built on it — Hart::runFast() (computed-goto threaded
- * block runner) and Hart::stepFast() (traced single-stepper). Both
- * expand the same instruction bodies from fast_ops.inc, so they
- * cannot drift from each other; bit-identity against the reference
- * Hart::step() loop is asserted by the engine differential harness
- * (src/harness/differential.cc) and tests/test_fast_engine.cc.
+ * The decoder cache and the two dispatchers built on it:
+ * Hart::runFast() (computed-goto threaded block runner) and
+ * Hart::step() (one base instruction, producing the DynInst the
+ * pipeline feed consumes). Both expand the same instruction bodies
+ * from fast_ops.inc, so they cannot drift from each other; the engine
+ * differential (src/harness/differential.cc) checks both against the
+ * decode-every-step oracle in hart.cc.
  */
 
 #include "sim/decoder_cache.hh"
@@ -175,9 +175,8 @@ constexpr FusionPattern longPatterns[] = {
 } // namespace
 
 FastEntry
-DecoderCache::makeEntry(uint32_t word, uint64_t pc) const
+DecoderCache::makeEntry(const Instruction &inst, uint64_t pc)
 {
-    const Instruction inst = decode(word);
     FastEntry entry;
     entry.op = inst.op;
     entry.hid = static_cast<uint8_t>(inst.op);
@@ -200,14 +199,22 @@ DecoderCache::makeEntry(uint32_t word, uint64_t pc) const
             pc + static_cast<uint64_t>(inst.imm));
         break;
       case Op::Invalid:
-        // Keep the raw word for the reference-identical fault text.
-        entry.imm = static_cast<int64_t>(static_cast<uint64_t>(word));
+        // Keep the raw word for the fault message.
+        entry.imm = static_cast<int64_t>(uint64_t(inst.raw));
         break;
       default:
         entry.imm = inst.imm;
         break;
     }
     return entry;
+}
+
+void
+DecoderCache::decodeWord(const Memory &memory, size_t w)
+{
+    const uint64_t pc = base + 4 * w;
+    insts[w] = decode(static_cast<uint32_t>(memory.read(pc, 4)));
+    entries[w] = makeEntry(insts[w], pc);
 }
 
 void
@@ -218,14 +225,13 @@ DecoderCache::build(const Memory &memory, uint64_t text_base,
     words = num_words;
     ++version_;
     entries.assign(num_words + 1, FastEntry{});
+    insts.assign(num_words, Instruction{});
     // One sentinel slot past the last word, permanently 1: a branch
     // chaining to pc == textLimit budget-checks it like a real block
     // before dispatching the text-end handler.
     blockLens.assign(num_words + 1, 1);
     for (size_t w = 0; w < num_words; ++w)
-        entries[w] = makeEntry(
-            static_cast<uint32_t>(memory.read(text_base + 4 * w, 4)),
-            text_base + 4 * w);
+        decodeWord(memory, w);
 
     // Sentinel: straight-line code running past the last text word
     // dispatches here instead of off the end of the array.
@@ -240,6 +246,7 @@ void
 DecoderCache::clear()
 {
     entries.clear();
+    insts.clear();
     blockLens.clear();
     base = 0;
     words = 0;
@@ -253,9 +260,7 @@ DecoderCache::invalidate(const Memory &memory, size_t lo_word,
         return;
     ++version_;
     for (size_t w = lo_word; w <= hi_word; ++w)
-        entries[w] = makeEntry(
-            static_cast<uint32_t>(memory.read(base + 4 * w, 4)),
-            base + 4 * w);
+        decodeWord(memory, w);
 
     // Expand to the enclosing straight-line region *under the new
     // contents*: back to the previous terminator (block lengths of
@@ -378,8 +383,8 @@ Hart::fastCacheEntries()
  *
  * On any fatal() (invalid/ebreak/bad ecall) instsExecuted() is
  * block-aligned — in-block progress before the fault is not folded
- * into seq. The reference engine is the contract for fault *state*
- * (message and pc); counters after a throw are not part of it.
+ * into seq. step() is the contract for fault *state* (message and
+ * pc); counters after a throw are not part of it.
  */
 uint64_t
 Hart::runFast(uint64_t max_insts)
@@ -400,7 +405,7 @@ Hart::runFast(uint64_t max_insts)
     // store. A local array whose address never escapes is provably
     // unaliased. The RAII guard publishes it back on every exit,
     // including fatal() unwinds, so post-catch architectural state
-    // matches the reference engine.
+    // matches step()'s.
     uint64_t lregs[numArchRegs];
     std::memcpy(lregs, this->regs, sizeof(lregs));
     struct RegPublish
@@ -468,10 +473,10 @@ Hart::runFast(uint64_t max_insts)
     while (!hasExited && executed < max_insts) {
         const uint64_t offset = thePc - text_base;
         if (offset >= text_bytes || (offset & 3) != 0) {
-            // Off-text (or misaligned) pc: the reference engine owns
-            // this path — it decodes from memory and faults exactly
-            // like a non-cached fetch. step() works on the member
-            // register file, so sync the local copy around it.
+            // Off-text (or misaligned) pc: step() decodes the word
+            // from memory and runs (or faults on) it. step() works on
+            // the member register file, so sync the local copy around
+            // it.
             std::memcpy(this->regs, lregs, sizeof(lregs));
             const bool stepped = step(scratch);
             std::memcpy(lregs, this->regs, sizeof(lregs));
@@ -492,8 +497,7 @@ Hart::runFast(uint64_t max_insts)
         const RunEntry *block_start = e;
         if (uint64_t(block_lens[offset >> 2]) > max_insts - executed) {
             // The budget expires inside this block: single-step the
-            // tail on the reference engine so the stopping point is
-            // bit-identical.
+            // tail so the stop lands on the exact instruction.
             std::memcpy(this->regs, lregs, sizeof(lregs));
             while (executed < max_insts && step(scratch))
                 ++executed;
@@ -845,8 +849,8 @@ Hart::runFast(uint64_t max_insts)
       h_TextEnd: {
         // Straight-line code ran off the end of text: settle the
         // instructions executed on the way here, then hand the pc to
-        // the outer loop, whose off-text path reproduces the
-        // reference engine's fault on the next iteration.
+        // the outer loop, whose off-text path hands it to step()
+        // on the next iteration.
         const uint64_t blk = uint64_t(e - block_start);
         executed += blk;
         seq += blk;
@@ -877,38 +881,45 @@ Hart::runFast(uint64_t max_insts)
 }
 
 /*
- * The traced single-stepper: same cache, same bodies, but dispatching
- * the *base* op of every entry (fused handler ids are ignored) and
- * filling a reference-identical DynInst. Used by the engine
- * differential to prove stream equality; the throughput path is
- * runFast().
+ * The single-stepper: same cache, same bodies, but dispatching the
+ * *base* op of every entry (fused handler ids are ignored) and filling
+ * the DynInst the pipeline feed and the trace analyses consume. Also
+ * runFast()'s fallback for off-text pcs and budget tails.
  */
 bool
-Hart::stepFast(DynInst &out)
+Hart::step(DynInst &out)
 {
     if (hasExited)
         return false;
     ensureFastCache();
 
-    const uint64_t offset = thePc - fastCache.textBase();
-    if (offset >= fastCache.numWords() * 4 || (offset & 3) != 0)
-        return step(out);
-
-    const FastEntry *e = fastCache.entryArray() + (offset >> 2);
-    // Like the reference fetch path: fault before seq is consumed.
+    const uint64_t pc = thePc;
+    const uint64_t offset = pc - fastCache.textBase();
+    const FastEntry *e;
+    const Instruction *inst;
+    FastEntry off_text_entry;
+    Instruction off_text_inst;
+    if (offset < fastCache.numWords() * 4 && (offset & 3) == 0) {
+        e = fastCache.entryArray() + (offset >> 2);
+        inst = fastCache.instArray() + (offset >> 2);
+    } else {
+        // No cache slot: decode this one word from memory.
+        off_text_inst = decode(static_cast<uint32_t>(mem.read(pc, 4)));
+        off_text_entry = DecoderCache::makeEntry(off_text_inst, pc);
+        e = &off_text_entry;
+        inst = &off_text_inst;
+    }
+    // Fault before seq is consumed.
     if (e->op == Op::Invalid)
         fatal("invalid instruction 0x%08x at pc 0x%llx",
-              unsigned(uint32_t(e->imm)),
-              (unsigned long long)thePc);
+              unsigned(inst->raw), (unsigned long long)pc);
 
-    const uint64_t pc = thePc;
     out = DynInst{};
     out.seq = seq++;
     out.pc = pc;
-    // Full-fidelity record (including Instruction::raw) straight from
-    // memory — invalidateText() keeps text and cache coherent, so
-    // this matches the entry by construction.
-    out.inst = decode(static_cast<uint32_t>(mem.read(pc, 4)));
+    // Copied before executing: a store into text re-decodes the
+    // cache slot *inst points at.
+    out.inst = *inst;
     thePc = pc + 4; // non-control default; handlers override
 
     switch (e->op) {
@@ -932,7 +943,7 @@ Hart::stepFast(DynInst &out)
 #define RECORD_EA(a) out.effAddr = (a)
 #define RECORD_TAKEN(t) out.taken = (t)
 #define SMC_EXIT ((void)0)
-    // stepFast executes on the member register file, so the syscall
+    // step() executes on the member register file, so the syscall
     // sync hooks are no-ops here.
 #define FAST_SYNC_OUT ((void)0)
 #define FAST_SYNC_IN ((void)0)
@@ -956,7 +967,7 @@ Hart::stepFast(DynInst &out)
 #undef FAST_SYNC_IN
 
       default:
-        panic("unhandled opcode in Hart::stepFast: %u",
+        panic("unhandled opcode in Hart::step: %u",
               unsigned(e->op));
     }
 

@@ -1,6 +1,8 @@
 /**
  * @file
- * Flat decoder cache for the fast-forward functional engine.
+ * Flat decoder cache: the one decoded form of the text segment that
+ * every production execution path runs from (Hart::runFast, and
+ * Hart::step, which feeds the pipeline and the trace analyses).
  *
  * One 16-byte FastEntry per static instruction word in the text
  * segment, indexed by (pc - textBase) >> 2, in the style of
@@ -16,8 +18,13 @@
  * (inclusive), letting Hart::runFast() check the instruction budget
  * once per block instead of once per instruction. A final sentinel
  * entry (HidTextEnd) past the last word catches straight-line code
- * running off the end of text and routes it back to the reference
- * engine's fault path.
+ * running off the end of text and routes it to Hart::step(), which
+ * decodes the word past text from memory and faults on it.
+ *
+ * Beside each entry the cache keeps the word's full decoded
+ * Instruction (including the raw word), decoded once in build() or
+ * invalidate(), so Hart::step() can fill DynInst::inst without
+ * decoding.
  *
  * Fusion: after the base entries are built, adjacent pairs matching
  * the paper's hottest idioms (lui+addi constant build, addi+branch
@@ -25,8 +32,8 @@
  * that execute both instructions in one dispatch. Fusion only ever
  * changes the *head* entry's handler id — every architectural field
  * keeps the unfused instruction's semantics, so a jump landing on the
- * pair's tail executes it standalone and the traced single-stepper
- * can replay the exact reference DynInst stream from the same cache.
+ * pair's tail executes it standalone and Hart::step() runs the same
+ * cache one base instruction at a time.
  *
  * SMC contract: Hart::invalidateText() (called by every store that
  * overlaps text) re-decodes the overwritten words and then rebuilds
@@ -43,6 +50,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "isa/instruction.hh"
 #include "isa/riscv.hh"
 
 namespace helios
@@ -170,7 +178,16 @@ class DecoderCache
     void invalidate(const Memory &memory, size_t lo_word,
                     size_t hi_word);
 
+    /**
+     * The entry for @a inst at @a pc, unfused. Hart::step() uses it
+     * for an off-text or misaligned pc, whose word has no slot.
+     */
+    static FastEntry makeEntry(const Instruction &inst, uint64_t pc);
+
     const FastEntry *entryArray() const { return entries.data(); }
+
+    /** The decoded instruction of each text word (numWords() slots). */
+    const Instruction *instArray() const { return insts.data(); }
 
     /**
      * words + 1 slots: one per text word plus a sentinel slot of 1
@@ -197,7 +214,8 @@ class DecoderCache
     uint64_t version() const { return version_; }
 
   private:
-    FastEntry makeEntry(uint32_t word, uint64_t pc) const;
+    /** Decode word @a w from memory into insts[w] and entries[w]. */
+    void decodeWord(const Memory &memory, size_t w);
 
     /**
      * Reset handler ids to the base ops, recompute block lengths and
@@ -209,6 +227,7 @@ class DecoderCache
     void rebuildRange(size_t lo, size_t hi);
 
     std::vector<FastEntry> entries; ///< words + 1 (text-end sentinel)
+    std::vector<Instruction> insts; ///< words
     std::vector<uint32_t> blockLens;
     uint64_t base = 0;
     size_t words = 0;

@@ -75,15 +75,9 @@ Hart::reset(const Program &prog)
     if (prog.linuxAbi)
         setupStartStack(prog);
 
-    predecoded.clear();
     fastCache.clear();
     textBase = prog.textBase;
     textLimit = prog.textBase + 4 * prog.code.size();
-    if (cacheWanted) {
-        predecoded.reserve(prog.code.size());
-        for (uint32_t word : prog.code)
-            predecoded.push_back(decode(word));
-    }
 }
 
 Checkpoint
@@ -135,38 +129,12 @@ Hart::restoreCheckpoint(const Checkpoint &ckpt)
         mem.writeBlock(page.index << Memory::pageBits,
                        page.bytes.data(), page.bytes.size());
 
-    // Rebuild the pre-decoded caches from the restored image, exactly
-    // as reset() derives them from a fresh program: a run that
-    // patched its own text before the cut predecodes the *patched*
-    // words here.
+    // The decoder cache is rebuilt from the restored image on first
+    // use, exactly as after reset(): a run that patched its own text
+    // before the cut decodes the *patched* words.
     textBase = ckpt.textBase;
     textLimit = ckpt.textLimit;
-    predecoded.clear();
     fastCache.clear();
-    if (cacheWanted && textLimit > textBase) {
-        predecoded.reserve((textLimit - textBase) / 4);
-        for (uint64_t addr = textBase; addr < textLimit; addr += 4)
-            predecoded.push_back(
-                decode(static_cast<uint32_t>(mem.read(addr, 4))));
-    }
-}
-
-void
-Hart::setDecodeCacheEnabled(bool enabled)
-{
-    cacheWanted = enabled;
-    if (!enabled)
-        predecoded.clear();
-}
-
-const Instruction &
-Hart::fetch(uint64_t pc, Instruction &scratch)
-{
-    const uint64_t offset = pc - textBase;
-    if (offset < predecoded.size() * 4 && (offset & 3) == 0)
-        return predecoded[offset >> 2];
-    scratch = decode(static_cast<uint32_t>(mem.read(pc, 4)));
-    return scratch;
 }
 
 void
@@ -233,14 +201,9 @@ Hart::invalidateText(uint64_t addr, uint64_t size)
         return;
     const uint64_t lo = std::max(addr, textBase);
     const uint64_t hi = std::min(addr + size - 1, textLimit - 1);
-    const uint64_t lo_word = (lo - textBase) >> 2;
-    const uint64_t hi_word = (hi - textBase) >> 2;
-    if (!predecoded.empty())
-        for (uint64_t word = lo_word; word <= hi_word; ++word)
-            predecoded[word] = decode(static_cast<uint32_t>(
-                mem.read(textBase + 4 * word, 4)));
     if (fastCache.built())
-        fastCache.invalidate(mem, lo_word, hi_word);
+        fastCache.invalidate(mem, (lo - textBase) >> 2,
+                             (hi - textBase) >> 2);
 }
 
 uint64_t
@@ -274,13 +237,14 @@ Hart::setReg(unsigned index, uint64_t value)
 }
 
 bool
-Hart::step(DynInst &out)
+Hart::referenceStep(DynInst &out)
 {
     if (hasExited)
         return false;
 
-    Instruction scratch;
-    const Instruction &inst = fetch(thePc, scratch);
+    // Decoded from memory on every call, never from the cache.
+    const Instruction inst =
+        decode(static_cast<uint32_t>(mem.read(thePc, 4)));
     if (inst.op == Op::Invalid)
         fatal("invalid instruction 0x%08x at pc 0x%llx", inst.raw,
               static_cast<unsigned long long>(thePc));
@@ -289,24 +253,9 @@ Hart::step(DynInst &out)
     out.seq = seq++;
     out.pc = thePc;
     out.inst = inst;
-
-    // Execute from the copy in `out`: a store into the text segment
-    // re-decodes cache entries, which would invalidate `inst` if it
-    // referred into the cache.
     execute(out.inst, out);
-
     out.nextPc = thePc;
     return true;
-}
-
-uint64_t
-Hart::run(uint64_t max_insts)
-{
-    DynInst rec;
-    uint64_t executed = 0;
-    while (executed < max_insts && step(rec))
-        ++executed;
-    return executed;
 }
 
 void

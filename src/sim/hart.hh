@@ -1,8 +1,8 @@
 /**
  * @file
- * The functional RV64IM hart: architectural state plus an instruction-
- * at-a-time execution loop. Plays the role Spike plays in the paper's
- * infrastructure.
+ * The functional RV64IM hart: architectural state plus execution
+ * through the flat decoder cache (sim/decoder_cache.hh). Plays the
+ * role Spike plays in the paper's infrastructure.
  */
 
 #ifndef SIM_HART_HH
@@ -45,37 +45,35 @@ class Hart
     void reset(const Program &prog);
 
     /**
-     * Execute a single instruction.
+     * Execute a single instruction through the decoder cache, on the
+     * base op of its entry (fused handlers are ignored). This is the
+     * pipeline feed's path; for throughput use runFast().
      * @param out record of the executed instruction
      * @return false once the program has exited (out is untouched)
      */
     bool step(DynInst &out);
 
-    /** Run to completion or until @a max_insts executed. */
-    uint64_t run(uint64_t max_insts = UINT64_MAX);
-
     /**
-     * Fast-forward run: same architectural semantics as run(), but
-     * executed through the flat decoder cache with threaded dispatch
-     * and basic-block stepping (src/sim/decoder_cache.{hh,cc}).
-     * Bit-identical to run() — same registers, memory, pc, seq, exit
-     * state and output — which the engine differential harness
-     * asserts across the whole workload suite. The one documented
-     * difference is fatal() paths (invalid/ebreak/unsupported ecall):
-     * the fault fires with an identical message and pc, but
-     * instsExecuted() is block-aligned rather than instruction-exact
-     * when the throw unwinds.
+     * Run to completion or until @a max_insts executed, through the
+     * decoder cache with threaded dispatch, fused handlers and
+     * basic-block stepping (src/sim/decoder_cache.{hh,cc}). Stops on
+     * the exact instruction, with the same registers, memory, pc,
+     * seq, exit state and output as as many step() calls. The one
+     * documented difference is fatal() paths (invalid/ebreak/
+     * unsupported ecall): the fault fires with an identical message
+     * and pc, but instsExecuted() is block-aligned rather than
+     * instruction-exact when the throw unwinds.
      */
     uint64_t runFast(uint64_t max_insts = UINT64_MAX);
 
     /**
-     * Traced single-step through the fast engine's decoder cache:
-     * dispatches the pre-resolved entry (ignoring fused handlers) and
-     * produces a DynInst bit-identical to step()'s. Exists so the
-     * differential harness can prove stream equality between engines;
-     * for throughput use runFast().
+     * The test oracle: execute a single instruction through the
+     * execute() switch, decoding it from memory at the pc. It shares
+     * no decoded state with the decoder cache, so a stale cache entry
+     * shows up as a divergence. Only the engine differential and the
+     * tests call it.
      */
-    bool stepFast(DynInst &out);
+    bool referenceStep(DynInst &out);
 
     /** Fused entry pairs in the decoder cache (builds it if needed). */
     size_t fastFusedPairs();
@@ -121,38 +119,22 @@ class Hart
      * Reinstate a checkpoint into this hart and its (freshly
      * constructed) Memory — the counterpart of reset(const Program&)
      * for a mid-run cut. Execution then continues bit-identically to
-     * the run the checkpoint was cut from, through either engine.
-     * The pre-decoded caches are rebuilt from the restored memory
-     * image (never serialized), which is what makes post-SMC cuts
-     * safe. fatal() when the Memory already holds resident pages.
+     * the run the checkpoint was cut from. The decoder cache is
+     * rebuilt from the restored memory image (never serialized),
+     * which is what makes post-SMC cuts safe. fatal() when the Memory
+     * already holds resident pages.
      */
     void restoreCheckpoint(const Checkpoint &ckpt);
 
-    /**
-     * Enable/disable the pre-decoded program cache (enabled by
-     * default). Takes effect at the next reset(); exists so tests can
-     * compare cached and uncached execution bit-for-bit.
-     */
-    void setDecodeCacheEnabled(bool enabled);
-    bool decodeCacheEnabled() const { return cacheWanted; }
-
-    /** Static instructions currently held pre-decoded (0 if disabled). */
-    size_t decodeCacheSize() const { return predecoded.size(); }
-
   private:
-    /** Fetch + decode at @a pc, through the pre-decoded cache. */
-    const Instruction &fetch(uint64_t pc, Instruction &scratch);
-
     /**
      * Re-decode cached words touched by a store (or a syscall that
-     * wrote guest memory) into [addr, addr+size): repairs both the
-     * reference engine's pre-decoded cache and the fast engine's
-     * decoder cache (including block lengths and fused pairs
-     * spanning the patched words).
+     * wrote guest memory) into [addr, addr+size), including block
+     * lengths and fused pairs spanning the patched words.
      */
     void invalidateText(uint64_t addr, uint64_t size);
 
-    /** Lazily build the fast engine's decoder cache. */
+    /** Lazily build the decoder cache. */
     void ensureFastCache();
 
     void execute(const Instruction &inst, DynInst &rec);
@@ -170,18 +152,14 @@ class Hart
     std::string theOutput;
     SyscallEmulator sys;
 
-    // Pre-decoded program cache: each static instruction in
-    // [textBase, textLimit) is decoded exactly once at reset() and
-    // step() indexes it by (pc - textBase) / 4. Stores into the text
-    // segment re-decode the overwritten words (self-modifying code).
-    bool cacheWanted = true;
-    std::vector<Instruction> predecoded;
+    // The text segment [textBase, textLimit). Stores into it
+    // re-decode the overwritten words (self-modifying code).
     uint64_t textBase = 0;
     uint64_t textLimit = 0;
 
-    // Fast-forward engine state: built lazily on the first
-    // runFast()/stepFast() call, dropped at reset(), kept coherent
-    // with memory by invalidateText().
+    // The decoder cache: built lazily on the first runFast()/step()
+    // call, dropped at reset(), kept coherent with memory by
+    // invalidateText().
     DecoderCache fastCache;
 
     // runFast()'s dispatch table: the decoder cache translated to

@@ -5,9 +5,10 @@
  * continuation equivalence: a run cut at ANY dynamic instruction
  * index and restored into a fresh hart must finish bit-identically
  * (registers, memory, output, exit state) to the uninterrupted run,
- * through either execution engine. Cuts are exercised mid-basic-
- * block, between the halves of fused decoder-cache pairs, after
- * self-modifying stores, and mid-way through the stdin buffer.
+ * along runFast(), step() and the oracle referenceStep(). Cuts are
+ * exercised mid-basic-block, between the halves of fused
+ * decoder-cache pairs, after self-modifying stores, and mid-way
+ * through the stdin buffer.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "harness/differential.hh"
 #include "harness/elf_image.hh"
 #include "harness/runner.hh"
+#include "hart_paths.hh"
 #include "sim/checkpoint.hh"
 #include "sim/elf_loader.hh"
 #include "sim/hart.hh"
@@ -53,16 +55,16 @@ capture(const Hart &hart, const Memory &mem)
 
 /** Run @a prog uninterrupted for @a total instructions. */
 EndState
-runUninterrupted(const Program &prog, uint64_t total, bool fast)
+runUninterrupted(const Program &prog, uint64_t total, HartPath path)
 {
     Memory mem;
     Hart hart(mem);
     hart.reset(prog);
-    fast ? hart.runFast(total) : hart.run(total);
+    runAlong(path, hart, total);
     return capture(hart, mem);
 }
 
-/** Cut @a prog at dynamic instruction @a cut via the fast engine. */
+/** Cut @a prog at dynamic instruction @a cut via runFast(). */
 Checkpoint
 cutAt(const Program &prog, uint64_t cut)
 {
@@ -76,29 +78,32 @@ cutAt(const Program &prog, uint64_t cut)
 
 /** Restore @a ckpt and run @a remaining more instructions. */
 EndState
-continueFrom(const Checkpoint &ckpt, uint64_t remaining, bool fast)
+continueFrom(const Checkpoint &ckpt, uint64_t remaining, HartPath path)
 {
     Memory mem;
     Hart hart(mem);
     hart.restoreCheckpoint(ckpt);
-    fast ? hart.runFast(remaining) : hart.run(remaining);
+    runAlong(path, hart, remaining);
     return capture(hart, mem);
 }
 
-/** The continuation property at one cut, both engines. */
+/** The continuation property at one cut, along every path. */
 void
 expectCutContinues(const Program &prog, uint64_t cut, uint64_t total)
 {
-    const EndState full = runUninterrupted(prog, total, true);
-    ASSERT_EQ(full, runUninterrupted(prog, total, false))
-        << "engines disagree before checkpointing is even involved";
+    const EndState full = runUninterrupted(prog, total, HartPath::Oracle);
+    for (HartPath path : {HartPath::Step, HartPath::RunFast})
+        ASSERT_EQ(runUninterrupted(prog, total, path), full)
+            << hartPathName(path)
+            << " disagrees with the oracle before checkpointing is "
+               "even involved";
 
     const Checkpoint ckpt = cutAt(prog, cut);
     EXPECT_EQ(ckpt.instIndex, cut);
-    EXPECT_EQ(continueFrom(ckpt, total - cut, true), full)
-        << "fast-engine continuation diverged at cut " << cut;
-    EXPECT_EQ(continueFrom(ckpt, total - cut, false), full)
-        << "reference-engine continuation diverged at cut " << cut;
+    for (HartPath path : allHartPaths)
+        EXPECT_EQ(continueFrom(ckpt, total - cut, path), full)
+            << hartPathName(path) << " continuation diverged at cut "
+            << cut;
 }
 
 } // namespace
@@ -177,7 +182,7 @@ TEST(Checkpoint, RestoreRequiresFreshMemory)
 TEST(Checkpoint, CutSweepContinuesBitIdentical)
 {
     // Arbitrary dynamic indices, chosen to land mid-basic-block and
-    // between the halves of fused pairs (the fast engine fuses this
+    // between the halves of fused pairs (runFast() fuses this
     // kernel's hot loop); instruction-exact runFast stops make every
     // index a legal cut.
     const Program prog = findWorkload("crc32").program();
@@ -201,8 +206,8 @@ TEST(Checkpoint, PostSmcCutContinues)
 {
     // The self-modifying kernel rewrites an addi immediate inside its
     // own hot loop; cuts before, amid and after the patching stores
-    // must restore correctly because the pre-decoded caches are
-    // rebuilt from the restored memory image, not serialized.
+    // must restore correctly because the decoder cache is rebuilt
+    // from the restored memory image, not serialized.
     const Workload &smc = smcPatchWorkload();
     const Program prog = smc.program();
 
@@ -217,11 +222,10 @@ TEST(Checkpoint, PostSmcCutContinues)
     for (uint64_t cut :
          {total / 7, total / 3, total / 2, total - 3, total - 1}) {
         const Checkpoint ckpt = cutAt(prog, cut);
-        EXPECT_EQ(continueFrom(ckpt, UINT64_MAX, true), full)
-            << "post-SMC fast continuation diverged at cut " << cut;
-        EXPECT_EQ(continueFrom(ckpt, UINT64_MAX, false), full)
-            << "post-SMC reference continuation diverged at cut "
-            << cut;
+        for (HartPath path : allHartPaths)
+            EXPECT_EQ(continueFrom(ckpt, UINT64_MAX, path), full)
+                << "post-SMC " << hartPathName(path)
+                << " continuation diverged at cut " << cut;
     }
 }
 
@@ -270,11 +274,10 @@ TEST(Checkpoint, MidStdinCutPreservesReadPosition)
     // ecall (stdinPos = 4) and the second (stdinPos = 8).
     for (uint64_t cut = 1; cut < total; ++cut) {
         const Checkpoint ckpt = cutAt(prog, cut);
-        EXPECT_EQ(continueFrom(ckpt, UINT64_MAX, true), full)
-            << "mid-stdin fast continuation diverged at cut " << cut;
-        EXPECT_EQ(continueFrom(ckpt, UINT64_MAX, false), full)
-            << "mid-stdin reference continuation diverged at cut "
-            << cut;
+        for (HartPath path : allHartPaths)
+            EXPECT_EQ(continueFrom(ckpt, UINT64_MAX, path), full)
+                << "mid-stdin " << hartPathName(path)
+                << " continuation diverged at cut " << cut;
     }
 }
 
@@ -314,7 +317,8 @@ TEST(Checkpoint, MidOutputCutPreservesCollectedBytes)
 
     for (uint64_t cut = 1; cut < total; ++cut) {
         const Checkpoint ckpt = cutAt(prog, cut);
-        EXPECT_EQ(continueFrom(ckpt, UINT64_MAX, true), full)
+        EXPECT_EQ(continueFrom(ckpt, UINT64_MAX, HartPath::RunFast),
+                  full)
             << "mid-output continuation diverged at cut " << cut;
     }
 }
@@ -339,7 +343,7 @@ TEST(Checkpoint, RestoredIntervalMatchesDetailedSlice)
     EXPECT_EQ(timed.instructions, window);
 
     const EndState functional =
-        runUninterrupted(prog, cut + window, true);
+        runUninterrupted(prog, cut + window, HartPath::RunFast);
     EXPECT_EQ(timed.archChecksum, functional.arch);
     EXPECT_EQ(timed.memChecksum, functional.mem);
     EXPECT_EQ(timed.hartInstructions, functional.seq);

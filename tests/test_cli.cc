@@ -13,7 +13,8 @@
  * pure observers: they change no simulated number.
  *
  * Drives the real binaries (HELIOS_RUN_BIN, COMPARE_REPORTS_BIN,
- * HELIOS_ANNOTATE_BIN, injected by CMake) through std::system.
+ * HELIOS_ANNOTATE_BIN, FIG10_IPC_BIN, injected by CMake) through
+ * std::system.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +27,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include <sys/wait.h>
 
@@ -202,16 +204,6 @@ TEST(Cli, TimeFlagWorksWithFunctional)
     }
 }
 
-TEST(Cli, TimeFlagWorksWithFunctionalReferenceEngine)
-{
-    std::string out;
-    ASSERT_EQ(
-        runCliCapture("--functional --engine reference --time", out),
-        0);
-    EXPECT_NE(out.find("Minst/s (functional)"), std::string::npos)
-        << out;
-}
-
 // ---------------------------------------------------------------------
 // Numeric flags and --config are strict: a unit suffix, a word, a sign
 // or an unknown name is a usage error (exit 2) that names the flag,
@@ -266,6 +258,16 @@ TEST(Cli, UnknownConfigExitsTwoWithNamedError)
     std::string out;
     EXPECT_EQ(runCliCapture("--config Bogus", out), 2);
     EXPECT_NE(out.find("unknown fusion mode 'Bogus'"), std::string::npos)
+        << out;
+}
+
+TEST(Cli, EngineIsAnUnknownOption)
+{
+    // Functional runs have one execution path; there is no engine to
+    // pick.
+    std::string out;
+    EXPECT_EQ(runCliCapture("--functional --engine fast", out), 2);
+    EXPECT_NE(out.find("unknown option '--engine'"), std::string::npos)
         << out;
 }
 
@@ -501,35 +503,28 @@ TEST(CliTelemetry, TelemetryChangesNoTimingResult)
 
 TEST(CliTelemetry, TelemetryChangesNoFunctionalResult)
 {
-    // Both functional engines, with and without telemetry: identical
-    // instruction count and guest-visible result lines.
-    for (const char *engine : {"fast", "reference"}) {
-        std::string plain, telem;
-        ASSERT_EQ(runCliCapture(std::string("--functional --engine ") +
-                                    engine,
-                                plain),
-                  0);
-        ASSERT_EQ(runCliCapture(std::string("--functional --engine ") +
-                                    engine +
-                                    " --log-level trace --host-trace " +
-                                    tempPath("cli_det_func.json") +
-                                    " --metrics " +
-                                    tempPath("cli_det_func.prom"),
-                                telem),
-                  0);
-        unsigned long long plain_insts = 0, telem_insts = 0;
-        ASSERT_EQ(std::sscanf(std::strstr(plain.c_str(), "functional:"),
-                              "functional: %llu", &plain_insts),
-                  1)
-            << plain;
-        ASSERT_EQ(std::sscanf(std::strstr(telem.c_str(), "functional:"),
-                              "functional: %llu", &telem_insts),
-                  1)
-            << telem;
-        EXPECT_EQ(plain_insts, telem_insts) << engine;
-        EXPECT_EQ(plain.find("exit code") != std::string::npos,
-                  telem.find("exit code") != std::string::npos);
-    }
+    // With and without telemetry: identical instruction count and
+    // guest-visible result lines.
+    std::string plain, telem;
+    ASSERT_EQ(runCliCapture("--functional", plain), 0);
+    ASSERT_EQ(runCliCapture("--functional --log-level trace --host-trace " +
+                                tempPath("cli_det_func.json") +
+                                " --metrics " +
+                                tempPath("cli_det_func.prom"),
+                            telem),
+              0);
+    unsigned long long plain_insts = 0, telem_insts = 0;
+    ASSERT_EQ(std::sscanf(std::strstr(plain.c_str(), "functional:"),
+                          "functional: %llu", &plain_insts),
+              1)
+        << plain;
+    ASSERT_EQ(std::sscanf(std::strstr(telem.c_str(), "functional:"),
+                          "functional: %llu", &telem_insts),
+              1)
+        << telem;
+    EXPECT_EQ(plain_insts, telem_insts);
+    EXPECT_EQ(plain.find("exit code") != std::string::npos,
+              telem.find("exit code") != std::string::npos);
     std::remove(tempPath("cli_det_func.json").c_str());
     std::remove(tempPath("cli_det_func.prom").c_str());
 }
@@ -566,6 +561,62 @@ writeTemp(const char *name, const std::string &text)
 }
 
 } // namespace
+
+// ---------------------------------------------------------------------
+// The run-shaping environment variables are as strict as the flags: a
+// bad HELIOS_JOBS, HELIOS_MAX_INSTS or HELIOS_HEARTBEAT exits 2 naming
+// the variable, before any work, in helios_run and in the figure
+// benches alike.
+
+namespace
+{
+
+/** Bad settings, each with the text its error must contain. */
+const std::pair<const char *, const char *> kBadEnv[] = {
+    {"HELIOS_JOBS=bogus", "HELIOS_JOBS='bogus'"},
+    {"HELIOS_JOBS=0", "HELIOS_JOBS must be a positive integer"},
+    {"HELIOS_MAX_INSTS=2k", "HELIOS_MAX_INSTS='2k'"},
+    {"HELIOS_HEARTBEAT=abc", "HELIOS_HEARTBEAT='abc'"},
+    {"HELIOS_HEARTBEAT=-1", "HELIOS_HEARTBEAT='-1'"},
+};
+
+} // namespace
+
+TEST(Cli, BadEnvironmentValuesExitTwoWithNamedError)
+{
+    const std::string sweep = std::string(HELIOS_RUN_BIN) + " " +
+                              DOTPROD_S + " --sweep --max-insts 2000";
+    for (const auto &[setting, message] : kBadEnv) {
+        std::string out;
+        EXPECT_EQ(runTool("env", std::string(setting) + " " + sweep, out),
+                  2)
+            << setting;
+        EXPECT_NE(out.find(message), std::string::npos)
+            << setting << "\n" << out;
+    }
+    // 0 still turns the heartbeat off.
+    std::string out;
+    EXPECT_EQ(runTool("env", "HELIOS_HEARTBEAT=0 " + sweep, out), 0)
+        << out;
+}
+
+TEST(Cli, FigureBenchRejectsBadEnvironmentValues)
+{
+    // A small budget keeps a regression (a bench that runs anyway)
+    // quick; HELIOS_MAX_INSTS's own case overrides it.
+    for (const auto &[setting, message] : kBadEnv) {
+        std::string out;
+        EXPECT_EQ(runTool("env",
+                          std::string("HELIOS_MAX_INSTS=1000 ") + setting +
+                              " " + FIG10_IPC_BIN,
+                          out),
+                  2)
+            << setting;
+        EXPECT_NE(out.find(message), std::string::npos)
+            << setting << "\n" << out;
+    }
+}
+
 
 TEST(CompareReports, MissingArgumentsExitTwo)
 {

@@ -7,14 +7,16 @@
  * is computed by hand from the ISA manual, never by running the
  * simulator. Each kernel is assembled in-process, packed into a
  * static ELF64 image (harness/elf_image.hh), re-loaded through the
- * real ELF loader, and executed to its exit ecall through BOTH
- * execution engines — the reference step() loop and the fast-forward
- * decoder-cache engine — which must agree on the exit code and on the
- * final architectural/memory checksums.
+ * real ELF loader, and executed to its exit ecall along all three
+ * execution paths: the oracle (a Hart::referenceStep() loop), a
+ * Hart::step() loop (the pipeline feed's path) and Hart::runFast().
+ * The oracle must reach the golden value, and the other two must
+ * agree with it on the exit code, the instruction count and the final
+ * architectural/memory checksums.
  *
  * Set HELIOS_CONFORMANCE_OUT=<path> to write a machine-readable JSON
- * report of every case (name, expected/actual, per-engine checksums);
- * CI uploads it as an artifact.
+ * report of every case (name, expected/actual, per-path exit codes
+ * and checksums); CI uploads it as an artifact.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +28,7 @@
 
 #include "asm/assembler.hh"
 #include "harness/elf_image.hh"
+#include "hart_paths.hh"
 #include "sim/elf_loader.hh"
 #include "sim/hart.hh"
 #include "sim/memory.hh"
@@ -52,8 +55,8 @@ PrintTo(const ConformanceCase &c, std::ostream *os)
     *os << c.name;
 }
 
-/** One engine's observables at the exit ecall. */
-struct EngineState
+/** One path's observables at the exit ecall. */
+struct PathState
 {
     bool exited = false;
     uint64_t exitCode = 0;
@@ -67,8 +70,9 @@ struct CaseResult
 {
     std::string name;
     uint64_t expected = 0;
-    EngineState reference;
-    EngineState fast;
+    PathState reference;
+    PathState step;
+    PathState fast;
     bool passed = false;
 };
 
@@ -84,14 +88,14 @@ buildCase(const ConformanceCase &c)
     return loadElf(buildElfImage(assembled));
 }
 
-EngineState
-runEngine(const Program &prog, bool fast)
+PathState
+runPath(const Program &prog, HartPath path)
 {
     Memory mem;
     Hart hart(mem);
     hart.reset(prog);
-    EngineState state;
-    state.instructions = fast ? hart.runFast() : hart.run();
+    PathState state;
+    state.instructions = runAlong(path, hart);
     state.exited = hart.exited();
     state.exitCode = hart.exitCode();
     state.archChecksum = hart.archChecksum();
@@ -436,7 +440,16 @@ const ConformanceCase kCases[] = {
         bnez t0, loop)", "", 55},
 };
 
-/** Run one case through both engines; no gtest assertions. */
+bool
+sameState(const PathState &a, const PathState &b)
+{
+    return a.exited == b.exited && a.exitCode == b.exitCode &&
+           a.archChecksum == b.archChecksum &&
+           a.memChecksum == b.memChecksum &&
+           a.instructions == b.instructions;
+}
+
+/** Run one case along every path; no gtest assertions. */
 CaseResult
 evaluateCase(const ConformanceCase &c)
 {
@@ -444,16 +457,26 @@ evaluateCase(const ConformanceCase &c)
     CaseResult row;
     row.name = c.name;
     row.expected = c.expected;
-    row.reference = runEngine(prog, false);
-    row.fast = runEngine(prog, true);
-    row.passed =
-        row.reference.exited && row.fast.exited &&
-        row.reference.exitCode == c.expected &&
-        row.fast.exitCode == row.reference.exitCode &&
-        row.fast.archChecksum == row.reference.archChecksum &&
-        row.fast.memChecksum == row.reference.memChecksum &&
-        row.fast.instructions == row.reference.instructions;
+    row.reference = runPath(prog, HartPath::Oracle);
+    row.step = runPath(prog, HartPath::Step);
+    row.fast = runPath(prog, HartPath::RunFast);
+    row.passed = row.reference.exited &&
+                 row.reference.exitCode == c.expected &&
+                 sameState(row.step, row.reference) &&
+                 sameState(row.fast, row.reference);
     return row;
+}
+
+/** Expect @a path's observables to equal the oracle's. */
+void
+expectMatchesOracle(const PathState &path, const PathState &oracle,
+                    const std::string &label)
+{
+    EXPECT_TRUE(path.exited) << label;
+    EXPECT_EQ(path.exitCode, oracle.exitCode) << label;
+    EXPECT_EQ(path.archChecksum, oracle.archChecksum) << label;
+    EXPECT_EQ(path.memChecksum, oracle.memChecksum) << label;
+    EXPECT_EQ(path.instructions, oracle.instructions) << label;
 }
 
 class Conformance : public ::testing::TestWithParam<ConformanceCase>
@@ -466,19 +489,15 @@ TEST_P(Conformance, BothEnginesMatchGolden)
     const ConformanceCase &c = GetParam();
     const CaseResult row = evaluateCase(c);
 
-    // Reference engine against the hand-computed golden value.
+    // The oracle against the hand-computed golden value.
     EXPECT_TRUE(row.reference.exited) << c.name;
     EXPECT_EQ(row.reference.exitCode, c.expected) << c.name;
 
-    // Fast engine must be bit-identical to the reference.
-    EXPECT_TRUE(row.fast.exited) << c.name;
-    EXPECT_EQ(row.fast.exitCode, row.reference.exitCode) << c.name;
-    EXPECT_EQ(row.fast.archChecksum, row.reference.archChecksum)
-        << c.name;
-    EXPECT_EQ(row.fast.memChecksum, row.reference.memChecksum)
-        << c.name;
-    EXPECT_EQ(row.fast.instructions, row.reference.instructions)
-        << c.name;
+    // step() and runFast() must be bit-identical to the oracle.
+    expectMatchesOracle(row.step, row.reference,
+                        std::string(c.name) + " step");
+    expectMatchesOracle(row.fast, row.reference,
+                        std::string(c.name) + " runFast");
     EXPECT_TRUE(row.passed) << c.name;
 }
 
@@ -520,6 +539,7 @@ TEST(ConformanceReport, WriteJsonWhenRequested)
             << ", \"passed\": " << (row.passed ? "true" : "false")
             << ", \"expected\": " << row.expected
             << ", \"reference_exit\": " << row.reference.exitCode
+            << ", \"step_exit\": " << row.step.exitCode
             << ", \"fast_exit\": " << row.fast.exitCode
             << ", \"arch_checksum\": " << row.reference.archChecksum
             << ", \"mem_checksum\": " << row.reference.memChecksum

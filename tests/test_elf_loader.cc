@@ -21,6 +21,7 @@
 #include "asm/program.hh"
 #include "common/logging.hh"
 #include "harness/elf_image.hh"
+#include "hart_paths.hh"
 #include "sim/elf_loader.hh"
 #include "sim/hart.hh"
 #include "sim/memory.hh"
@@ -125,8 +126,8 @@ TEST(ElfLoader, RoundTripExecutesBitIdentically)
     Hart a(mem_a), b(mem_b);
     a.reset(direct);
     b.reset(loaded);
-    const uint64_t insts_a = a.run();
-    const uint64_t insts_b = b.run();
+    const uint64_t insts_a = a.runFast();
+    const uint64_t insts_b = b.runFast();
 
     EXPECT_EQ(insts_a, insts_b);
     EXPECT_TRUE(a.exited());
@@ -346,7 +347,7 @@ TEST(ElfLoader, FuzzedImagesNeverCrashTheParser)
                     Memory mem;
                     Hart hart(mem);
                     hart.reset(prog);
-                    hart.run(1000);
+                    hart.runFast(1000);
                     ++executed;
                 } catch (const FatalError &) {
                     // e.g. an unsupported ecall from scrambled text
@@ -371,9 +372,9 @@ TEST(ElfLoader, ReadSyscallPatchingTextInvalidatesBothEngines)
 {
     // The guest read(2)s 4 bytes from stdin directly over its own
     // poison instruction; the replacement word is
-    // `addi a0, zero, 42` (0x02a00513). Both engines must observe
-    // the patch — the fast engine through the decoder-cache
-    // invalidation the ecall shim triggers.
+    // `addi a0, zero, 42` (0x02a00513). runFast() must observe the
+    // patch through the decoder-cache invalidation the ecall shim
+    // triggers, like the oracle, which decodes from memory.
     const Program assembled = assemble(R"(
         li a7, 63
         li a0, 0
@@ -392,7 +393,7 @@ TEST(ElfLoader, ReadSyscallPatchingTextInvalidatesBothEngines)
     Hart ref(mem_ref), fast(mem_fast);
     ref.reset(prog);
     fast.reset(prog);
-    ref.run();
+    runAlong(HartPath::Oracle, ref);
     fast.runFast();
 
     EXPECT_TRUE(ref.exited());
@@ -418,7 +419,7 @@ TEST(ElfLoader, BrkBeyondGuestLimitDiesWithDiagnostic)
     Hart hart(mem);
     hart.reset(prog);
     try {
-        hart.run();
+        hart.runFast();
         FAIL() << "brk beyond the guest heap limit did not fail";
     } catch (const FatalError &error) {
         EXPECT_NE(std::string(error.what()).find("guest heap limit"),

@@ -1,14 +1,12 @@
 /**
  * @file
- * Fast-forward functional engine tests: Hart::runFast()/stepFast()
- * must be bit-identical to the reference Hart::run()/step() across
- * the decoder cache's edge cases — self-modifying code, instruction
- * budgets expiring mid-block, ecall handling inside blocks, indirect
- * jumps leaving the text segment, and fused handlers sitting at the
- * very end of text. Suite-wide equivalence runs through the engine
- * differential harness (harness/differential.hh); a smoke subset is
- * tier-1 here and the full suite rides test_differential_full's slow
- * label via runEngineDifferentialAll in CI.
+ * Decoder-cache execution tests: Hart::runFast() and Hart::step()
+ * must match the oracle Hart::referenceStep() across the decoder
+ * cache's edge cases — self-modifying code, instruction budgets
+ * expiring mid-block, ecall handling inside blocks, indirect jumps
+ * leaving the text segment, and fused handlers sitting at the very
+ * end of text. Suite-wide equivalence runs through the engine
+ * differential harness (harness/differential.hh).
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +17,7 @@
 #include "asm/assembler.hh"
 #include "common/logging.hh"
 #include "harness/differential.hh"
+#include "hart_paths.hh"
 #include "sim/hart.hh"
 #include "sim/memory.hh"
 
@@ -36,56 +35,75 @@ pick(std::initializer_list<const char *> names)
     return workloads;
 }
 
-/** Run @a source to completion on both engines and assert they agree
- *  on every architectural observable; returns the exit code. */
+/** Run @a source to completion along every path and assert step()
+ *  and runFast() agree with the oracle on every architectural
+ *  observable; returns the exit code. */
 uint64_t
-runBothEngines(const std::string &source,
-               uint64_t max_insts = 1'000'000)
+runAllPaths(const std::string &source,
+            uint64_t max_insts = 1'000'000)
 {
     const Program prog = assemble(source);
 
     Memory ref_mem;
     Hart ref(ref_mem);
     ref.reset(prog);
-    const uint64_t ref_insts = ref.run(max_insts);
+    const uint64_t ref_insts = runAlong(HartPath::Oracle, ref, max_insts);
+    EXPECT_TRUE(ref.exited()) << "program did not exit";
 
-    Memory fast_mem;
-    Hart fast(fast_mem);
-    fast.reset(prog);
-    const uint64_t fast_insts = fast.runFast(max_insts);
+    for (HartPath path : {HartPath::Step, HartPath::RunFast}) {
+        Memory mem;
+        Hart hart(mem);
+        hart.reset(prog);
+        const char *name = hartPathName(path);
+        EXPECT_EQ(runAlong(path, hart, max_insts), ref_insts) << name;
+        EXPECT_EQ(hart.instsExecuted(), ref.instsExecuted()) << name;
+        EXPECT_EQ(hart.pc(), ref.pc()) << name;
+        EXPECT_EQ(hart.exited(), ref.exited()) << name;
+        EXPECT_EQ(hart.exitCode(), ref.exitCode()) << name;
+        EXPECT_EQ(hart.output(), ref.output()) << name;
+        EXPECT_EQ(hart.archChecksum(), ref.archChecksum()) << name;
+        EXPECT_EQ(mem.checksum(), ref_mem.checksum()) << name;
+    }
+    return ref.exitCode();
+}
 
-    EXPECT_EQ(ref_insts, fast_insts);
-    EXPECT_EQ(ref.instsExecuted(), fast.instsExecuted());
-    EXPECT_EQ(ref.pc(), fast.pc());
-    EXPECT_EQ(ref.exited(), fast.exited());
-    EXPECT_EQ(ref.exitCode(), fast.exitCode());
-    EXPECT_EQ(ref.output(), fast.output());
-    EXPECT_EQ(ref.archChecksum(), fast.archChecksum());
-    EXPECT_EQ(ref_mem.checksum(), fast_mem.checksum());
-    EXPECT_TRUE(fast.exited()) << "program did not exit";
-    return fast.exitCode();
+/** Run @a prog along @a path; returns the FatalError message. */
+std::string
+faultMessage(const Program &prog, HartPath path)
+{
+    Memory mem;
+    Hart hart(mem);
+    hart.reset(prog);
+    try {
+        runAlong(path, hart);
+    } catch (const FatalError &err) {
+        return err.what();
+    }
+    ADD_FAILURE() << hartPathName(path) << " did not fault";
+    return "";
 }
 
 } // namespace
 
 TEST(FastEngine, SmokeSubsetBitIdentical)
 {
-    // Traced lockstep plus untraced end-state over kernels covering
-    // the fused idioms: mcf (pointer chase), qsort (scan loops), fft
-    // (butterfly address gen), crc32 (table lookups).
+    // Traced lockstep plus chunked untraced stops over kernels
+    // covering the fused idioms: mcf (pointer chase), qsort (scan
+    // loops), fft (butterfly address gen), crc32 (table lookups).
     const EngineDiffReport report = runEngineDifferential(
         pick({"605.mcf_s", "qsort", "fft", "crc32"}), 50'000, 5'000);
     EXPECT_TRUE(report.ok()) << report.toJson();
-    EXPECT_GT(report.tracedInstructions, 0u);
-    EXPECT_GT(report.untracedInstructions, 0u);
+    EXPECT_EQ(report.tracedInstructions, 4 * 5'000u);
+    EXPECT_EQ(report.untracedInstructions, 4 * 50'000u);
+    // Chunks of 1..64 instructions: at least one stop per 64.
+    EXPECT_GE(report.untracedStops, 4 * 50'000u / 64);
 }
 
 TEST(FastEngine, AllWorkloadsWithSmcBitIdentical)
 {
     // The whole suite plus the self-modifying kernel and the
     // ELF-loaded syscall kernel, budgeted so the sanitizer trees stay
-    // fast; the perf job's bench cells rerun the hot kernels at full
-    // depth on both engines.
+    // fast.
     const EngineDiffReport report =
         runEngineDifferentialAll(100'000, 2'000);
     ASSERT_EQ(report.workloads.size(), allWorkloads().size() + 2);
@@ -99,7 +117,7 @@ TEST(FastEngine, SmcWorkloadBitIdentical)
 {
     // The self-modifying kernel rewrites an addi immediate in its own
     // hot loop every iteration; any stale decoder-cache entry or
-    // block descriptor diverges the checksums immediately.
+    // block descriptor diverges from the oracle immediately.
     const Workload &smc = smcPatchWorkload();
     const EngineDiffReport report =
         runEngineDifferential({&smc}, UINT64_MAX, UINT64_MAX);
@@ -139,15 +157,15 @@ TEST(FastEngine, SmcRewritesTerminatorIntoStraightLine)
     )";
     // Iteration 1 takes the branch (skips the +100); the store then
     // nops it out, so iterations 2..6 fall through: 1 + 5 * 101.
-    EXPECT_EQ(runBothEngines(source), 506u);
+    EXPECT_EQ(runAllPaths(source), 506u);
 }
 
 TEST(FastEngine, MaxInstsExpiresMidBlockAndResumes)
 {
     // One long straight-line block (16 addis) inside a loop: every
     // budget from 1 up cuts the block at a different interior point.
-    // The fast engine must stop on the exact instruction, agree on
-    // pc/seq/state, and resume cleanly from mid-block.
+    // runFast() must stop on the exact instruction, agree with the
+    // oracle on pc/seq/state, and resume cleanly from mid-block.
     std::string source = "li s0, 0\nli s1, 3\nloop:\n";
     for (int i = 0; i < 16; ++i)
         source += "addi s0, s0, 1\n";
@@ -165,7 +183,8 @@ TEST(FastEngine, MaxInstsExpiresMidBlockAndResumes)
         Hart ref(ref_mem), fast(fast_mem);
         ref.reset(prog);
         fast.reset(prog);
-        EXPECT_EQ(ref.run(budget), fast.runFast(budget))
+        EXPECT_EQ(runAlong(HartPath::Oracle, ref, budget),
+                  fast.runFast(budget))
             << "budget " << budget;
         EXPECT_EQ(ref.instsExecuted(), fast.instsExecuted())
             << "budget " << budget;
@@ -174,7 +193,7 @@ TEST(FastEngine, MaxInstsExpiresMidBlockAndResumes)
             << "budget " << budget;
 
         // Resume from wherever the budget expired.
-        ref.run();
+        runAlong(HartPath::Oracle, ref);
         fast.runFast();
         ASSERT_TRUE(fast.exited()) << "budget " << budget;
         EXPECT_EQ(ref.exitCode(), fast.exitCode());
@@ -186,9 +205,9 @@ TEST(FastEngine, MaxInstsExpiresMidBlockAndResumes)
 
 TEST(FastEngine, WriteEcallInsideBlockContinues)
 {
-    // A non-exit ecall (write) in the middle of the program: the fast
-    // engine leaves the dispatch loop, services the call with the pc
-    // pinned to the ecall, and re-enters mid-stream. Output and the
+    // A non-exit ecall (write) in the middle of the program: runFast()
+    // leaves the dispatch loop, services the call with the pc pinned
+    // to the ecall, and re-enters mid-stream. Output and the
     // post-call register state (a0 = bytes written) must match.
     const std::string source = R"(
         .data
@@ -208,7 +227,7 @@ TEST(FastEngine, WriteEcallInsideBlockContinues)
     Memory mem;
     Hart hart(mem);
     hart.reset(assemble(source));
-    EXPECT_EQ(runBothEngines(source), 42u);
+    EXPECT_EQ(runAllPaths(source), 42u);
     hart.runFast();
     EXPECT_EQ(hart.output(), "hi");
 }
@@ -216,44 +235,21 @@ TEST(FastEngine, WriteEcallInsideBlockContinues)
 TEST(FastEngine, JalrToNonTextTargetFaultsIdentically)
 {
     // An indirect jump into .data lands on a zero word -> invalid
-    // instruction. Both engines must throw FatalError with the same
+    // instruction. Every path must throw FatalError with the oracle's
     // message (same raw word, same faulting pc).
-    const std::string source = R"(
+    const Program prog = assemble(R"(
         .data
     pool:
         .dword 0
         .text
         la t0, pool
         jalr ra, 0(t0)
-    )";
-    const Program prog = assemble(source);
-
-    std::string ref_what, fast_what;
-    {
-        Memory mem;
-        Hart hart(mem);
-        hart.reset(prog);
-        try {
-            hart.run();
-            FAIL() << "reference engine did not fault";
-        } catch (const FatalError &err) {
-            ref_what = err.what();
-        }
-    }
-    {
-        Memory mem;
-        Hart hart(mem);
-        hart.reset(prog);
-        try {
-            hart.runFast();
-            FAIL() << "fast engine did not fault";
-        } catch (const FatalError &err) {
-            fast_what = err.what();
-        }
-    }
-    EXPECT_NE(ref_what.find("invalid instruction"), std::string::npos)
-        << ref_what;
-    EXPECT_EQ(ref_what, fast_what);
+    )");
+    const std::string oracle = faultMessage(prog, HartPath::Oracle);
+    EXPECT_NE(oracle.find("invalid instruction"), std::string::npos)
+        << oracle;
+    EXPECT_EQ(faultMessage(prog, HartPath::Step), oracle);
+    EXPECT_EQ(faultMessage(prog, HartPath::RunFast), oracle);
 }
 
 TEST(FastEngine, FusedPairAtEndOfTextTakesBranch)
@@ -277,47 +273,24 @@ TEST(FastEngine, FusedPairAtEndOfTextTakesBranch)
         addi s0, s0, 0
         bne s1, zero, tail
     )";
-    EXPECT_EQ(runBothEngines(source), 15u);
+    EXPECT_EQ(runAllPaths(source), 15u);
 }
 
 TEST(FastEngine, StraightLineOffTextEndFaultsIdentically)
 {
-    // Straight-line code running past the last text word: the fast
-    // engine's text-end sentinel must route to the same
-    // invalid-instruction fault the reference engine raises when it
-    // fetches the zero word past text.
-    const std::string source = R"(
+    // Straight-line code running past the last text word: runFast()'s
+    // text-end sentinel and step()'s off-text path must raise the
+    // invalid-instruction fault the oracle raises when it fetches the
+    // zero word past text.
+    const Program prog = assemble(R"(
         li s0, 7
         addi s0, s0, 1
-    )";
-    const Program prog = assemble(source);
-
-    std::string ref_what, fast_what;
-    {
-        Memory mem;
-        Hart hart(mem);
-        hart.reset(prog);
-        try {
-            hart.run();
-            FAIL() << "reference engine did not fault";
-        } catch (const FatalError &err) {
-            ref_what = err.what();
-        }
-    }
-    {
-        Memory mem;
-        Hart hart(mem);
-        hart.reset(prog);
-        try {
-            hart.runFast();
-            FAIL() << "fast engine did not fault";
-        } catch (const FatalError &err) {
-            fast_what = err.what();
-        }
-    }
-    EXPECT_NE(ref_what.find("invalid instruction"), std::string::npos)
-        << ref_what;
-    EXPECT_EQ(ref_what, fast_what);
+    )");
+    const std::string oracle = faultMessage(prog, HartPath::Oracle);
+    EXPECT_NE(oracle.find("invalid instruction"), std::string::npos)
+        << oracle;
+    EXPECT_EQ(faultMessage(prog, HartPath::Step), oracle);
+    EXPECT_EQ(faultMessage(prog, HartPath::RunFast), oracle);
 }
 
 TEST(FastEngine, JumpIntoFusedTailExecutesStandalone)
@@ -338,7 +311,7 @@ TEST(FastEngine, JumpIntoFusedTailExecutesStandalone)
         li a7, 93
         ecall
     )";
-    EXPECT_EQ(runBothEngines(source), 104u);
+    EXPECT_EQ(runAllPaths(source), 104u);
 }
 
 TEST(FastEngine, DecoderCacheIntrospection)
@@ -355,20 +328,20 @@ TEST(FastEngine, DecoderCacheIntrospection)
 
 TEST(FastEngine, TracedStepMatchesReferenceThroughSmc)
 {
-    // stepFast() must replay the exact reference DynInst stream even
-    // while the program patches its own text under the stepper.
+    // step() must replay the oracle's exact DynInst stream even while
+    // the program patches its own text under the stepper.
     const Workload &smc = smcPatchWorkload();
-    Memory ref_mem, fast_mem;
-    Hart ref(ref_mem), fast(fast_mem);
+    Memory ref_mem, step_mem;
+    Hart ref(ref_mem), stepper(step_mem);
     ref.reset(smc.program());
-    fast.reset(smc.program());
+    stepper.reset(smc.program());
 
     DynInst a, b;
     uint64_t steps = 0;
     for (;;) {
-        const bool more_ref = ref.step(a);
-        const bool more_fast = fast.stepFast(b);
-        ASSERT_EQ(more_ref, more_fast) << "at step " << steps;
+        const bool more_ref = ref.referenceStep(a);
+        const bool more_step = stepper.step(b);
+        ASSERT_EQ(more_ref, more_step) << "at step " << steps;
         if (!more_ref)
             break;
         ASSERT_EQ(a.pc, b.pc) << "at seq " << a.seq;
@@ -378,6 +351,6 @@ TEST(FastEngine, TracedStepMatchesReferenceThroughSmc)
         ASSERT_EQ(a.taken, b.taken) << "at seq " << a.seq;
         ++steps;
     }
-    EXPECT_EQ(ref.exitCode(), fast.exitCode());
-    EXPECT_EQ(fast.exitCode(), smc.reference());
+    EXPECT_EQ(ref.exitCode(), stepper.exitCode());
+    EXPECT_EQ(stepper.exitCode(), smc.reference());
 }

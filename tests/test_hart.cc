@@ -25,7 +25,7 @@ runProgram(const std::string &body)
     Memory mem;
     Hart hart(mem);
     hart.reset(assemble(source));
-    hart.run(1'000'000);
+    hart.runFast(1'000'000);
     EXPECT_TRUE(hart.exited()) << "program did not exit";
     return hart.exitCode();
 }
@@ -218,7 +218,7 @@ TEST(Hart, EcallWriteCollectsOutput)
         .data
     msg: .asciz "hello"
     )"));
-    hart.run();
+    hart.runFast();
     EXPECT_TRUE(hart.exited());
     EXPECT_EQ(hart.output(), "hello");
 }

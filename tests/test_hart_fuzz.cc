@@ -168,7 +168,7 @@ TEST_P(HartFuzz, RandomAluProgramMatchesEvaluator)
     Memory memory;
     Hart hart(memory);
     hart.reset(assemble(source));
-    hart.run(10'000);
+    hart.runFast(10'000);
     ASSERT_TRUE(hart.exited());
 
     // a0/a7 were clobbered by the exit stub; check everything else.

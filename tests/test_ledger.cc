@@ -625,20 +625,15 @@ TEST_F(LedgerTest, ArmedLedgerIsObserverEffectFree)
         runOne(workload, FusionMode::Helios, kBudget);
     expectSameRun(before, armed);
 
-    // Both functional engines too.
-    const bool paths[] = {true, false};
-    for (const bool fast : paths) {
-        Ledger::disarm();
-        const FunctionalResult f_before =
-            runFunctional(workload, kBudget, fast);
-        Ledger::arm(dir);
-        const FunctionalResult f_armed =
-            runFunctional(workload, kBudget, fast);
-        EXPECT_EQ(f_before.instructions, f_armed.instructions);
-        EXPECT_EQ(f_before.archChecksum, f_armed.archChecksum);
-        EXPECT_EQ(f_before.memChecksum, f_armed.memChecksum);
-        EXPECT_EQ(f_before.exitCode, f_armed.exitCode);
-    }
+    // Functional runs too.
+    Ledger::disarm();
+    const FunctionalResult f_before = runFunctional(workload, kBudget);
+    Ledger::arm(dir);
+    const FunctionalResult f_armed = runFunctional(workload, kBudget);
+    EXPECT_EQ(f_before.instructions, f_armed.instructions);
+    EXPECT_EQ(f_before.archChecksum, f_armed.archChecksum);
+    EXPECT_EQ(f_before.memChecksum, f_armed.memChecksum);
+    EXPECT_EQ(f_before.exitCode, f_armed.exitCode);
 }
 
 TEST_F(LedgerTest, RunMatrixRecordsEveryCellOnce)

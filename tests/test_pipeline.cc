@@ -47,7 +47,7 @@ TEST_P(ModeSweep, CommitsExactlyTheFunctionalStream)
     Memory mem;
     Hart hart(mem);
     hart.reset(workload().program());
-    const uint64_t expected = hart.run(budget);
+    const uint64_t expected = hart.runFast(budget);
 
     RunResult result = runOne(workload(), mode(), budget);
     EXPECT_EQ(result.instructions, expected)

@@ -1,10 +1,9 @@
 /**
  * @file
  * Harness throughput-layer tests: the parallel run matrix must be
- * bit-identical to sequential runs, the streaming trace API must
- * yield exactly the functionalTrace() stream, and the Hart's
- * pre-decoded program cache must not change architectural results —
- * including under self-modifying code.
+ * bit-identical to sequential runs, the streaming accumulators must
+ * match the vector analyses over the same stream, and every execution
+ * path must see self-modifying code.
  */
 
 #include <cstdlib>
@@ -15,6 +14,7 @@
 #include "common/logging.hh"
 #include "harness/analysis.hh"
 #include "harness/runner.hh"
+#include "hart_paths.hh"
 #include "isa/encoder.hh"
 #include "sim/hart.hh"
 #include "workloads/workloads.hh"
@@ -119,37 +119,14 @@ TEST(RunMatrix, PropagatesWorkerErrors)
     EXPECT_THROW(runMatrix(cells, 2), FatalError);
 }
 
-TEST(StreamingTrace, MatchesFunctionalTrace)
-{
-    for (const char *name : {"605.mcf_s", "qsort"}) {
-        const Workload &workload = findWorkload(name);
-        const uint64_t budget = 15'000;
-        const std::vector<DynInst> trace =
-            functionalTrace(workload, budget);
-
-        std::vector<DynInst> streamed;
-        const uint64_t executed = forEachDynInst(
-            workload, budget,
-            [&](const DynInst &dyn) { streamed.push_back(dyn); });
-
-        ASSERT_EQ(executed, trace.size()) << name;
-        ASSERT_EQ(streamed.size(), trace.size()) << name;
-        for (size_t i = 0; i < trace.size(); ++i) {
-            EXPECT_EQ(streamed[i].seq, trace[i].seq);
-            EXPECT_EQ(streamed[i].pc, trace[i].pc);
-            EXPECT_TRUE(streamed[i].inst == trace[i].inst);
-            EXPECT_EQ(streamed[i].nextPc, trace[i].nextPc);
-            EXPECT_EQ(streamed[i].effAddr, trace[i].effAddr);
-            EXPECT_EQ(streamed[i].taken, trace[i].taken);
-        }
-    }
-}
-
 TEST(StreamingTrace, AccumulatorsMatchVectorAnalyses)
 {
     const Workload &workload = findWorkload("dijkstra");
     const uint64_t budget = 30'000;
-    const std::vector<DynInst> trace = functionalTrace(workload, budget);
+    std::vector<DynInst> trace;
+    forEachDynInst(workload, budget,
+                   [&](const DynInst &dyn) { trace.push_back(dyn); });
+    ASSERT_EQ(trace.size(), budget);
 
     IdiomAccumulator idioms;
     CsfCategoryAccumulator csf;
@@ -179,43 +156,10 @@ TEST(StreamingTrace, AccumulatorsMatchVectorAnalyses)
     EXPECT_EQ(ncsf.stats().asymmetric, vn.asymmetric);
 }
 
-TEST(DecodeCache, PreservesArchitecturalResults)
-{
-    // Every seed workload must produce identical architectural state
-    // with and without the pre-decoded program cache.
-    for (const Workload &workload : allWorkloads()) {
-        const Program program = workload.program();
-
-        Memory mem_cached;
-        Hart cached(mem_cached);
-        ASSERT_TRUE(cached.decodeCacheEnabled());
-        cached.reset(program);
-        EXPECT_EQ(cached.decodeCacheSize(), program.code.size());
-        cached.run(40'000'000);
-
-        Memory mem_plain;
-        Hart plain(mem_plain);
-        plain.setDecodeCacheEnabled(false);
-        plain.reset(program);
-        EXPECT_EQ(plain.decodeCacheSize(), 0u);
-        plain.run(40'000'000);
-
-        ASSERT_TRUE(cached.exited()) << workload.name;
-        ASSERT_TRUE(plain.exited()) << workload.name;
-        EXPECT_EQ(cached.exitCode(), plain.exitCode()) << workload.name;
-        EXPECT_EQ(cached.instsExecuted(), plain.instsExecuted())
-            << workload.name;
-        EXPECT_EQ(cached.output(), plain.output()) << workload.name;
-        for (unsigned reg = 0; reg < numArchRegs; ++reg)
-            EXPECT_EQ(cached.reg(reg), plain.reg(reg))
-                << workload.name << " x" << reg;
-    }
-}
-
 TEST(DecodeCache, InvalidatedBySelfModifyingCode)
 {
     // The program overwrites the `addi a0, a0, 1` at `patch:` with
-    // `addi a0, a0, 7` before executing it; a stale decode cache
+    // `addi a0, a0, 7` before executing it; a stale decoder cache
     // would still add 1.
     Instruction add7;
     add7.op = Op::Addi;
@@ -236,15 +180,13 @@ TEST(DecodeCache, InvalidatedBySelfModifyingCode)
     )",
                                           "WORD", word);
 
-    for (bool cache : {true, false}) {
+    for (HartPath path : allHartPaths) {
         Memory mem;
         Hart hart(mem);
-        hart.setDecodeCacheEnabled(cache);
         hart.reset(assemble(source));
-        hart.run(1'000);
-        ASSERT_TRUE(hart.exited());
-        EXPECT_EQ(hart.exitCode(), 7u)
-            << (cache ? "cached" : "uncached");
+        runAlong(path, hart, 1'000);
+        ASSERT_TRUE(hart.exited()) << hartPathName(path);
+        EXPECT_EQ(hart.exitCode(), 7u) << hartPathName(path);
     }
 }
 

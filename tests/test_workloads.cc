@@ -28,7 +28,7 @@ TEST_P(WorkloadCheck, MatchesReference)
     Memory mem;
     Hart hart(mem);
     hart.reset(workload.program());
-    hart.run(40'000'000);
+    hart.runFast(40'000'000);
     ASSERT_TRUE(hart.exited())
         << workload.name << " did not exit within budget ("
         << hart.instsExecuted() << " insts executed)";
@@ -42,7 +42,7 @@ TEST_P(WorkloadCheck, DynamicLengthIsReasonable)
     Memory mem;
     Hart hart(mem);
     hart.reset(workload.program());
-    hart.run(40'000'000);
+    hart.runFast(40'000'000);
     ASSERT_TRUE(hart.exited());
     // Kernels are sized for meaningful timing runs: long enough to
     // exercise the pipeline, short enough for the bench matrix.
