@@ -3,13 +3,9 @@
  * Diff two RunReport JSON files and flag regressions.
  *
  *   $ compare_reports baseline.json current.json [options]
- *       --tolerance PCT         shorthand: set both tolerances at once
- *       --ipc-tolerance PCT     max allowed IPC drop, percent
- *                               (default 2)
- *       --coverage-tolerance PCT max allowed fusion-coverage drop,
- *                               percentage points (default 1)
- *       --verbose               print every matched pair, not just
- *                               regressions
+ *
+ * The options are the tolerances and --verbose it shares with
+ * `helios_db diff`, declared once by addReportDiffOptions().
  *
  * The comparison itself — run matching, IPC/coverage/instruction
  * drift, per-site profile regressions, verdict propagation, top
@@ -26,67 +22,24 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "common/logging.hh"
+#include "common/options.hh"
 #include "harness/report_diff.hh"
 #include "harness/run_report.hh"
 
 using namespace helios;
 
-namespace
-{
-
-void
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: compare_reports <baseline.json> "
-                 "<current.json> [--tolerance PCT] "
-                 "[--ipc-tolerance PCT] "
-                 "[--coverage-tolerance PCT] [--verbose]\n");
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    std::string baseline_path, current_path;
     ReportDiffOptions options;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--tolerance" && i + 1 < argc) {
-            const double tolerance =
-                std::strtod(argv[++i], nullptr) / 100.0;
-            options.ipcTolerance = tolerance;
-            options.coverageTolerance = tolerance;
-        } else if (arg == "--ipc-tolerance" && i + 1 < argc) {
-            options.ipcTolerance =
-                std::strtod(argv[++i], nullptr) / 100.0;
-        } else if (arg == "--coverage-tolerance" && i + 1 < argc) {
-            options.coverageTolerance =
-                std::strtod(argv[++i], nullptr) / 100.0;
-        } else if (arg == "--verbose") {
-            options.verbose = true;
-        } else if (arg[0] == '-') {
-            usage();
-            return 2;
-        } else if (baseline_path.empty()) {
-            baseline_path = arg;
-        } else if (current_path.empty()) {
-            current_path = arg;
-        } else {
-            usage();
-            return 2;
-        }
-    }
-    if (baseline_path.empty() || current_path.empty()) {
-        usage();
-        return 2;
-    }
+    Options parser("compare_reports", "<baseline.json> <current.json>");
+    addReportDiffOptions(parser, options);
+    const std::vector<std::string> paths = parser.parse(argc, argv, 2, 2);
+    const std::string &baseline_path = paths[0];
+    const std::string &current_path = paths[1];
 
     try {
         const RunReportFile baseline =

@@ -18,8 +18,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
+#include "common/options.hh"
 #include "harness/report.hh"
 #include "harness/run_report.hh"
 #include "harness/runner.hh"
@@ -44,19 +45,15 @@ main()
 
     // One matrix cell per (workload, mode); results come back in
     // input order, so cell w * num_modes + m is workload w, mode m.
-    bool profile = false;
-    uint64_t window_cycles = 0;
-    if (const char *spec = std::getenv("HELIOS_PROFILE")) {
-        profile = true;
-        window_cycles = std::strtoull(spec, nullptr, 0);
-    }
+    const std::optional<uint64_t> window_cycles = benchProfileWindow();
+    const std::string report_path = outputFileFromEnv("HELIOS_REPORT");
 
     std::vector<MatrixCell> cells;
     for (const Workload &workload : allWorkloads())
         for (FusionMode mode : modes) {
             CoreParams params = CoreParams::icelake(mode);
-            params.profile = profile;
-            params.profileWindowCycles = window_cycles;
+            params.profile = window_cycles.has_value();
+            params.profileWindowCycles = window_cycles.value_or(0);
             cells.emplace_back(workload, params, budget);
         }
 
@@ -98,7 +95,7 @@ main()
                 100.0 * (geomean(ratios[3]) / geomean(ratios[1]) - 1.0));
     printMatrixTiming(cells.size(), jobs, elapsed);
 
-    if (const char *report_path = std::getenv("HELIOS_REPORT")) {
+    if (!report_path.empty()) {
         RunReportFile file;
         file.generator = "fig10_ipc";
         for (const RunResult &result : results)
@@ -106,7 +103,7 @@ main()
         attachHostSection(file);
         file.save(report_path);
         std::printf("report: %zu runs -> %s\n", file.runs.size(),
-                    report_path);
+                    report_path.c_str());
     }
     return 0;
 }

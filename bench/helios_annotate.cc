@@ -3,13 +3,8 @@
  * Annotated disassembly from a profiled run report.
  *
  *   $ helios_annotate <report.json> <program.s> [options]
- *       --run NAME      pick the run by workload name (default: the
- *                       first profiled run in the file)
- *       --mode NAME     pick the run by fusion mode (combined with
- *                       --run when both are given)
- *       --top N         hottest-site list length (default 10)
- *       --json          emit machine-readable JSON instead of text
- *       --out FILE      write to FILE instead of stdout
+ *
+ * The flags are declared in main()'s option table.
  *
  * Joins the per-PC fusion-site profile of a schema-v2 run report
  * (`helios_run --profile`, or fig10 with HELIOS_PROFILE set) with the
@@ -24,14 +19,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "asm/assembler.hh"
 #include "common/logging.hh"
+#include "common/options.hh"
 #include "harness/run_report.hh"
 #include "telemetry/annotate.hh"
 
@@ -39,15 +33,6 @@ using namespace helios;
 
 namespace
 {
-
-void
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: helios_annotate <report.json> <program.s> "
-                 "[--run NAME] [--mode NAME] [--top N] [--json] "
-                 "[--out FILE]\n");
-}
 
 /** The run to annotate: filtered by name/mode, profiled runs only. */
 const RunReport *
@@ -71,53 +56,21 @@ selectRun(const RunReportFile &file, const std::string &run_name,
 int
 main(int argc, char **argv)
 {
-    std::string report_path, program_path, out_path;
-    std::string run_name, mode_name;
+    std::string out_path, run_name, mode_name;
     size_t top_n = 10;
     bool json = false;
-
-    const auto value_of = [&](int &i, const char *name) -> const char * {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr,
-                         "helios_annotate: %s needs an argument\n",
-                         name);
-            usage();
-            std::exit(2);
-        }
-        return argv[++i];
-    };
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--run") {
-            run_name = value_of(i, "--run");
-        } else if (arg == "--mode") {
-            mode_name = value_of(i, "--mode");
-        } else if (arg == "--top") {
-            top_n = std::strtoull(value_of(i, "--top"), nullptr, 0);
-        } else if (arg == "--json") {
-            json = true;
-        } else if (arg == "--out") {
-            out_path = value_of(i, "--out");
-        } else if (arg[0] == '-') {
-            std::fprintf(stderr,
-                         "helios_annotate: unknown option '%s'\n",
-                         arg.c_str());
-            usage();
-            return 2;
-        } else if (report_path.empty()) {
-            report_path = arg;
-        } else if (program_path.empty()) {
-            program_path = arg;
-        } else {
-            usage();
-            return 2;
-        }
-    }
-    if (report_path.empty() || program_path.empty()) {
-        usage();
-        return 2;
-    }
+    Options parser("helios_annotate", "<report.json> <program.s>");
+    // The run is the first profiled one matching --run (a workload
+    // name) and --mode. --top sets the hottest-site list's length;
+    // --json and --out pick the format and a file for stdout.
+    parser.text("--run", "NAME", run_name)
+        .text("--mode", "NAME", mode_name)
+        .count("--top", "N", top_n, 0)
+        .flag("--json", json)
+        .outputFile("--out", out_path);
+    const std::vector<std::string> paths = parser.parse(argc, argv, 2, 2);
+    const std::string &report_path = paths[0];
+    const std::string &program_path = paths[1];
 
     try {
         const RunReportFile file = RunReportFile::load(report_path);

@@ -6,7 +6,7 @@
  *
  *   $ helios_db <command> <ledger-dir> [args]
  *
- *       ingest DIR report.json [--build NAME]
+ *       ingest DIR report.json
  *           Ingest every run of a RunReport file as a ledger record
  *           (key: program_hash, config_hash, max_insts, build). The
  *           --build override stamps a synthetic build name — that is
@@ -20,21 +20,19 @@
  *           Print record SEQ's meta and its full blob (the run's
  *           report JSON).
  *
- *       trend DIR --metric NAME [--window N] [--tolerance PCT]
- *                 [--lower-is-better]
- *           Every (workload, config) series of meta field NAME in
- *           append order, flagging the latest point when it drifted
- *           past the tolerance vs the mean of the preceding window
- *           (default: window 5, tolerance 2%, higher is better).
+ *       trend DIR
+ *           Every (workload, config) series of the meta field named
+ *           by --metric, in append order, flagging the latest point
+ *           when it drifted past --tolerance (percent) vs the mean of
+ *           the preceding --window points (default: window 5,
+ *           tolerance 2%, higher is better unless --lower-is-better).
  *           Exit 1 when any series is flagged — the CI drift
  *           observatory's gate.
  *
- *       diff DIR SEQ_BASE SEQ_CUR [--tolerance PCT]
- *                 [--ipc-tolerance PCT] [--coverage-tolerance PCT]
- *                 [--verbose]
+ *       diff DIR SEQ_BASE SEQ_CUR
  *           Diff two ledger records through the same report-diff core
- *           as bench/compare_reports (harness/report_diff.*). Exit 1
- *           on regressions.
+ *           and flags as bench/compare_reports (harness/report_diff.*).
+ *           Exit 1 on regressions.
  *
  *       gc DIR
  *           Delete unreferenced blob files (crash leftovers) and
@@ -44,13 +42,14 @@
  * file errors. See OBSERVABILITY.md ("Run ledger & trends").
  */
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/options.hh"
 #include "harness/report_diff.hh"
 #include "harness/run_report.hh"
 #include "ledger/ledger.hh"
@@ -62,22 +61,23 @@ using namespace helios;
 namespace
 {
 
-void
-usage()
+/** The commands and their operands; each one's flags are declared
+ *  in main(). */
+struct Command
 {
-    std::fprintf(
-        stderr,
-        "usage: helios_db <command> <ledger-dir> [args]\n"
-        "  ingest DIR report.json [--build NAME]\n"
-        "  list   DIR\n"
-        "  show   DIR SEQ\n"
-        "  trend  DIR --metric NAME [--window N] [--tolerance PCT]\n"
-        "               [--lower-is-better]\n"
-        "  diff   DIR SEQ_BASE SEQ_CUR [--tolerance PCT]\n"
-        "               [--ipc-tolerance PCT] "
-        "[--coverage-tolerance PCT] [--verbose]\n"
-        "  gc     DIR\n");
-}
+    const char *name;
+    const char *operands;
+    size_t count;
+};
+
+const Command kCommands[] = {
+    {"ingest", "DIR report.json", 2},
+    {"list", "DIR", 1},
+    {"show", "DIR SEQ", 2},
+    {"trend", "DIR", 1},
+    {"diff", "DIR SEQ_BASE SEQ_CUR", 3},
+    {"gc", "DIR", 1},
+};
 
 const LedgerRecord *
 findBySeq(const Ledger &ledger, uint64_t seq)
@@ -86,19 +86,6 @@ findBySeq(const Ledger &ledger, uint64_t seq)
         if (record.seq == seq)
             return &record;
     return nullptr;
-}
-
-uint64_t
-parseSeq(const char *text)
-{
-    char *end = nullptr;
-    const uint64_t seq = std::strtoull(text, &end, 0);
-    if (end == text || *end != '\0') {
-        std::fprintf(stderr, "helios_db: '%s' is not a record seq\n",
-                     text);
-        std::exit(2);
-    }
-    return seq;
 }
 
 int
@@ -257,109 +244,63 @@ cmdGc(Ledger &ledger)
 int
 main(int argc, char **argv)
 {
-    if (argc < 3) {
-        usage();
+    const std::string name = argc > 1 ? argv[1] : "";
+    const Command *command = std::find_if(
+        std::begin(kCommands), std::end(kCommands),
+        [&](const Command &c) { return name == c.name; });
+    if (command == std::end(kCommands)) {
+        if (!name.empty())
+            std::fprintf(stderr, "helios_db: unknown command '%s'\n",
+                         name.c_str());
+        std::fprintf(stderr,
+                     "usage: helios_db <command> <ledger-dir> [args]\n");
+        for (const Command &c : kCommands)
+            std::fprintf(stderr, "  %-6s %s\n", c.name, c.operands);
         return 2;
     }
-    const std::string command = argv[1];
-    const std::string dir = argv[2];
+
+    std::string build_override, metric;
+    TrendOptions trend;
+    bool lower_is_better = false;
+    ReportDiffOptions diff;
+    Options parser("helios_db " + name, command->operands);
+    if (name == "ingest")
+        parser.text("--build", "NAME", build_override);
+    if (name == "trend")
+        parser.text("--metric", "NAME", metric)
+            .count("--window", "N", trend.window, 0)
+            .value("--tolerance", "PCT",
+                   [&](const std::string &text) {
+                       trend.tolerance =
+                           parseNumber("--tolerance", text) / 100.0;
+                   })
+            .flag("--lower-is-better", lower_is_better);
+    if (name == "diff")
+        addReportDiffOptions(parser, diff);
+    const std::vector<std::string> args =
+        parser.parse(argc, argv, command->count, command->count, 2);
+    if (name == "trend" && metric.empty())
+        parser.fail("trend needs --metric NAME");
+    trend.higherIsBetter = !lower_is_better;
+    std::vector<uint64_t> seqs;
+    if (name == "show" || name == "diff")
+        for (size_t i = 1; i < args.size(); ++i)
+            seqs.push_back(parser.check(
+                [&] { return parseCount("SEQ", args[i], 0); }));
 
     try {
-        Ledger ledger(dir);
-
-        if (command == "ingest") {
-            std::string report_path, build_override;
-            for (int i = 3; i < argc; ++i) {
-                const std::string arg = argv[i];
-                if (arg == "--build" && i + 1 < argc) {
-                    build_override = argv[++i];
-                } else if (arg[0] == '-' || !report_path.empty()) {
-                    usage();
-                    return 2;
-                } else {
-                    report_path = arg;
-                }
-            }
-            if (report_path.empty()) {
-                usage();
-                return 2;
-            }
-            return cmdIngest(ledger, report_path, build_override);
-        }
-        if (command == "list") {
+        Ledger ledger(args[0]);
+        if (name == "ingest")
+            return cmdIngest(ledger, args[1], build_override);
+        if (name == "list")
             return cmdList(ledger);
-        }
-        if (command == "show") {
-            if (argc != 4) {
-                usage();
-                return 2;
-            }
-            return cmdShow(ledger, parseSeq(argv[3]));
-        }
-        if (command == "trend") {
-            std::string metric;
-            TrendOptions options;
-            for (int i = 3; i < argc; ++i) {
-                const std::string arg = argv[i];
-                if (arg == "--metric" && i + 1 < argc) {
-                    metric = argv[++i];
-                } else if (arg == "--window" && i + 1 < argc) {
-                    options.window =
-                        std::strtoull(argv[++i], nullptr, 0);
-                } else if (arg == "--tolerance" && i + 1 < argc) {
-                    options.tolerance =
-                        std::strtod(argv[++i], nullptr) / 100.0;
-                } else if (arg == "--lower-is-better") {
-                    options.higherIsBetter = false;
-                } else {
-                    usage();
-                    return 2;
-                }
-            }
-            if (metric.empty()) {
-                usage();
-                return 2;
-            }
-            return cmdTrend(ledger, metric, options);
-        }
-        if (command == "diff") {
-            if (argc < 5) {
-                usage();
-                return 2;
-            }
-            ReportDiffOptions options;
-            for (int i = 5; i < argc; ++i) {
-                const std::string arg = argv[i];
-                if (arg == "--tolerance" && i + 1 < argc) {
-                    const double tolerance =
-                        std::strtod(argv[++i], nullptr) / 100.0;
-                    options.ipcTolerance = tolerance;
-                    options.coverageTolerance = tolerance;
-                } else if (arg == "--ipc-tolerance" && i + 1 < argc) {
-                    options.ipcTolerance =
-                        std::strtod(argv[++i], nullptr) / 100.0;
-                } else if (arg == "--coverage-tolerance" &&
-                           i + 1 < argc) {
-                    options.coverageTolerance =
-                        std::strtod(argv[++i], nullptr) / 100.0;
-                } else if (arg == "--verbose") {
-                    options.verbose = true;
-                } else {
-                    usage();
-                    return 2;
-                }
-            }
-            return cmdDiff(ledger, parseSeq(argv[3]),
-                           parseSeq(argv[4]), options);
-        }
-        if (command == "gc") {
-            return cmdGc(ledger);
-        }
-
-        std::fprintf(stderr, "helios_db: unknown command '%s'\n",
-                     command.c_str());
-        usage();
-        return 2;
+        if (name == "show")
+            return cmdShow(ledger, seqs[0]);
+        if (name == "trend")
+            return cmdTrend(ledger, metric, trend);
+        if (name == "diff")
+            return cmdDiff(ledger, seqs[0], seqs[1], diff);
+        return cmdGc(ledger);
     } catch (const FatalError &error) {
         std::fprintf(stderr, "helios_db: %s\n", error.what());
         return 2;

@@ -11,30 +11,9 @@
  * simulation throughput regresses.
  *
  *   $ perf_smoke [options]
- *       --out PATH        write results as JSON (BENCH_perf.json)
- *       --baseline PATH   compare against a previous --out file
- *       --tolerance PCT   max allowed throughput drop, percent
- *                         (default 25 — wall clock on shared CI
- *                         runners is noisy; the committed baseline
- *                         catches step-function regressions, not
- *                         single-digit drift)
- *       --runs N          timing repetitions per cell, best-of-N
- *                         (default 3)
- *       --max-insts N     per-cell instruction budget
- *                         (default 300000)
- *       --functional-insts N       instruction budget for the
- *                         functional cells (default 2000000 — the
- *                         functional paths are orders of magnitude
- *                         faster than the cycle model, so they need a
- *                         bigger budget for a stable wall-clock read)
- *       --functional-tolerance PCT max allowed functional
- *                         throughput drop vs the baseline (default 30)
- *       --min-functional-speedup X fail (exit 1) unless runFast's
- *                         geomean is at least X times the step()
- *                         loop's in this very run (default 0 =
- *                         disabled; CI passes a floor — the ratio of
- *                         two same-host measurements is far less noisy
- *                         than either absolute rate)
+ *
+ * The flags are declared, with their meaning, in main()'s option
+ * table.
  *
  * Besides the cycle-model matrix, a functional section measures raw
  * architectural instructions per host second on the same three
@@ -59,8 +38,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -68,6 +45,7 @@
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/options.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
 
@@ -84,16 +62,6 @@ struct Cell
     uint64_t uops = 0;
     uint64_t cycles = 0;
 };
-
-void
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: perf_smoke [--out PATH] [--baseline PATH] "
-                 "[--tolerance PCT] [--runs N] [--max-insts N] "
-                 "[--functional-insts N] [--functional-tolerance PCT] "
-                 "[--min-functional-speedup X]\n");
-}
 
 std::string
 cellKey(const Cell &cell)
@@ -133,45 +101,31 @@ main(int argc, char **argv)
     double tolerance = 25.0;
     double functional_tolerance = 30.0;
     double min_functional_speedup = 0.0;
-    int runs = 3;
+    uint64_t runs = 3;
     uint64_t max_insts = 300000;
     uint64_t functional_insts = 2'000'000;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage();
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--out") {
-            out_path = value();
-        } else if (arg == "--baseline") {
-            baseline_path = value();
-        } else if (arg == "--tolerance") {
-            tolerance = std::strtod(value(), nullptr);
-        } else if (arg == "--runs") {
-            runs = std::atoi(value());
-        } else if (arg == "--max-insts") {
-            max_insts = std::strtoull(value(), nullptr, 0);
-        } else if (arg == "--functional-insts") {
-            functional_insts = std::strtoull(value(), nullptr, 0);
-        } else if (arg == "--functional-tolerance") {
-            functional_tolerance = std::strtod(value(), nullptr);
-        } else if (arg == "--min-functional-speedup") {
-            min_functional_speedup = std::strtod(value(), nullptr);
-        } else {
-            usage();
-            return 2;
-        }
-    }
-    if (runs < 1 || tolerance < 0 || functional_tolerance < 0 ||
-        min_functional_speedup < 0) {
-        usage();
-        return 2;
-    }
+    Options parser("perf_smoke", "");
+    // --out writes the results as JSON; --baseline compares against an
+    // earlier --out file, failing a cell that drops more than
+    // --tolerance percent (25: shared CI runners are noisy, so the
+    // gate catches step-function regressions, not single-digit
+    // drift) or a functional cell that drops more than
+    // --functional-tolerance. Each cell is the best of --runs timings
+    // over --max-insts instructions; the functional cells run
+    // --functional-insts, as those paths are orders of magnitude
+    // faster. --min-functional-speedup X fails the run unless
+    // runFast's geomean is at least X times the step() loop's in this
+    // very run (0 turns the check off; the ratio of two same-host
+    // measurements is far less noisy than either rate).
+    parser.outputFile("--out", out_path)
+        .text("--baseline", "FILE", baseline_path)
+        .number("--tolerance", "PCT", tolerance)
+        .count("--runs", "N", runs)
+        .count("--max-insts", "N", max_insts)
+        .count("--functional-insts", "N", functional_insts)
+        .number("--functional-tolerance", "PCT", functional_tolerance)
+        .number("--min-functional-speedup", "X", min_functional_speedup);
+    parser.parse(argc, argv, 0, 0);
 
     printBenchHeader("perf_smoke — simulator wall-clock throughput",
                      "µ-ops simulated per host second, best of " +
@@ -193,7 +147,7 @@ main(int argc, char **argv)
     std::vector<double> rates;
     for (Cell &cell : cells) {
         const Workload &workload = findWorkload(cell.workload);
-        for (int attempt = 0; attempt < runs; ++attempt) {
+        for (uint64_t attempt = 0; attempt < runs; ++attempt) {
             Stopwatch timer;
             const RunResult result =
                 runOne(workload, cell.mode, max_insts);
@@ -232,7 +186,7 @@ main(int argc, char **argv)
     std::vector<double> step_rates, fast_rates;
     for (FunctionalCell &cell : functional_cells) {
         const Workload &workload = findWorkload(cell.workload);
-        for (int attempt = 0; attempt < runs; ++attempt) {
+        for (uint64_t attempt = 0; attempt < runs; ++attempt) {
             Stopwatch timer;
             const uint64_t instructions =
                 cell.fastPath
@@ -268,7 +222,7 @@ main(int argc, char **argv)
         JsonValue root = JsonValue::object();
         root.set("generator", "perf_smoke");
         root.set("max_insts", max_insts);
-        root.set("runs", uint64_t(runs));
+        root.set("runs", runs);
         root.set("geomean_uops_per_sec", headline);
         JsonValue cell_array = JsonValue::array();
         for (const Cell &cell : cells) {

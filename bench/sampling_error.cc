@@ -13,19 +13,10 @@
  * rather than as silently wrong paper numbers.
  *
  *   $ sampling_error [options] [workload...]
- *       --tolerance PCT   max |sampled - full| / full IPC error
- *                         (default 2)
- *       --budget N        instruction frame per workload
- *                         (default 2000000)
- *       --samples N       checkpoints per frame (default 10)
- *       --interval M      measured instructions per sample
- *                         (default 20000)
- *       --warmup K        detailed warmup before each window
- *                         (default 5000)
- *       --report FILE     write a schema-v5 RunReportFile holding the
- *                         full run and the sampled run (with its
- *                         `sampled` section) per workload
- *       --checkpoint-dir DIR  persist/reuse checkpoints under DIR
+ *
+ * The flags, declared in main()'s option table, set the tolerance and
+ * the sampling spec, and name a schema-v5 report and a checkpoint
+ * directory.
  *
  * Default workloads: dotprod-like integer (crc32) and pointer-heavy
  * (qsort) kernels; CI passes its own pair explicitly.
@@ -35,13 +26,13 @@
  */
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/options.hh"
 #include "harness/report.hh"
 #include "harness/run_report.hh"
 #include "harness/runner.hh"
@@ -49,21 +40,6 @@
 #include "workloads/workloads.hh"
 
 using namespace helios;
-
-namespace
-{
-
-void
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: sampling_error [--tolerance PCT] "
-                 "[--budget N] [--samples N] [--interval M] "
-                 "[--warmup K] [--report FILE] "
-                 "[--checkpoint-dir DIR] [workload...]\n");
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -75,50 +51,30 @@ main(int argc, char **argv)
     spec.intervalInsts = 20'000;
     spec.warmupInsts = 5'000;
     std::string report_path;
-    std::vector<std::string> names;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "sampling_error: %s needs an argument\n",
-                             arg.c_str());
-                usage();
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--tolerance") {
-            tolerance = std::strtod(value(), nullptr);
-        } else if (arg == "--budget") {
-            spec.totalBudget = std::strtoull(value(), nullptr, 0);
-        } else if (arg == "--samples") {
-            spec.sampleCount = std::strtoull(value(), nullptr, 0);
-        } else if (arg == "--interval") {
-            spec.intervalInsts = std::strtoull(value(), nullptr, 0);
-        } else if (arg == "--warmup") {
-            spec.warmupInsts = std::strtoull(value(), nullptr, 0);
-        } else if (arg == "--report") {
-            report_path = value();
-        } else if (arg == "--checkpoint-dir") {
-            spec.checkpointDir = value();
-        } else if (arg[0] == '-') {
-            std::fprintf(stderr,
-                         "sampling_error: unknown option '%s'\n",
-                         arg.c_str());
-            usage();
-            return 2;
-        } else {
-            names.push_back(arg);
-        }
-    }
+    Options parser("sampling_error", "[workload...]");
+    // --tolerance is the largest |sampled - full| / full IPC error, in
+    // percent. --budget is each workload's frame, cut into --samples
+    // windows of --warmup detailed instructions and --interval
+    // measured ones. --report writes the full and the sampled run of
+    // every workload; --checkpoint-dir persists and reuses the cuts.
+    parser.number("--tolerance", "PCT", tolerance)
+        .count("--budget", "N", spec.totalBudget)
+        .count("--samples", "N", spec.sampleCount)
+        .count("--interval", "M", spec.intervalInsts)
+        .count("--warmup", "K", spec.warmupInsts, 0)
+        .outputFile("--report", report_path)
+        .outputDir("--checkpoint-dir", spec.checkpointDir);
+    std::vector<std::string> names =
+        parser.parse(argc, argv, 0, SIZE_MAX);
     if (names.empty())
         names = {"crc32", "qsort"};
+    std::vector<const Workload *> workloads;
+    for (const std::string &name : names)
+        workloads.push_back(&parser.check(
+            [&]() -> const Workload & { return findWorkload(name); }));
+    parser.check([&] { spec.validate(); });
 
     try {
-        spec.validate();
-
         printBenchHeader("sampled-vs-full IPC error",
                          strFormat("%zu workloads, %llu-inst frame, "
                                    "%llu samples x (%llu warmup + "
@@ -139,17 +95,15 @@ main(int argc, char **argv)
         Table table({"workload", "full IPC", "sampled IPC",
                      "95% CI half", "error %", "speedup", "verdict"});
         bool failed = false;
-        for (const std::string &name : names) {
-            const Workload &workload = findWorkload(name);
-
+        for (const Workload *workload : workloads) {
             Stopwatch full_timer;
             const RunResult full =
-                runOne(workload, params, spec.totalBudget);
+                runOne(*workload, params, spec.totalBudget);
             const double full_seconds = full_timer.seconds();
 
             Stopwatch sampled_timer;
             const SampledResult sampled =
-                runSampled(workload, params, spec);
+                runSampled(*workload, params, spec);
             const double sampled_seconds = sampled_timer.seconds();
 
             const double error_pct =
@@ -164,7 +118,7 @@ main(int argc, char **argv)
             const bool ok = error_pct <= tolerance;
             failed = failed || !ok;
 
-            table.addRow({name, Table::num(full.ipc(), 4),
+            table.addRow({workload->name, Table::num(full.ipc(), 4),
                           Table::num(sampled.ipc.mean, 4),
                           Table::num(sampled.ipc.ci95Half, 4),
                           Table::num(error_pct, 3),

@@ -8,16 +8,16 @@
  *   $ ./examples/fusion_explorer --list
  *   $ ./examples/fusion_explorer --trace 605.mcf_s > mcf.kanata
  *
- * --trace prints the µ-op lifecycle trace of a short Helios run as a
- * Kanata pipeline view; open the file in the Konata viewer.
+ * --trace prints the µ-op lifecycle trace of a short Helios run
+ * (default 300 instructions) as a Kanata pipeline view; open the file
+ * in the Konata viewer. An unknown workload or a malformed budget
+ * exits 2 with the usage line.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-
 #include <iostream>
 
+#include "common/options.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
 #include "sim/hart.hh"
@@ -49,23 +49,31 @@ traceRun(const Workload &workload, uint64_t budget)
 int
 main(int argc, char **argv)
 {
-    if (argc > 1 && std::strcmp(argv[1], "--trace") == 0) {
-        const std::string name = argc > 2 ? argv[2] : "605.mcf_s";
-        traceRun(findWorkload(name),
-                 argc > 3 ? std::strtoull(argv[3], nullptr, 0) : 300);
-        return 0;
-    }
-    if (argc > 1 && std::strcmp(argv[1], "--list") == 0) {
+    bool list = false, trace = false;
+    Options parser("fusion_explorer", "[workload [max_insts]]");
+    parser.flag("--list", list).flag("--trace", trace);
+    const std::vector<std::string> args = parser.parse(argc, argv, 0, 2);
+    if (list) {
         for (const Workload &workload : allWorkloads())
             std::printf("%-20s %s\n", workload.name.c_str(),
                         workload.description.c_str());
         return 0;
     }
 
-    const std::string name = argc > 1 ? argv[1] : "602.gcc_s_1";
+    const std::string name = !args.empty() ? args[0]
+                             : trace       ? "605.mcf_s"
+                                           : "602.gcc_s_1";
+    const Workload &workload = parser.check(
+        [&]() -> const Workload & { return findWorkload(name); });
     const uint64_t budget =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 0) : 200'000;
-    const Workload &workload = findWorkload(name);
+        args.size() > 1
+            ? parser.check([&] { return parseCount("max_insts", args[1]); })
+        : trace ? 300
+                : 200'000;
+    if (trace) {
+        traceRun(workload, budget);
+        return 0;
+    }
 
     std::printf("workload: %s — %s\n", workload.name.c_str(),
                 workload.description.c_str());

@@ -3,141 +3,12 @@
  * Command-line driver: assemble and simulate a RISC-V assembly file.
  *
  *   $ ./examples/helios_run program.s [options]
- *   $ ./examples/helios_run --elf program.elf [options]
- *       --elf FILE                         run a statically linked
- *                                          RV64IM ELF64 executable
- *                                          instead of assembling a .s
- *                                          file (conflicts with a
- *                                          positional source path);
- *                                          the guest exit code is
- *                                          propagated for single runs
- *       --argv ARG...                      remaining arguments become
- *                                          the guest argv[1..]
- *                                          (argv[0] is the ELF path);
- *                                          only valid with --elf
- *       --emit-elf FILE                    assemble the .s input, pack
- *                                          it into a static ELF64
- *                                          image at FILE and exit
- *                                          without simulating
- *       --config <NoFusion|RISCVFusion|CSF-SBR|RISCVFusion++|
- *                 Helios|OracleFusion>     (default Helios)
- *       --max-insts N                      instruction budget
- *       --trace FILE                       µop lifecycle trace: Chrome
- *                                          trace_event JSON to FILE
- *                                          (load in Perfetto / chrome:
- *                                          //tracing) plus a Konata
- *                                          pipeline view to FILE.kanata
- *       --stats                            dump every counter (per
- *                                          config with --sweep)
- *       --cpi-stack                        print the exact top-down
- *                                          cycle-accounting stack
- *       --report FILE                      write a machine-readable
- *                                          RunReport JSON file (single
- *                                          run or the whole --sweep)
- *       --profile FILE                     enable the per-PC fusion-
- *                                          site profiler and write a
- *                                          schema-v2 report (with the
- *                                          profile section) to FILE
- *       --window N                         profiler time-series window
- *                                          in cycles (default 10000;
- *                                          0 disables windowed samples)
- *       --log-level LEVEL                  logger threshold: trace,
- *                                          debug, info, warn, error or
- *                                          off (default info; env
- *                                          HELIOS_LOG)
- *       --log-json FILE                    mirror every log record as
- *                                          a JSON-lines object to FILE
- *                                          (env HELIOS_LOG_JSON)
- *       --host-trace FILE                  harness span trace: Chrome
- *                                          trace_event JSON of host
- *                                          phases (assemble,
- *                                          functional, detailed-sim,
- *                                          report-write) and per-cell
- *                                          sweep-worker spans, written
- *                                          at exit (env
- *                                          HELIOS_HOST_TRACE)
- *       --metrics FILE                     host metrics (per-phase
- *                                          wall-clock, peak RSS, guest
- *                                          and cell throughput, build
- *                                          stamp) in Prometheus text
- *                                          format, written at exit
- *                                          (env HELIOS_METRICS); also
- *                                          stamps the `host` section
- *                                          into --report files
- *       --ledger DIR                       record the finished run(s)
- *                                          into the content-addressed
- *                                          run ledger at DIR (created
- *                                          if absent; env
- *                                          HELIOS_LEDGER); a run whose
- *                                          key (program hash, config
- *                                          hash, budget, build) is
- *                                          already present is a keyed
- *                                          hit and writes nothing.
- *                                          Query with bench/helios_db.
- *       --annotate                         profile the run and print
- *                                          annotated disassembly
- *                                          (execs / coverage / stalls
- *                                          per line) on stdout
- *       --time                             print a machine-greppable
- *                                          simulation-speed line:
- *                                          wall-clock seconds, host-
- *                                          MHz-equivalent (simulated
- *                                          cycles per host second) and
- *                                          simulated µops per second;
- *                                          with --functional the line
- *                                          is wall seconds + Minst/s
- *       --functional                       skip the timing model and
- *                                          execute through
- *                                          Hart::runFast (decoder
- *                                          cache + threaded dispatch)
- *       --sweep                            run ALL configurations as a
- *                                          parallel matrix and print a
- *                                          comparison table
- *       --jobs N                           worker threads for --sweep
- *                                          (default HELIOS_JOBS or all
- *                                          hardware threads)
- *       --sample N                         sampled simulation: fast-
- *                                          forward functionally, cut N
- *                                          evenly spaced checkpoints
- *                                          across the --max-insts
- *                                          frame (required), and run
- *                                          detailed timing only on a
- *                                          warmup+interval window from
- *                                          each cut; reports weighted
- *                                          IPC / fusion coverage with
- *                                          95% confidence intervals.
- *                                          Composes with --sweep (one
- *                                          checkpoint set serves every
- *                                          configuration), --report
- *                                          (schema-v5 `sampled`
- *                                          section) and --ledger
- *                                          (keyed by sampling spec)
- *       --interval M                       measured instructions per
- *                                          sample window (default
- *                                          100000)
- *       --warmup K                         detailed warmup instructions
- *                                          before each measured window
- *                                          (default 10000; must be
- *                                          less than --interval)
- *       --checkpoint-dir DIR               persist/reuse checkpoints
- *                                          under DIR (created if
- *                                          absent); cuts are keyed by
- *                                          program hash and schedule,
- *                                          so repeated runs and config
- *                                          sweeps skip the fast-
- *                                          forward entirely
- *       --audit                            attach the pipeline invariant
- *                                          auditor;
- *                                          with --sweep, runs the
- *                                          differential harness and
- *                                          prints its JSON report on
- *                                          violation. Exit 1 when any
- *                                          invariant fails.
+ *   $ ./examples/helios_run --elf program.elf [options] [--argv ARG...]
  *
- * Unknown options, options missing their argument, malformed
- * HELIOS_JOBS / HELIOS_MAX_INSTS / HELIOS_HEARTBEAT values, and output
- * paths (--trace/--report/--profile) that cannot be opened for writing
- * exit with status 2 — the last is checked up front so a long
+ * Every flag is declared once, with its meaning, in main()'s option
+ * table. An unknown flag, a bad value, an unwritable output path, a
+ * bad HELIOS_* variable and a pair of conflicting flags all exit with
+ * status 2 and the usage line, before any input is read: a long
  * simulation never runs just to lose its results. See
  * OBSERVABILITY.md for the trace, report and profile formats.
  *
@@ -146,11 +17,7 @@
  * a7=64 writes bytes (a1=buf, a2=len) to stdout.
  */
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -158,6 +25,7 @@
 #include "asm/assembler.hh"
 #include "common/bits.hh"
 #include "common/logging.hh"
+#include "common/options.hh"
 #include "harness/elf_image.hh"
 #include "harness/differential.hh"
 #include "harness/report.hh"
@@ -181,25 +49,6 @@ using namespace helios;
 namespace
 {
 
-void
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: helios_run <file.s> [--config NAME] "
-                 "[--max-insts N] [--trace FILE] "
-                 "[--stats] [--cpi-stack] [--report FILE] "
-                 "[--profile FILE] [--window N] [--annotate] "
-                 "[--time] [--functional] "
-                 "[--sweep] [--jobs N] [--audit] [--emit-elf FILE] "
-                 "[--sample N] [--interval M] [--warmup K] "
-                 "[--checkpoint-dir DIR] "
-                 "[--log-level LEVEL] [--log-json FILE] "
-                 "[--host-trace FILE] [--metrics FILE] "
-                 "[--ledger DIR]\n"
-                 "       helios_run --elf <file.elf> [options] "
-                 "[--argv ARG...]\n");
-}
-
 /** One greppable line per recording attempt, so scripts (and
  *  test_cli) can tell a fresh record from a keyed replay. */
 void
@@ -214,26 +63,6 @@ noteLedgerOutcome(LedgerOutcome outcome)
     else
         std::printf("ledger: hit (run already recorded in %s)\n",
                     ledger->dir().c_str());
-}
-
-/**
- * Output paths fail fast: a path that cannot be opened for writing is
- * a usage error (exit 2) detected before the simulation runs, not a
- * silent or late failure after minutes of work. The append-mode probe
- * never truncates an existing file.
- */
-void
-requireWritable(const std::string &path, const char *flag)
-{
-    if (path.empty())
-        return;
-    std::ofstream probe(path, std::ios::app);
-    if (!probe) {
-        std::fprintf(stderr,
-                     "helios_run: %s: cannot open '%s' for writing\n",
-                     flag, path.c_str());
-        std::exit(2);
-    }
 }
 
 /** Write the lifecycle trace pair: Chrome JSON plus Konata text. */
@@ -277,29 +106,6 @@ printTimeLine(double seconds, uint64_t cycles, uint64_t uops)
     std::printf("time: %.3f s wall, %.3f MHz-equivalent, "
                 "%.3f Muops/s\n",
                 seconds, mhz, muops);
-}
-
-/**
- * Parse a numeric option value; garbage, trailing junk, negatives and
- * (unless @a allow_zero) zero are usage errors (exit 2) like any
- * other malformed option.
- */
-uint64_t
-parseCount(const char *text, const char *flag, bool allow_zero = false)
-{
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long value = std::strtoull(text, &end, 0);
-    if (end == text || *end != '\0' || text[0] == '-' ||
-        errno == ERANGE || (value == 0 && !allow_zero)) {
-        std::fprintf(stderr,
-                     "helios_run: %s needs a positive integer "
-                     "(got '%s')\n",
-                     flag, text);
-        usage();
-        std::exit(2);
-    }
-    return value;
 }
 
 /**
@@ -531,266 +337,150 @@ auditEpilogue(const PipelineAuditor &auditor)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2) {
-        usage();
-        return 2;
-    }
-
-    std::string path;
-    std::string elf_path;
-    std::string emit_elf_path;
+    std::string elf_path, emit_elf_path, trace_path, report_path;
+    std::string profile_path, log_json_path, host_trace_path;
+    std::string metrics_path, ledger_path;
     std::vector<std::string> guest_argv;
-    std::string trace_path;
-    std::string report_path;
-    std::string profile_path;
-    std::string log_level;
-    std::string log_json_path;
-    std::string host_trace_path;
-    std::string metrics_path;
-    std::string ledger_path;
     FusionMode mode = FusionMode::Helios;
+    LogLevel log_level = LogLevel::Info;
     uint64_t max_insts = UINT64_MAX;
     uint64_t window_cycles = 10000;
-    uint64_t sample_count = 0;
-    uint64_t interval_insts = 100000;
-    uint64_t warmup_insts = 10000;
-    bool sampling_tuned = false; ///< --interval/--warmup given
-    std::string checkpoint_dir;
+    SamplingSpec sampling;
+    sampling.intervalInsts = 100000;
+    sampling.warmupInsts = 10000;
     unsigned jobs = 0;
     bool dump_stats = false, functional_only = false;
     bool cpi_stack = false, sweep = false, audit = false;
     bool annotate = false, timing = false;
 
-    // Options taking a value; missing values are a usage error (exit
-    // 2), same as unknown options.
-    const auto value_of = [&](int &i, const char *name) -> const char * {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "helios_run: %s needs an argument\n",
-                         name);
-            usage();
-            std::exit(2);
-        }
-        return argv[++i];
-    };
+    Options opts("helios_run", "<file.s>");
+    // The program: a .s file, or a static RV64IM ELF64 executable
+    // whose exit code a single run propagates; every argument after
+    // --argv goes to the ELF guest as argv[1..]. --emit-elf packs the
+    // assembled .s input into an ELF image and exits.
+    opts.text("--elf", "FILE", elf_path)
+        .rest("--argv", "ARG...", guest_argv)
+        .outputFile("--emit-elf", emit_elf_path);
+    // The run: one configuration (NoFusion, RISCVFusion, CSF-SBR,
+    // RISCVFusion++, Helios by default, or OracleFusion) under an
+    // instruction budget. --functional skips the timing model and
+    // runs Hart::runFast; --sweep runs every configuration as a
+    // parallel matrix on --jobs workers (default HELIOS_JOBS, else
+    // every hardware thread) and prints a comparison table.
+    opts.oneOf("--config", "NAME", mode, fusionModeFromName)
+        .count("--max-insts", "N", max_insts)
+        .flag("--functional", functional_only)
+        .flag("--sweep", sweep)
+        .count("--jobs", "N", jobs, 1, kMaxJobs);
+    // Sampled simulation: fast-forward functionally, cut --sample
+    // evenly spaced checkpoints over the --max-insts frame, and time
+    // a --warmup + --interval window from each, reporting weighted
+    // IPC and fusion coverage with 95% confidence intervals. Composes
+    // with --sweep (one checkpoint set serves every configuration),
+    // --report (the schema-v5 `sampled` section) and --ledger.
+    // --checkpoint-dir keeps the cuts, keyed by program hash and
+    // schedule, so a repeated run skips the fast-forward.
+    opts.count("--sample", "N", sampling.sampleCount)
+        .count("--interval", "M", sampling.intervalInsts)
+        .count("--warmup", "K", sampling.warmupInsts, 0)
+        .outputDir("--checkpoint-dir", sampling.checkpointDir);
+    // Printed results: every counter (per configuration with
+    // --sweep), the exact top-down CPI stack, a greppable
+    // simulation-speed line, and the annotated disassembly of a
+    // profiled run. --audit attaches the pipeline invariant auditor
+    // (with --sweep, the differential harness) and exits 1 on a
+    // violation.
+    opts.flag("--stats", dump_stats)
+        .flag("--cpi-stack", cpi_stack)
+        .flag("--time", timing)
+        .flag("--annotate", annotate)
+        .flag("--audit", audit);
+    // Files: a µop lifecycle trace (Chrome trace_event JSON, plus a
+    // Konata view in FILE.kanata), a RunReport, and a report carrying
+    // the per-PC fusion-site profile, sampled every --window cycles
+    // (0: no windows).
+    opts.outputFile("--trace", trace_path)
+        .outputFile("--report", report_path)
+        .outputFile("--profile", profile_path)
+        .count("--window", "N", window_cycles, 0);
+    // Host telemetry, each flag overriding its HELIOS_* variable: the
+    // log threshold, a JSON-lines mirror of the log, a Chrome trace
+    // of host phases and sweep cells, Prometheus metrics (also
+    // stamped into reports), and the run ledger directory the
+    // finished runs are recorded into (a keyed hit writes nothing;
+    // query it with bench/helios_db).
+    opts.oneOf("--log-level", "LEVEL", log_level, logLevelFromName)
+        .outputFile("--log-json", log_json_path)
+        .outputFile("--host-trace", host_trace_path)
+        .outputFile("--metrics", metrics_path)
+        .outputDir("--ledger", ledger_path);
+    const std::vector<std::string> operands = opts.parse(argc, argv, 0, 1);
+    const std::string path = operands.empty() ? "" : operands[0];
+    const bool sampled = sampling.sampleCount != 0;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--elf") {
-            elf_path = value_of(i, "--elf");
-        } else if (arg == "--emit-elf") {
-            emit_elf_path = value_of(i, "--emit-elf");
-        } else if (arg == "--argv") {
-            // Everything after --argv belongs to the guest program.
-            for (int j = i + 1; j < argc; ++j)
-                guest_argv.push_back(argv[j]);
-            i = argc;
-        } else if (arg == "--config") {
-            try {
-                mode = fusionModeFromName(value_of(i, "--config"));
-            } catch (const FatalError &error) {
-                std::fprintf(stderr, "helios_run: %s\n", error.what());
-                usage();
-                return 2;
-            }
-        } else if (arg == "--max-insts") {
-            max_insts = parseCount(value_of(i, "--max-insts"),
-                                   "--max-insts");
-        } else if (arg == "--jobs") {
-            const uint64_t count = parseCount(value_of(i, "--jobs"),
-                                              "--jobs");
-            // The same cap as HELIOS_JOBS; it also keeps the value
-            // from wrapping in the narrower worker count.
-            if (count > 1024) {
-                std::fprintf(stderr,
-                             "helios_run: --jobs %llu is absurdly "
-                             "large (at most 1024)\n",
-                             static_cast<unsigned long long>(count));
-                usage();
-                return 2;
-            }
-            jobs = unsigned(count);
-        } else if (arg == "--trace") {
-            trace_path = value_of(i, "--trace");
-        } else if (arg == "--report") {
-            report_path = value_of(i, "--report");
-        } else if (arg == "--profile") {
-            profile_path = value_of(i, "--profile");
-        } else if (arg == "--window") {
-            window_cycles =
-                parseCount(value_of(i, "--window"), "--window", true);
-        } else if (arg == "--sample") {
-            sample_count =
-                parseCount(value_of(i, "--sample"), "--sample");
-        } else if (arg == "--interval") {
-            interval_insts =
-                parseCount(value_of(i, "--interval"), "--interval");
-            sampling_tuned = true;
-        } else if (arg == "--warmup") {
-            warmup_insts = parseCount(value_of(i, "--warmup"),
-                                      "--warmup", true);
-            sampling_tuned = true;
-        } else if (arg == "--checkpoint-dir") {
-            checkpoint_dir = value_of(i, "--checkpoint-dir");
-        } else if (arg == "--log-level") {
-            log_level = value_of(i, "--log-level");
-        } else if (arg == "--log-json") {
-            log_json_path = value_of(i, "--log-json");
-        } else if (arg == "--host-trace") {
-            host_trace_path = value_of(i, "--host-trace");
-        } else if (arg == "--metrics") {
-            metrics_path = value_of(i, "--metrics");
-        } else if (arg == "--ledger") {
-            ledger_path = value_of(i, "--ledger");
-        } else if (arg == "--annotate") {
-            annotate = true;
-        } else if (arg == "--stats") {
-            dump_stats = true;
-        } else if (arg == "--cpi-stack") {
-            cpi_stack = true;
-        } else if (arg == "--time") {
-            timing = true;
-        } else if (arg == "--functional") {
-            functional_only = true;
-        } else if (arg == "--sweep") {
-            sweep = true;
-        } else if (arg == "--audit") {
-            audit = true;
-        } else if (arg[0] == '-') {
-            std::fprintf(stderr, "helios_run: unknown option '%s'\n",
-                         arg.c_str());
-            usage();
-            return 2;
-        } else {
-            path = arg;
-        }
-    }
-    if (!elf_path.empty() && !path.empty()) {
-        std::fprintf(stderr,
-                     "helios_run: --elf conflicts with assembly input "
-                     "'%s'; pick one program\n", path.c_str());
-        return 2;
-    }
-    if (!guest_argv.empty() && elf_path.empty()) {
-        std::fprintf(stderr,
-                     "helios_run: --argv passes arguments to an ELF "
-                     "guest; add --elf\n");
-        return 2;
-    }
-    if (!emit_elf_path.empty() && !elf_path.empty()) {
-        std::fprintf(stderr,
-                     "helios_run: --emit-elf packs assembly input; it "
-                     "cannot re-emit an --elf image\n");
-        return 2;
-    }
-    if (path.empty() && elf_path.empty()) {
-        usage();
-        return 2;
-    }
-    // Bad HELIOS_JOBS / HELIOS_MAX_INSTS / HELIOS_HEARTBEAT values are
-    // usage errors too, caught before any work.
-    try {
-        validateRunEnvironment();
-    } catch (const FatalError &error) {
-        std::fprintf(stderr, "helios_run: %s\n", error.what());
-        return 2;
-    }
+    if (!elf_path.empty() && !path.empty())
+        opts.fail("--elf conflicts with assembly input '" + path +
+                  "'; pick one program");
+    if (path.empty() && elf_path.empty())
+        opts.fail("missing operand");
+    if (!guest_argv.empty() && elf_path.empty())
+        opts.fail("--argv passes arguments to an ELF guest; add --elf");
+    if (!emit_elf_path.empty() && !elf_path.empty())
+        opts.fail("--emit-elf packs assembly input; it cannot re-emit "
+                  "an --elf image");
+    if (audit && functional_only)
+        opts.fail("--audit checks the timing pipeline; drop "
+                  "--functional");
+    if (functional_only && (!trace_path.empty() || cpi_stack ||
+                            !profile_path.empty() || annotate))
+        opts.fail("--trace/--cpi-stack/--profile/--annotate need the "
+                  "timing model; drop --functional");
+    if (sweep && !trace_path.empty())
+        opts.fail("--trace records one run; pick a --config instead "
+                  "of --sweep");
+    if (sweep && annotate)
+        opts.fail("--annotate renders one run; pick a --config instead "
+                  "of --sweep");
+    if (sweep && audit && !profile_path.empty())
+        opts.fail("--profile is not routed through the differential "
+                  "harness; drop --audit or --sweep");
+    if (!sampled && (opts.given("--interval") || opts.given("--warmup") ||
+                     opts.given("--checkpoint-dir")))
+        opts.fail("--interval/--warmup/--checkpoint-dir configure "
+                  "sampled runs; add --sample N");
+    if (sampled && functional_only)
+        opts.fail("--sample estimates detailed-timing IPC; a "
+                  "--functional run has no timing to sample");
+    if (sampled && (!trace_path.empty() || annotate ||
+                    !profile_path.empty() || audit))
+        opts.fail("--trace/--annotate/--profile/--audit observe every "
+                  "committed instruction; sampled runs measure only "
+                  "windows — drop --sample or those flags");
+    if (sampled && max_insts == UINT64_MAX)
+        opts.fail("--sample needs an explicit --max-insts frame to "
+                  "place samples in");
+    sampling.totalBudget = max_insts;
+    if (sampled)
+        opts.check([&] { sampling.validate(); });
+    opts.check(validateRunEnvironment);
 
-    // Sampled-run usage errors, all caught before any simulation (or
-    // even file I/O) happens — a bad sampling spec on a 500M-inst run
-    // must not cost a fast-forward to discover.
-    if (sample_count == 0 &&
-        (sampling_tuned || !checkpoint_dir.empty())) {
-        std::fprintf(stderr,
-                     "helios_run: --interval/--warmup/--checkpoint-dir "
-                     "configure sampled runs; add --sample N\n");
-        return 2;
-    }
-    SamplingSpec sampling_spec;
-    if (sample_count) {
-        if (functional_only) {
-            std::fprintf(stderr,
-                         "helios_run: --sample estimates detailed-"
-                         "timing IPC; a --functional run has no "
-                         "timing to sample\n");
-            return 2;
-        }
-        if (max_insts == UINT64_MAX) {
-            std::fprintf(stderr,
-                         "helios_run: --sample needs an explicit "
-                         "--max-insts frame to place samples in\n");
-            return 2;
-        }
-        sampling_spec.totalBudget = max_insts;
-        sampling_spec.intervalInsts = interval_insts;
-        sampling_spec.warmupInsts = warmup_insts;
-        sampling_spec.sampleCount = sample_count;
-        sampling_spec.checkpointDir = checkpoint_dir;
-        try {
-            sampling_spec.validate();
-        } catch (const FatalError &error) {
-            std::fprintf(stderr, "helios_run: %s\n", error.what());
-            return 2;
-        }
-        if (!checkpoint_dir.empty()) {
-            // Same fail-fast contract as the output paths: probe that
-            // the directory is creatable and writable up front.
-            std::error_code ec;
-            std::filesystem::create_directories(checkpoint_dir, ec);
-            const std::filesystem::path probe =
-                std::filesystem::path(checkpoint_dir) /
-                ".helios-write-probe";
-            std::ofstream probe_out(probe);
-            const bool writable = !ec && bool(probe_out);
-            probe_out.close();
-            std::filesystem::remove(probe, ec);
-            if (!writable) {
-                std::fprintf(stderr,
-                             "helios_run: --checkpoint-dir: cannot "
-                             "write to '%s'\n",
-                             checkpoint_dir.c_str());
-                return 2;
-            }
-        }
-    }
-
-    requireWritable(trace_path, "--trace");
-    requireWritable(report_path, "--report");
-    requireWritable(profile_path, "--profile");
-    requireWritable(emit_elf_path, "--emit-elf");
-    requireWritable(log_json_path, "--log-json");
-    requireWritable(host_trace_path, "--host-trace");
-    requireWritable(metrics_path, "--metrics");
-
-    // Host telemetry: a bad level name is a usage error (exit 2) like
-    // any other malformed option; the sinks flush at process exit so
-    // every return path below still produces the files.
-    if (!log_level.empty()) {
-        try {
-            Logger::global().setLevel(logLevelFromName(log_level));
-        } catch (const FatalError &error) {
-            std::fprintf(stderr, "helios_run: %s\n", error.what());
-            usage();
-            return 2;
-        }
-    }
-    if (!log_json_path.empty())
-        Logger::global().openJsonSink(log_json_path);
-    initHostTelemetryFromEnv();
-    if (!host_trace_path.empty())
-        writeHostTraceAtExit(host_trace_path);
-    if (!metrics_path.empty())
-        writeHostMetricsAtExit(metrics_path);
-    // --ledger wins over HELIOS_LEDGER; a bad directory is a usage
-    // error like any other unwritable output path.
-    try {
+    // The sinks flush at process exit, so every return path below
+    // still produces the files.
+    opts.check([&] {
+        if (opts.given("--log-level"))
+            Logger::global().setLevel(log_level);
+        if (!log_json_path.empty())
+            Logger::global().openJsonSink(log_json_path);
+        initHostTelemetryFromEnv();
+        if (!host_trace_path.empty())
+            writeHostTraceAtExit(host_trace_path);
+        if (!metrics_path.empty())
+            writeHostMetricsAtExit(metrics_path);
         if (!ledger_path.empty())
             Ledger::arm(ledger_path);
         else
             initLedgerFromEnv();
-    } catch (const FatalError &error) {
-        std::fprintf(stderr, "helios_run: %s\n", error.what());
-        return 2;
-    }
+    });
 
     // Read the input up front so a missing file is a usage error
     // (exit 2), distinct from a malformed program (exit 1 below).
@@ -798,20 +488,14 @@ main(int argc, char **argv)
     std::vector<uint8_t> elf_image;
     if (!elf_path.empty()) {
         std::ifstream file(elf_path, std::ios::binary);
-        if (!file) {
-            std::fprintf(stderr, "helios_run: cannot open '%s'\n",
-                         elf_path.c_str());
-            return 2;
-        }
+        if (!file)
+            opts.fail("cannot open '" + elf_path + "'");
         elf_image.assign(std::istreambuf_iterator<char>(file),
                          std::istreambuf_iterator<char>());
     } else {
         std::ifstream file(path);
-        if (!file) {
-            std::fprintf(stderr, "helios_run: cannot open '%s'\n",
-                         path.c_str());
-            return 2;
-        }
+        if (!file)
+            opts.fail("cannot open '" + path + "'");
         std::ostringstream text;
         text << file.rdbuf();
         source = text.str();
@@ -864,34 +548,9 @@ main(int argc, char **argv)
             return 0;
         }
 
-        if (audit && functional_only)
-            fatal("--audit checks the timing pipeline; drop "
-                  "--functional");
-        if (functional_only &&
-            (!trace_path.empty() || cpi_stack ||
-             !profile_path.empty() || annotate))
-            fatal("--trace/--cpi-stack/--profile/--annotate need the "
-                  "timing model; drop --functional");
-        if (sweep && !trace_path.empty())
-            fatal("--trace records one run; pick a --config instead "
-                  "of --sweep");
-        if (sweep && annotate)
-            fatal("--annotate renders one run; pick a --config "
-                  "instead of --sweep");
-        if (sweep && audit && !profile_path.empty())
-            fatal("--profile is not routed through the differential "
-                  "harness; drop --audit or --sweep");
-        if (sample_count &&
-            (!trace_path.empty() || annotate ||
-             !profile_path.empty() || audit))
-            fatal("--trace/--annotate/--profile/--audit "
-                  "observe every committed instruction; sampled runs "
-                  "measure only windows — drop --sample or those "
-                  "flags");
-
-        if (sample_count) {
+        if (sampled) {
             const int status =
-                runSampledCli(workload, sampling_spec, mode, sweep,
+                runSampledCli(workload, sampling, mode, sweep,
                               jobs, timing, report_path);
             if (const Ledger *ledger = Ledger::global())
                 std::printf("ledger: %llu run(s) recorded, %llu "

@@ -10,6 +10,8 @@
 #include <sstream>
 #include <vector>
 
+#include "common/options.hh"
+
 namespace helios
 {
 
@@ -137,21 +139,23 @@ Logger::Logger() : impl(new Impl), threshold(int(LogLevel::Info))
 {
     // Environment configuration happens exactly once, here, so every
     // binary (benches, tests, the CLI) honours it without wiring.
+    // The parsers are validateRunEnvironment()'s, so helios_run and
+    // the benches have already rejected a bad value; any other binary
+    // warns and keeps the default.
     if (const char *env = std::getenv("HELIOS_LOG")) {
         try {
-            threshold.store(int(logLevelFromName(env)));
+            threshold.store(
+                int(parseName("HELIOS_LOG", env, logLevelFromName)));
         } catch (const FatalError &error) {
-            std::fprintf(stderr, "warn: HELIOS_LOG: %s\n",
-                         error.what());
+            std::fprintf(stderr, "warn: %s\n", error.what());
         }
     }
-    if (const char *env = std::getenv("HELIOS_LOG_JSON")) {
-        try {
-            openJsonSink(env);
-        } catch (const FatalError &error) {
-            std::fprintf(stderr, "warn: HELIOS_LOG_JSON: %s\n",
-                         error.what());
-        }
+    try {
+        const std::string path = outputFileFromEnv("HELIOS_LOG_JSON");
+        if (!path.empty())
+            openJsonSink(path);
+    } catch (const FatalError &error) {
+        std::fprintf(stderr, "warn: %s\n", error.what());
     }
 }
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/options.hh"
 #include "harness/run_report.hh"
 
 namespace helios
@@ -94,6 +95,28 @@ compareSites(const RunReport &base, const RunReport &cur,
 }
 
 } // namespace
+
+void
+addReportDiffOptions(Options &parser, ReportDiffOptions &options)
+{
+    // Tolerances are given in percent and held as fractions.
+    const auto percent = [](const char *name, std::vector<double *> outs) {
+        return [name, outs](const std::string &text) {
+            for (double *out : outs)
+                *out = parseNumber(name, text) / 100.0;
+        };
+    };
+    parser
+        .value("--tolerance", "PCT",
+               percent("--tolerance", {&options.ipcTolerance,
+                                       &options.coverageTolerance}))
+        .value("--ipc-tolerance", "PCT",
+               percent("--ipc-tolerance", {&options.ipcTolerance}))
+        .value("--coverage-tolerance", "PCT",
+               percent("--coverage-tolerance",
+                       {&options.coverageTolerance}))
+        .flag("--verbose", options.verbose);
+}
 
 ReportDiffResult
 diffReportFiles(const RunReportFile &baseline,

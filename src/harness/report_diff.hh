@@ -24,6 +24,7 @@
 namespace helios
 {
 
+class Options;
 struct RunReportFile;
 
 struct ReportDiffOptions
@@ -33,6 +34,14 @@ struct ReportDiffOptions
     bool verbose = false;            ///< also print clean "ok" pairs
     size_t topCounterDeltas = 5;     ///< counters listed per regression
 };
+
+/**
+ * Declare the flags compare_reports and `helios_db diff` share, each
+ * writing into @a options: --ipc-tolerance and --coverage-tolerance
+ * take percent (IPC drop) and percentage points (coverage drop),
+ * --tolerance sets both, and --verbose prints clean pairs too.
+ */
+void addReportDiffOptions(Options &parser, ReportDiffOptions &options);
 
 struct ReportDiffResult
 {

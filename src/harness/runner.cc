@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -15,6 +14,7 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
+#include "common/options.hh"
 #include "harness/run_ledger.hh"
 #include "ledger/ledger.hh"
 #include "sim/checkpoint.hh"
@@ -31,47 +31,22 @@ namespace helios
 namespace
 {
 
-/**
- * Parse a strictly positive integer environment variable; fatal() on
- * garbage, trailing junk, overflow or zero so misconfigured sweeps
- * fail loudly instead of silently running nothing.
- */
-uint64_t
-parsePositiveEnv(const char *name, const char *text)
-{
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long value = std::strtoull(text, &end, 0);
-    // strtoull silently wraps negative input to a huge value.
-    if (end == text || *end != '\0' || text[0] == '-')
-        fatal("%s='%s' is not a number", name, text);
-    if (errno == ERANGE)
-        fatal("%s='%s' is out of range", name, text);
-    if (value == 0)
-        fatal("%s must be a positive integer (got '%s')", name, text);
-    return value;
-}
-
-/**
- * Seconds between sweep heartbeats: HELIOS_HEARTBEAT if set (a
- * non-negative number; 0 turns the heartbeat off), else 30. fatal()
- * on anything else, so a typo cannot silently read as 0.
- */
+/** Seconds between sweep heartbeats: HELIOS_HEARTBEAT if set (0
+ *  turns the heartbeat off), else 30. */
 double
 heartbeatSeconds()
 {
     const char *text = std::getenv("HELIOS_HEARTBEAT");
-    if (!text)
-        return 30.0;
-    errno = 0;
-    char *end = nullptr;
-    const double value = std::strtod(text, &end);
-    if (end == text || *end != '\0' || errno == ERANGE ||
-        !std::isfinite(value) || value < 0)
-        fatal("HELIOS_HEARTBEAT='%s' is not a number of seconds "
-              "(0 turns the heartbeat off)",
-              text);
-    return value;
+    return text ? parseNumber("HELIOS_HEARTBEAT", text) : 30.0;
+}
+
+/** HELIOS_PROGRESS: 1 (the default) allows the TTY progress line, 0
+ *  turns it off. */
+bool
+progressLineWanted()
+{
+    const char *text = std::getenv("HELIOS_PROGRESS");
+    return !text || parseCount("HELIOS_PROGRESS", text, 0, 1) == 1;
 }
 
 /**
@@ -94,9 +69,7 @@ class MatrixProgress
           start(std::chrono::steady_clock::now()),
           heartbeat(heartbeatSeconds())
     {
-        const char *env = std::getenv("HELIOS_PROGRESS");
-        tty = isatty(fileno(stderr)) &&
-              !(env && std::string(env) == "0");
+        tty = progressLineWanted() && isatty(fileno(stderr));
     }
 
     ~MatrixProgress()
@@ -233,13 +206,8 @@ runOne(const Workload &workload, FusionMode mode, uint64_t max_insts)
 unsigned
 defaultJobCount()
 {
-    if (const char *env = std::getenv("HELIOS_JOBS")) {
-        const uint64_t jobs = parsePositiveEnv("HELIOS_JOBS", env);
-        if (jobs > 1024)
-            fatal("HELIOS_JOBS=%llu is absurdly large",
-                  static_cast<unsigned long long>(jobs));
-        return static_cast<unsigned>(jobs);
-    }
+    if (const char *env = std::getenv("HELIOS_JOBS"))
+        return unsigned(parseCount("HELIOS_JOBS", env, 1, kMaxJobs));
     const unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
 }
@@ -397,8 +365,16 @@ uint64_t
 benchInstructionBudget()
 {
     if (const char *env = std::getenv("HELIOS_MAX_INSTS"))
-        return parsePositiveEnv("HELIOS_MAX_INSTS", env);
+        return parseCount("HELIOS_MAX_INSTS", env);
     return 200'000;
+}
+
+std::optional<uint64_t>
+benchProfileWindow()
+{
+    if (const char *env = std::getenv("HELIOS_PROFILE"))
+        return parseCount("HELIOS_PROFILE", env, 0);
+    return std::nullopt;
 }
 
 void
@@ -406,7 +382,15 @@ validateRunEnvironment()
 {
     defaultJobCount();
     benchInstructionBudget();
+    benchProfileWindow();
     heartbeatSeconds();
+    progressLineWanted();
+    if (const char *level = std::getenv("HELIOS_LOG"))
+        parseName("HELIOS_LOG", level, logLevelFromName);
+    for (const char *name : {"HELIOS_LOG_JSON", "HELIOS_HOST_TRACE",
+                             "HELIOS_METRICS", "HELIOS_REPORT"})
+        outputFileFromEnv(name);
+    outputDirFromEnv("HELIOS_LEDGER");
 }
 
 } // namespace helios

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -159,10 +160,13 @@ struct MatrixCell
 std::vector<RunResult> runMatrix(const std::vector<MatrixCell> &cells,
                                  unsigned jobs = 0);
 
+/** The most worker threads HELIOS_JOBS or a --jobs flag may ask for. */
+constexpr unsigned kMaxJobs = 1024;
+
 /**
  * Worker count used by runMatrix(jobs=0): the HELIOS_JOBS environment
- * variable if set (fatal() on malformed or zero values), otherwise
- * std::thread::hardware_concurrency().
+ * variable if set (fatal() unless it is a count from 1 to kMaxJobs),
+ * otherwise std::thread::hardware_concurrency().
  */
 unsigned defaultJobCount();
 
@@ -210,11 +214,20 @@ double geomean(const std::vector<double> &values);
 uint64_t benchInstructionBudget();
 
 /**
- * Check the run-shaping environment variables up front: HELIOS_JOBS
- * and HELIOS_MAX_INSTS (as defaultJobCount() and
- * benchInstructionBudget() read them) and HELIOS_HEARTBEAT (seconds
- * between sweep heartbeats, a non-negative number; 0 turns it off).
- * fatal() naming the variable on the first bad value.
+ * HELIOS_PROFILE: when set, fig10 attaches the fusion-site profiler
+ * to every cell with this window in cycles (0: no windowed samples).
+ */
+std::optional<uint64_t> benchProfileWindow();
+
+/**
+ * Check every HELIOS_* variable a run reads, through the parsers its
+ * reader uses, before any work: HELIOS_JOBS, HELIOS_MAX_INSTS and
+ * HELIOS_PROFILE as above; HELIOS_HEARTBEAT (seconds between sweep
+ * heartbeats, a non-negative number; 0 turns it off);
+ * HELIOS_PROGRESS (0 or 1); HELIOS_LOG (a level name); the output
+ * files HELIOS_LOG_JSON, HELIOS_HOST_TRACE, HELIOS_METRICS and
+ * HELIOS_REPORT; and the HELIOS_LEDGER directory. fatal() naming the
+ * variable and quoting the value on the first bad one.
  */
 void validateRunEnvironment();
 

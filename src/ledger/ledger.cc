@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -10,6 +9,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/options.hh"
 
 namespace fs = std::filesystem;
 
@@ -323,9 +323,9 @@ initLedgerFromEnv()
 {
     if (Ledger::global())
         return;
-    if (const char *dir = std::getenv("HELIOS_LEDGER"))
-        if (dir[0] != '\0')
-            Ledger::arm(dir);
+    const std::string dir = outputDirFromEnv("HELIOS_LEDGER");
+    if (!dir.empty())
+        Ledger::arm(dir);
 }
 
 } // namespace helios

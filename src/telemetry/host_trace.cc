@@ -8,6 +8,7 @@
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/options.hh"
 #include "telemetry/chrome_trace.hh"
 #include "telemetry/host_metrics.hh"
 
@@ -228,12 +229,12 @@ initHostTelemetryFromEnv()
     if (done)
         return;
     done = true;
-    if (const char *path = std::getenv("HELIOS_HOST_TRACE"))
-        if (*path)
-            writeHostTraceAtExit(path);
-    if (const char *path = std::getenv("HELIOS_METRICS"))
-        if (*path)
-            writeHostMetricsAtExit(path);
+    const std::string trace = outputFileFromEnv("HELIOS_HOST_TRACE");
+    if (!trace.empty())
+        writeHostTraceAtExit(trace);
+    const std::string metrics = outputFileFromEnv("HELIOS_METRICS");
+    if (!metrics.empty())
+        writeHostMetricsAtExit(metrics);
 }
 
 } // namespace helios

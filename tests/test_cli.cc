@@ -13,8 +13,9 @@
  * pure observers: they change no simulated number.
  *
  * Drives the real binaries (HELIOS_RUN_BIN, COMPARE_REPORTS_BIN,
- * HELIOS_ANNOTATE_BIN, FIG10_IPC_BIN, injected by CMake) through
- * std::system.
+ * HELIOS_ANNOTATE_BIN, HELIOS_DB_BIN, FIG10_IPC_BIN,
+ * SAMPLING_ERROR_BIN, PERF_SMOKE_BIN and FUSION_EXPLORER_BIN, injected
+ * by CMake) through std::system.
  */
 
 #include <gtest/gtest.h>
@@ -212,16 +213,15 @@ TEST(Cli, TimeFlagWorksWithFunctional)
 namespace
 {
 
-/** `helios_run ... FLAG VALUE` must exit 2 naming FLAG. */
+/** `helios_run ... FLAG VALUE` must exit 2 naming FLAG and VALUE. */
 void
 expectBadCount(const std::string &flag, const std::string &value)
 {
     std::string out;
     EXPECT_EQ(runCliCapture(flag + " " + value, out), 2)
         << flag << " " << value;
-    EXPECT_NE(out.find(flag + " needs a positive integer (got '" +
-                       value + "')"),
-              std::string::npos)
+    EXPECT_NE(out.find(flag + " needs "), std::string::npos) << out;
+    EXPECT_NE(out.find("(got '" + value + "')"), std::string::npos)
         << out;
 }
 
@@ -235,13 +235,9 @@ TEST(Cli, MaxInstsRejectsMalformedCounts)
 
 TEST(Cli, JobsRejectsMalformedCounts)
 {
-    for (const char *value : {"2k", "abc", "-1", "0"})
+    // 5000 is past HELIOS_JOBS's cap, which --jobs shares.
+    for (const char *value : {"2k", "abc", "-1", "0", "5000"})
         expectBadCount("--jobs", value);
-    std::string out;
-    EXPECT_EQ(runCliCapture("--sweep --jobs 5000", out), 2);
-    EXPECT_NE(out.find("--jobs 5000 is absurdly large"),
-              std::string::npos)
-        << out;
 }
 
 TEST(Cli, WindowRejectsMalformedCountsButKeepsZero)
@@ -563,22 +559,57 @@ writeTemp(const char *name, const std::string &text)
 } // namespace
 
 // ---------------------------------------------------------------------
-// The run-shaping environment variables are as strict as the flags: a
-// bad HELIOS_JOBS, HELIOS_MAX_INSTS or HELIOS_HEARTBEAT exits 2 naming
-// the variable, before any work, in helios_run and in the figure
-// benches alike.
+// Every HELIOS_* variable a run reads is as strict as the flags: a bad
+// value exits 2 naming the variable and quoting the value, before any
+// work, in helios_run and in the figure benches alike.
 
 namespace
 {
 
-/** Bad settings, each with the text its error must contain. */
+/** Bad settings, each with the text its error must contain. Nothing
+ *  can be created under /dev/null, which is not a directory. */
 const std::pair<const char *, const char *> kBadEnv[] = {
-    {"HELIOS_JOBS=bogus", "HELIOS_JOBS='bogus'"},
-    {"HELIOS_JOBS=0", "HELIOS_JOBS must be a positive integer"},
-    {"HELIOS_MAX_INSTS=2k", "HELIOS_MAX_INSTS='2k'"},
-    {"HELIOS_HEARTBEAT=abc", "HELIOS_HEARTBEAT='abc'"},
-    {"HELIOS_HEARTBEAT=-1", "HELIOS_HEARTBEAT='-1'"},
+    {"HELIOS_JOBS=bogus",
+     "HELIOS_JOBS needs an integer from 1 to 1024 (got 'bogus')"},
+    {"HELIOS_JOBS=0",
+     "HELIOS_JOBS needs an integer from 1 to 1024 (got '0')"},
+    {"HELIOS_MAX_INSTS=2k",
+     "HELIOS_MAX_INSTS needs a positive integer (got '2k')"},
+    {"HELIOS_HEARTBEAT=abc",
+     "HELIOS_HEARTBEAT needs a non-negative number (got 'abc')"},
+    {"HELIOS_HEARTBEAT=-1",
+     "HELIOS_HEARTBEAT needs a non-negative number (got '-1')"},
+    {"HELIOS_PROGRESS=off",
+     "HELIOS_PROGRESS needs an integer from 0 to 1 (got 'off')"},
+    {"HELIOS_PROFILE=abc",
+     "HELIOS_PROFILE needs a non-negative integer (got 'abc')"},
+    {"HELIOS_LOG=bogus", "HELIOS_LOG: unknown log level 'bogus'"},
+    {"HELIOS_LOG_JSON=/dev/null/log.jsonl",
+     "HELIOS_LOG_JSON: cannot open '/dev/null/log.jsonl' for writing"},
+    {"HELIOS_HOST_TRACE=/dev/null/trace.json",
+     "HELIOS_HOST_TRACE: cannot open '/dev/null/trace.json' for writing"},
+    {"HELIOS_METRICS=/dev/null/metrics.prom",
+     "HELIOS_METRICS: cannot open '/dev/null/metrics.prom' for writing"},
+    {"HELIOS_REPORT=/dev/null/report.json",
+     "HELIOS_REPORT: cannot open '/dev/null/report.json' for writing"},
+    {"HELIOS_LEDGER=/dev/null/ledger",
+     "HELIOS_LEDGER: cannot write to '/dev/null/ledger'"},
 };
+
+/** A rejected invocation: exit 2, @a message in the output, and no
+ *  simulation output — no [matrix] footer and no result table. */
+void
+expectRejected(const std::string &what, int status,
+               const std::string &out, const std::string &message)
+{
+    EXPECT_EQ(status, 2) << what << "\n" << out;
+    EXPECT_NE(out.find(message), std::string::npos) << what << "\n"
+                                                    << out;
+    EXPECT_EQ(out.find("[matrix]"), std::string::npos) << what << "\n"
+                                                       << out;
+    EXPECT_EQ(out.find("----"), std::string::npos) << what << "\n"
+                                                   << out;
+}
 
 } // namespace
 
@@ -588,11 +619,9 @@ TEST(Cli, BadEnvironmentValuesExitTwoWithNamedError)
                               DOTPROD_S + " --sweep --max-insts 2000";
     for (const auto &[setting, message] : kBadEnv) {
         std::string out;
-        EXPECT_EQ(runTool("env", std::string(setting) + " " + sweep, out),
-                  2)
-            << setting;
-        EXPECT_NE(out.find(message), std::string::npos)
-            << setting << "\n" << out;
+        const int status =
+            runTool("env", std::string(setting) + " " + sweep, out);
+        expectRejected(setting, status, out, message);
     }
     // 0 still turns the heartbeat off.
     std::string out;
@@ -606,17 +635,101 @@ TEST(Cli, FigureBenchRejectsBadEnvironmentValues)
     // quick; HELIOS_MAX_INSTS's own case overrides it.
     for (const auto &[setting, message] : kBadEnv) {
         std::string out;
-        EXPECT_EQ(runTool("env",
-                          std::string("HELIOS_MAX_INSTS=1000 ") + setting +
-                              " " + FIG10_IPC_BIN,
-                          out),
-                  2)
-            << setting;
-        EXPECT_NE(out.find(message), std::string::npos)
-            << setting << "\n" << out;
+        const int status =
+            runTool("env",
+                    std::string("HELIOS_MAX_INSTS=1000 ") + setting + " " +
+                        FIG10_IPC_BIN,
+                    out);
+        expectRejected(setting, status, out, message);
     }
 }
 
+// ---------------------------------------------------------------------
+// One table across the seven tools: every value a tool once misread (a
+// word or suffix read as 0 or as its leading digits, a sign wrapped to
+// a huge count, an unknown name that aborted, an unwritable output
+// found only after the work) and every helios_run flag conflict exits
+// 2 before any work, naming the flag or operand and quoting the value.
+
+namespace
+{
+
+struct BadInvocation
+{
+    const char *bin;
+    const char *args;    ///< "{tmp}" stands for the test's directory
+    const char *message; ///< text the error must contain
+};
+
+const BadInvocation kBadInvocations[] = {
+    {COMPARE_REPORTS_BIN,
+     DOTPROD_BASELINE " " DOTPROD_BASELINE " --tolerance abc",
+     "--tolerance needs a non-negative number (got 'abc')"},
+    {COMPARE_REPORTS_BIN,
+     DOTPROD_BASELINE " " DOTPROD_BASELINE " --tolerance 2x",
+     "--tolerance needs a non-negative number (got '2x')"},
+    {COMPARE_REPORTS_BIN,
+     DOTPROD_BASELINE " " DOTPROD_BASELINE " --tolerance -5",
+     "--tolerance needs a non-negative number (got '-5')"},
+    {HELIOS_DB_BIN, "trend {tmp}db --metric ipc --window abc",
+     "--window needs a non-negative integer (got 'abc')"},
+    {HELIOS_DB_BIN, "trend {tmp}db --metric ipc --tolerance abc",
+     "--tolerance needs a non-negative number (got 'abc')"},
+    {HELIOS_DB_BIN, "show {tmp}db -1",
+     "SEQ needs a non-negative integer (got '-1')"},
+    {HELIOS_ANNOTATE_BIN, "r.json p.s --top x",
+     "--top needs a non-negative integer (got 'x')"},
+    {SAMPLING_ERROR_BIN, "--tolerance abc",
+     "--tolerance needs a non-negative number (got 'abc')"},
+    {SAMPLING_ERROR_BIN, "--budget 2k",
+     "--budget needs a positive integer (got '2k')"},
+    {SAMPLING_ERROR_BIN, "--report /dev/null/r.json",
+     "--report: cannot open '/dev/null/r.json' for writing"},
+    {PERF_SMOKE_BIN, "--tolerance abc",
+     "--tolerance needs a non-negative number (got 'abc')"},
+    {PERF_SMOKE_BIN, "--out /dev/null/p.json",
+     "--out: cannot open '/dev/null/p.json' for writing"},
+    {FUSION_EXPLORER_BIN, "qsort 2k",
+     "max_insts needs a positive integer (got '2k')"},
+    {FUSION_EXPLORER_BIN, "bogus", "unknown workload 'bogus'"},
+    {FUSION_EXPLORER_BIN, "--bogus", "unknown option '--bogus'"},
+    {HELIOS_RUN_BIN, DOTPROD_S " " DOTPROD_S,
+     "unexpected operand '" DOTPROD_S "'"},
+    // Conflicting helios_run flags.
+    {HELIOS_RUN_BIN, DOTPROD_S " --audit --functional",
+     "--audit checks the timing pipeline; drop --functional"},
+    {HELIOS_RUN_BIN, DOTPROD_S " --functional --trace {tmp}t.json",
+     "--trace/--cpi-stack/--profile/--annotate need the timing model"},
+    {HELIOS_RUN_BIN, DOTPROD_S " --functional --cpi-stack",
+     "--trace/--cpi-stack/--profile/--annotate need the timing model"},
+    {HELIOS_RUN_BIN, DOTPROD_S " --sweep --trace {tmp}t.json",
+     "--trace records one run; pick a --config instead of --sweep"},
+    {HELIOS_RUN_BIN, DOTPROD_S " --sweep --annotate",
+     "--annotate renders one run; pick a --config instead of --sweep"},
+    {HELIOS_RUN_BIN, DOTPROD_S " --sweep --audit --profile {tmp}p.json",
+     "--profile is not routed through the differential harness"},
+    {HELIOS_RUN_BIN,
+     DOTPROD_S " --max-insts 2000 --sample 2 --interval 500 --warmup 100"
+               " --annotate",
+     "--trace/--annotate/--profile/--audit observe every committed "
+     "instruction"},
+};
+
+} // namespace
+
+TEST(CliStrictInput, EveryToolRejectsBadInputBeforeAnyWork)
+{
+    const std::string tmp = tempPath("");
+    for (const BadInvocation &row : kBadInvocations) {
+        std::string args = row.args;
+        for (size_t at; (at = args.find("{tmp}")) != std::string::npos;)
+            args.replace(at, 5, tmp);
+        std::string out;
+        const int status = runTool(row.bin, args, out);
+        expectRejected(std::string(row.bin) + " " + args, status, out,
+                       row.message);
+    }
+}
 
 TEST(CompareReports, MissingArgumentsExitTwo)
 {
@@ -738,12 +851,15 @@ TEST(Annotate, UnwritableOutExitsTwo)
     const std::string report_path = tempPath("cli_ann_prof.json");
     ASSERT_EQ(runCli("--profile " + report_path), 0);
     std::string out;
+    const std::string out_path = unwritablePath("a.txt");
     EXPECT_EQ(runTool(HELIOS_ANNOTATE_BIN,
                       report_path + " " + DOTPROD_S + " --out " +
-                          unwritablePath("a.txt"),
+                          out_path,
                       out),
               2);
-    EXPECT_NE(out.find("cannot write"), std::string::npos) << out;
+    EXPECT_NE(out.find("--out: cannot open '" + out_path + "'"),
+              std::string::npos)
+        << out;
     std::remove(report_path.c_str());
 }
 
@@ -910,9 +1026,9 @@ TEST(CliLedger, LedgerChangesNoTimingResult)
 
 // ---------------------------------------------------------------------
 // Sampled simulation flags (--sample/--interval/--warmup/
-// --checkpoint-dir): usage errors exit 2 before anything runs; the
-// trace/profile conflict is a runtime fatal (exit 1); a good spec
-// prints the estimate line and writes a schema-v5 report.
+// --checkpoint-dir): usage errors, the trace/profile conflict among
+// them, exit 2 before anything runs; a good spec prints the estimate
+// line and writes a schema-v5 report.
 
 TEST(CliSampling, ZeroIntervalExitsTwo)
 {
@@ -976,18 +1092,18 @@ TEST(CliSampling, UnwritableCheckpointDirExitsTwo)
     std::remove(file_path.c_str());
 }
 
-TEST(CliSampling, SampleConflictsWithWholeRunObserversExitsOne)
+TEST(CliSampling, SampleConflictsWithWholeRunObserversExitsTwo)
 {
     // --trace and friends observe every committed instruction; a
     // sampled run only executes windows, so the combination is a
-    // runtime fatal, not a silent partial trace.
+    // usage error, not a silent partial trace.
     EXPECT_EQ(runCli("--sample 2 --interval 500 --warmup 100 --trace " +
                      tempPath("cli_sample_trace.json")),
-              1);
+              2);
     EXPECT_EQ(runCli("--sample 2 --interval 500 --warmup 100 "
                      "--profile " +
                      tempPath("cli_sample_prof.json")),
-              1);
+              2);
 }
 
 TEST(CliSampling, SampledRunPrintsEstimateAndWritesV5Report)
