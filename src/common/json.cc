@@ -240,8 +240,11 @@ JsonValue::operator==(const JsonValue &other) const
 // ---------------------------------------------------------------------
 
 void
-JsonValue::write(std::string &out, int indent, int depth) const
+JsonValue::write(std::string &out, int indent, int depth,
+                 int compact_depth) const
 {
+    if (depth >= compact_depth)
+        indent = 0;
     const auto newline = [&](int d) {
         if (indent > 0) {
             out += '\n';
@@ -280,7 +283,7 @@ JsonValue::write(std::string &out, int indent, int depth) const
             if (i)
                 out += ',';
             newline(depth + 1);
-            items[i].write(out, indent, depth + 1);
+            items[i].write(out, indent, depth + 1, compact_depth);
         }
         if (!items.empty())
             newline(depth);
@@ -295,7 +298,8 @@ JsonValue::write(std::string &out, int indent, int depth) const
             out += '"';
             out += jsonEscape(fields[i].first);
             out += indent > 0 ? "\": " : "\":";
-            fields[i].second.write(out, indent, depth + 1);
+            fields[i].second.write(out, indent, depth + 1,
+                                   compact_depth);
         }
         if (!fields.empty())
             newline(depth);
@@ -305,10 +309,10 @@ JsonValue::write(std::string &out, int indent, int depth) const
 }
 
 std::string
-JsonValue::dump(int indent) const
+JsonValue::dump(int indent, int compact_depth) const
 {
     std::string out;
-    write(out, indent, 0);
+    write(out, indent, 0, compact_depth);
     if (indent > 0)
         out += '\n';
     return out;

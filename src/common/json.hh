@@ -12,6 +12,7 @@
 #ifndef COMMON_JSON_HH
 #define COMMON_JSON_HH
 
+#include <climits>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -91,14 +92,17 @@ class JsonValue
 
     bool operator==(const JsonValue &other) const;
 
-    /** Serialize; @a indent > 0 pretty-prints. */
-    std::string dump(int indent = 0) const;
+    /** Serialize; @a indent > 0 pretty-prints the arrays and objects
+     *  nested less than @a compact_depth levels deep and writes each
+     *  deeper one compactly, on one line. */
+    std::string dump(int indent = 0, int compact_depth = INT_MAX) const;
 
     /** Parse a complete JSON document; fatal() on syntax errors. */
     static JsonValue parse(const std::string &text);
 
   private:
-    void write(std::string &out, int indent, int depth) const;
+    void write(std::string &out, int indent, int depth,
+               int compact_depth) const;
 
     Kind kind_ = Kind::Null;
     bool boolean = false;

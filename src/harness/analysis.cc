@@ -155,7 +155,7 @@ NcsfPotentialAccumulator::add(const DynInst &dyn)
         } else {
             ++(same_base ? theStats.ncsfSbr : theStats.ncsfDbr);
         }
-        if (head.memSize() != dyn.memSize())
+        if (!consecutive && head.memSize() != dyn.memSize())
             ++theStats.asymmetric;
         it->paired = true;
         matched = true;

@@ -92,7 +92,7 @@ struct NcsfPotentialStats
     uint64_t csfDbr = 0;     ///< consecutive, different base register
     uint64_t ncsfSbr = 0;    ///< non-consecutive, same base
     uint64_t ncsfDbr = 0;    ///< non-consecutive, different base
-    uint64_t asymmetric = 0; ///< pairs with different access widths
+    uint64_t asymmetric = 0; ///< NCSF pairs with different widths
 
     uint64_t pairs() const { return csfSbr + csfDbr + ncsfSbr + ncsfDbr; }
     double fraction(uint64_t pairs) const;

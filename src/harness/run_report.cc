@@ -370,7 +370,9 @@ RunReportFile::fromJson(const JsonValue &value)
 std::string
 RunReportFile::toJsonText() const
 {
-    return toJson().dump(2) + "\n";
+    // Depth 0 is the file object and depth 1 its runs array, so every
+    // run (depth 2) is written compactly on a line of its own.
+    return toJson().dump(2, 2) + "\n";
 }
 
 RunReportFile

@@ -167,7 +167,8 @@ struct RunReportFile
     JsonValue toJson() const;
     static RunReportFile fromJson(const JsonValue &value);
 
-    /** Serialize to pretty-printed JSON text. */
+    /** Serialize to JSON text: the top level indented, each run and
+     *  verdict compact on one line, so a file diffs run by run. */
     std::string toJsonText() const;
 
     /** Parse back from JSON text; fatal() on malformed input or an

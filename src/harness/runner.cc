@@ -366,7 +366,7 @@ benchInstructionBudget()
 {
     if (const char *env = std::getenv("HELIOS_MAX_INSTS"))
         return parseCount("HELIOS_MAX_INSTS", env);
-    return 200'000;
+    return kBenchDefaultBudget;
 }
 
 std::optional<uint64_t>

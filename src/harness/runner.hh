@@ -205,17 +205,22 @@ uint64_t forEachDynInst(const Workload &workload, uint64_t max_insts,
  */
 double geomean(const std::vector<double> &values);
 
+/** The per-workload instruction budget of the bench binaries and of
+ *  the committed suite baseline. */
+constexpr uint64_t kBenchDefaultBudget = 200'000;
+
 /**
- * The default per-workload instruction budget used by bench binaries;
- * overridable through the HELIOS_MAX_INSTS environment variable.
- * Malformed or zero values are a fatal() error rather than a silent
- * zero-instruction run.
+ * The per-workload instruction budget used by bench binaries:
+ * kBenchDefaultBudget unless the HELIOS_MAX_INSTS environment
+ * variable overrides it. Malformed or zero values are a fatal() error
+ * rather than a silent zero-instruction run.
  */
 uint64_t benchInstructionBudget();
 
 /**
- * HELIOS_PROFILE: when set, fig10 attaches the fusion-site profiler
- * to every cell with this window in cycles (0: no windowed samples).
+ * HELIOS_PROFILE: when set, the figures bench attaches the fusion-site
+ * profiler to every cell with this window in cycles (0: no windowed
+ * samples).
  */
 std::optional<uint64_t> benchProfileWindow();
 

@@ -13,7 +13,7 @@
  * pure observers: they change no simulated number.
  *
  * Drives the real binaries (HELIOS_RUN_BIN, COMPARE_REPORTS_BIN,
- * HELIOS_ANNOTATE_BIN, HELIOS_DB_BIN, FIG10_IPC_BIN,
+ * HELIOS_ANNOTATE_BIN, HELIOS_DB_BIN, FIGURES_BIN,
  * SAMPLING_ERROR_BIN, PERF_SMOKE_BIN and FUSION_EXPLORER_BIN, injected
  * by CMake) through std::system.
  */
@@ -638,7 +638,7 @@ TEST(Cli, FigureBenchRejectsBadEnvironmentValues)
         const int status =
             runTool("env",
                     std::string("HELIOS_MAX_INSTS=1000 ") + setting + " " +
-                        FIG10_IPC_BIN,
+                        FIGURES_BIN,
                     out);
         expectRejected(setting, status, out, message);
     }
@@ -663,13 +663,13 @@ struct BadInvocation
 
 const BadInvocation kBadInvocations[] = {
     {COMPARE_REPORTS_BIN,
-     DOTPROD_BASELINE " " DOTPROD_BASELINE " --tolerance abc",
+     SUITE_BASELINE " " SUITE_BASELINE " --tolerance abc",
      "--tolerance needs a non-negative number (got 'abc')"},
     {COMPARE_REPORTS_BIN,
-     DOTPROD_BASELINE " " DOTPROD_BASELINE " --tolerance 2x",
+     SUITE_BASELINE " " SUITE_BASELINE " --tolerance 2x",
      "--tolerance needs a non-negative number (got '2x')"},
     {COMPARE_REPORTS_BIN,
-     DOTPROD_BASELINE " " DOTPROD_BASELINE " --tolerance -5",
+     SUITE_BASELINE " " SUITE_BASELINE " --tolerance -5",
      "--tolerance needs a non-negative number (got '-5')"},
     {HELIOS_DB_BIN, "trend {tmp}db --metric ipc --window abc",
      "--window needs a non-negative integer (got 'abc')"},

@@ -1,29 +1,30 @@
 /**
  * @file
- * Golden-number regression test: pins the headline metrics (IPC and
- * fused-pair percentage, 4 decimal places) of two representative
- * workloads under the Helios configuration against a checked-in
- * golden file. Any change to the timing model, fusion legality rules
- * or scheduler that moves these numbers — intentionally or not —
- * shows up as a one-line diff here instead of silently shifting the
- * paper's figures.
+ * The committed suite baseline (bench/baselines/suite.json) is the one
+ * pin of simulated behaviour in tier-1. Two checks keep it honest:
  *
- * To regenerate after an intentional model change:
+ * - Two representative cells (mcf and qsort under Helios), re-run at
+ *   the baseline's budget, must reproduce their baseline runs exactly,
+ *   every counter and histogram included.
+ * - Without simulating, the baseline must hold exactly one run per
+ *   suite workload and fusion mode at the default budget, with this
+ *   build's program and configuration hashes, so an edited kernel, a
+ *   new kernel or a changed CoreParams default shows up here before
+ *   CI's full sweep runs.
  *
- *   HELIOS_UPDATE_GOLDEN=1 ./tests/test_golden
- *
- * then commit the updated tests/golden/headline.txt alongside the
- * change that moved the numbers.
+ * After an intentional model change, regenerate the baseline with the
+ * command in kRegenerate and commit it with the change; its git diff
+ * names every counter that moved.
  */
 
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <iterator>
+#include <map>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "harness/run_report.hh"
 #include "harness/runner.hh"
 
 using namespace helios;
@@ -31,59 +32,100 @@ using namespace helios;
 namespace
 {
 
-constexpr uint64_t goldenBudget = 50'000;
-const char *const goldenWorkloads[] = {"605.mcf_s", "qsort"};
+const char *const kRegenerate =
+    "if the change is intended, regenerate the baseline with "
+    "`HELIOS_REPORT=bench/baselines/suite.json ./build/bench/figures` "
+    "(no other HELIOS_* variable set) and commit it";
 
-/** Format one workload's headline metrics as a golden-file line. */
-std::string
-headlineLine(const RunResult &result)
-{
-    const uint64_t pairs = result.stat("pairs.csf_mem") +
-                           result.stat("pairs.csf_other") +
-                           result.stat("pairs.ncsf");
-    const double fused_pct =
-        result.instructions
-            ? 200.0 * double(pairs) / double(result.instructions)
-            : 0.0;
-    char line[160];
-    std::snprintf(line, sizeof(line), "%s Helios ipc=%.4f fused_pct=%.4f",
-                  result.workload.c_str(), result.ipc(), fused_pct);
-    return line;
-}
+const FusionMode kModes[] = {FusionMode::None,
+                             FusionMode::RiscvFusion,
+                             FusionMode::CsfSbr,
+                             FusionMode::RiscvFusionPP,
+                             FusionMode::Helios,
+                             FusionMode::Oracle};
 
+/** The headline fields and counters on which two runs differ. */
 std::string
-currentHeadlines()
+differences(const RunReport &actual, const RunReport &expected)
 {
-    std::string text;
-    for (const char *name : goldenWorkloads) {
-        const RunResult result = runOne(
-            findWorkload(name), FusionMode::Helios, goldenBudget);
-        text += headlineLine(result) + "\n";
-    }
-    return text;
+    std::string out;
+    const JsonValue fresh = actual.toJson();
+    const JsonValue pinned = expected.toJson();
+    for (const auto &[key, value] : pinned.members())
+        if (key != "counters" && !(fresh.get(key) == value))
+            out += " " + key;
+
+    std::map<std::string, std::pair<uint64_t, uint64_t>> counters;
+    for (const auto &[name, count] : actual.stats.dump())
+        counters[name].first = count;
+    for (const auto &[name, count] : expected.stats.dump())
+        counters[name].second = count;
+    for (const auto &[name, counts] : counters)
+        if (counts.first != counts.second)
+            out += " " + name + "=" + std::to_string(counts.first) +
+                   " (baseline " + std::to_string(counts.second) + ")";
+    return out;
 }
 
 } // namespace
 
-TEST(Golden, HeadlineNumbersMatchGoldenFile)
+TEST(Golden, CellsMatchSuiteBaseline)
 {
-    const std::string current = currentHeadlines();
-
-    if (std::getenv("HELIOS_UPDATE_GOLDEN")) {
-        std::ofstream out(GOLDEN_FILE);
-        ASSERT_TRUE(out) << "cannot write " << GOLDEN_FILE;
-        out << current;
-        GTEST_SKIP() << "golden file regenerated: " << GOLDEN_FILE;
+    const RunReportFile baseline = RunReportFile::load(SUITE_BASELINE);
+    for (const char *name : {"605.mcf_s", "qsort"}) {
+        const RunReport *expected = baseline.find(name, "Helios");
+        ASSERT_NE(expected, nullptr)
+            << "no Helios run of " << name << " in " << SUITE_BASELINE;
+        const RunResult result =
+            runOne(findWorkload(name),
+                   CoreParams::icelake(FusionMode::Helios),
+                   expected->maxInsts);
+        const RunReport actual =
+            makeRunReport(result, expected->maxInsts);
+        EXPECT_TRUE(actual == *expected)
+            << name << " under Helios moved:"
+            << differences(actual, *expected) << "\n"
+            << kRegenerate;
     }
+}
 
-    std::ifstream in(GOLDEN_FILE);
-    ASSERT_TRUE(in) << "missing golden file " << GOLDEN_FILE
-                    << " (run with HELIOS_UPDATE_GOLDEN=1 to create)";
-    std::ostringstream golden;
-    golden << in.rdbuf();
+TEST(Golden, SuiteBaselineIsCurrent)
+{
+    const RunReportFile baseline = RunReportFile::load(SUITE_BASELINE);
+    EXPECT_TRUE(baseline.host.isNull())
+        << "the baseline carries a host section (HELIOS_METRICS was "
+           "set); "
+        << kRegenerate;
+    EXPECT_TRUE(baseline.verdicts.empty()) << kRegenerate;
+    EXPECT_EQ(baseline.runs.size(),
+              allWorkloads().size() * std::size(kModes))
+        << kRegenerate;
 
-    EXPECT_EQ(current, golden.str())
-        << "headline metrics moved; if intentional, regenerate with "
-           "HELIOS_UPDATE_GOLDEN=1 ./tests/test_golden and commit the "
-           "new golden file";
+    for (const Workload &workload : allWorkloads()) {
+        const uint64_t program_hash = workload.program().sourceHash;
+        for (FusionMode mode : kModes) {
+            const std::string cell =
+                workload.name + " under " + fusionModeName(mode);
+            const RunReport *run =
+                baseline.find(workload.name, fusionModeName(mode));
+            if (!run) {
+                ADD_FAILURE() << "no run of " << cell << "; "
+                              << kRegenerate;
+                continue;
+            }
+            EXPECT_EQ(run->maxInsts, kBenchDefaultBudget)
+                << cell << " ran at another budget; " << kRegenerate;
+            EXPECT_FALSE(run->profiled)
+                << cell << " carries a profile (HELIOS_PROFILE was "
+                           "set); "
+                << kRegenerate;
+            EXPECT_EQ(run->programHash, program_hash)
+                << "the " << workload.name << " kernel changed; "
+                << kRegenerate;
+            EXPECT_EQ(run->configHash,
+                      configHash(CoreParams::icelake(mode)))
+                << "the " << fusionModeName(mode)
+                << " parameters changed; " << kRegenerate;
+        }
+    }
 }

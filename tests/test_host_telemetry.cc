@@ -324,9 +324,8 @@ TEST(ReportSchemaV3, HostSectionIsOptional)
 
 TEST(ReportSchemaV3, OlderSchemaVersionsStillParse)
 {
-    // A v4 reader must accept v1, v2 and v3 files unchanged —
-    // committed baselines (bench/baselines/) are v1 and must keep
-    // loading.
+    // The reader must accept v1, v2 and v3 files unchanged, so
+    // reports archived by older builds keep loading.
     RunReportFile file = reportWithOneRun();
     JsonValue json = file.toJson();
     for (const uint64_t version :

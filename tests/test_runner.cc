@@ -156,6 +156,37 @@ TEST(StreamingTrace, AccumulatorsMatchVectorAnalyses)
     EXPECT_EQ(ncsf.stats().asymmetric, vn.asymmetric);
 }
 
+TEST(StreamingTrace, AsymmetricCountsOnlyNonConsecutivePairs)
+{
+    // Two asymmetric (word + doubleword) load pairs in one 64 B
+    // region: the first consecutive, the second one µ-op apart.
+    // Figure 5 reports asymmetry as a share of NCSF pairs, so only
+    // the second one counts.
+    Workload workload;
+    workload.name = "asymmetric";
+    workload.suite = Suite::MiBench;
+    workload.source = R"(
+        la s0, data
+        lw t0, 0(s0)
+        ld t1, 8(s0)
+        lw t2, 16(s0)
+        addi t4, zero, 1
+        ld t3, 24(s0)
+        li a7, 93
+        ecall
+        .data
+        .align 6
+    data:
+        .zero 64
+    )";
+    NcsfPotentialAccumulator acc;
+    forEachDynInst(workload, UINT64_MAX,
+                   [&](const DynInst &dyn) { acc.add(dyn); });
+    EXPECT_EQ(acc.stats().csfSbr, 1u);
+    EXPECT_EQ(acc.stats().ncsfSbr, 1u);
+    EXPECT_EQ(acc.stats().asymmetric, 1u);
+}
+
 TEST(DecodeCache, InvalidatedBySelfModifyingCode)
 {
     // The program overwrites the `addi a0, a0, 1` at `patch:` with

@@ -388,6 +388,30 @@ TEST(Json, RoundTripPreservesExactIntegers)
     EXPECT_EQ(parsed.at("text").asString(), "a\"b\\c\n");
 }
 
+TEST(Json, CompactDepthWritesDeeperContainersOnOneLine)
+{
+    JsonValue run = JsonValue::object();
+    run.set("ipc", JsonValue(0.5));
+    JsonValue counts = JsonValue::array();
+    counts.push(JsonValue(1));
+    counts.push(JsonValue(2));
+    run.set("counts", std::move(counts));
+    JsonValue runs = JsonValue::array();
+    runs.push(run);
+    runs.push(run);
+    JsonValue file = JsonValue::object();
+    file.set("runs", std::move(runs));
+
+    const std::string text = file.dump(2, 2);
+    EXPECT_EQ(text, "{\n"
+                    "  \"runs\": [\n"
+                    "    {\"counts\":[1,2],\"ipc\":0.5},\n"
+                    "    {\"counts\":[1,2],\"ipc\":0.5}\n"
+                    "  ]\n"
+                    "}\n");
+    EXPECT_EQ(JsonValue::parse(text), file);
+}
+
 TEST(Json, NumericCrossKindEquality)
 {
     EXPECT_EQ(JsonValue(uint64_t{5}), JsonValue(5.0));
@@ -414,6 +438,11 @@ TEST(RunReport, RoundTripEquality)
 
     // And a second round trip is bit-identical text.
     EXPECT_EQ(parsed.toJsonText(), text);
+
+    // One run per line, so two files diff run by run.
+    for (const RunReport &run : file.runs)
+        EXPECT_NE(text.find("\n    " + run.toJson().dump()),
+                  std::string::npos);
 }
 
 TEST(RunReport, CarriesStatsHistogramsAndCpiStack)
