@@ -209,15 +209,15 @@ table3(const RunReportFile &file)
         const RunReport &oracle_run =
             cell(file, workload, FusionMode::Oracle);
 
-        // Undefined ("-") where the oracle needed no prediction, and
-        // above 100% where Helios validated more such pairs than the
-        // oracle needed: the oracle does not bound Helios yet.
+        // Pairs that need prediction (every pair but a consecutive
+        // Table I load/store pair) Helios fused, over those the oracle
+        // fused; undefined ("-") where the oracle fused none.
         const uint64_t possible =
             oracle_run.stats.get("pairs.need_prediction");
         std::string coverage = "-";
         if (possible > 0) {
             coverages.push_back(
-                double(helios_run.stats.get("pairs.fp_validated")) /
+                double(helios_run.stats.get("pairs.need_prediction")) /
                 double(possible));
             coverage = Table::pct(coverages.back());
         }

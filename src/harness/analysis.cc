@@ -1,8 +1,7 @@
 #include "harness/analysis.hh"
 
-#include <algorithm>
-
 #include "fusion/idiom.hh"
+#include "fusion/ncsf_rules.hh"
 
 namespace helios
 {
@@ -128,41 +127,33 @@ NcsfPotentialAccumulator::add(const DynInst &dyn)
     if (!dyn.isMem())
         return;
 
+    // Figure 5 counts different-base (DBR) potential, so store pairs
+    // may differ in base register here.
+    const NcsfRules rules{regionBytes, /*dbrStorePairs=*/true};
     bool matched = false;
+    // recent holds the window's memory µ-ops in program order, so each
+    // candidate's catalyst is what this walk has already passed.
     for (auto it = recent.rbegin(); it != recent.rend(); ++it) {
-        if (it->paired)
-            continue;
         const DynInst &head = it->dyn;
-        const bool same_kind =
-            (head.isLoad() && dyn.isLoad()) ||
-            (head.isStore() && dyn.isStore());
-        if (!same_kind)
-            continue;
-        const uint64_t begin = std::min(head.effAddr, dyn.effAddr);
-        const uint64_t end = std::max(head.effAddr + head.memSize(),
-                                      dyn.effAddr + dyn.memSize());
-        if (end - begin > regionBytes)
-            continue;
-        if (head.inst.writesReg() &&
-            head.inst.rd == dyn.inst.baseReg())
-            continue; // directly dependent
-
-        const bool consecutive = it->index + 1 == i;
-        const bool same_base =
-            head.inst.baseReg() == dyn.inst.baseReg();
-        if (consecutive) {
-            ++(same_base ? theStats.csfSbr : theStats.csfDbr);
-        } else {
-            ++(same_base ? theStats.ncsfSbr : theStats.ncsfDbr);
+        if (!it->paired && rules.pairable(head, dyn)) {
+            const bool consecutive = it->index + 1 == i;
+            const bool same_base =
+                head.inst.baseReg() == dyn.inst.baseReg();
+            if (consecutive) {
+                ++(same_base ? theStats.csfSbr : theStats.csfDbr);
+            } else {
+                ++(same_base ? theStats.ncsfSbr : theStats.ncsfDbr);
+            }
+            if (!consecutive && head.memSize() != dyn.memSize())
+                ++theStats.asymmetric;
+            it->paired = true;
+            matched = true;
+            break;
         }
-        if (!consecutive && head.memSize() != dyn.memSize())
-            ++theStats.asymmetric;
-        it->paired = true;
-        matched = true;
-        break;
+        if (NcsfRules::blocksHoist(head, dyn))
+            break;
     }
-    if (!matched)
-        recent.push_back({dyn, i, false});
+    recent.push_back({dyn, i, matched});
 }
 
 NcsfPotentialStats

@@ -99,8 +99,10 @@ struct NcsfPotentialStats
 };
 
 /**
- * Streaming Figure 5 analysis. Keeps only the sliding window of
- * unpaired memory µ-ops (bounded by @a window), not the trace.
+ * Streaming Figure 5 analysis: each memory µ-op pairs with the nearest
+ * older unpaired one that the NCSF rules (fusion/ncsf_rules.hh) accept.
+ * Keeps only the sliding window of memory µ-ops (bounded by @a window),
+ * not the trace.
  */
 class NcsfPotentialAccumulator
 {
@@ -125,7 +127,7 @@ class NcsfPotentialAccumulator
     unsigned window;
     unsigned regionBytes;
     uint64_t nextIndex = 0;
-    std::deque<Candidate> recent; ///< unpaired memory µ-ops, newest last
+    std::deque<Candidate> recent; ///< the window's memory µ-ops, newest last
 };
 
 NcsfPotentialStats

@@ -44,13 +44,6 @@ missReasonName(MissReason reason)
 namespace
 {
 
-bool
-rangesOverlap(uint64_t a_begin, uint64_t a_end, uint64_t b_begin,
-              uint64_t b_end)
-{
-    return a_begin < b_end && b_begin < a_end;
-}
-
 JsonValue
 countMapToJson(const std::map<std::string, uint64_t> &counts)
 {
@@ -310,8 +303,7 @@ ProfileData::fromJson(const JsonValue &value)
 FusionProfiler::FusionProfiler(const CoreParams &params)
     : oracleDistance(params.maxFusionDistance),
       predictorDistance(FusionPredictor::maxDistance),
-      regionBytes(params.fusionRegionBytes),
-      fuseDbrStores(params.fuseDbrStorePairs),
+      rules{params.fusionRegionBytes, params.fuseDbrStorePairs},
       windowCycles(params.profileWindowCycles)
 {
 }
@@ -349,18 +341,9 @@ FusionProfiler::onCycleEnd(const CycleView &view)
 void
 FusionProfiler::pushNucleus(const DynInst &dyn, bool fused)
 {
-    Nucleus nucleus;
-    nucleus.seq = dyn.seq;
-    nucleus.isStore = dyn.isStore();
-    nucleus.begin = dyn.effAddr;
-    nucleus.end = dyn.effAddr + dyn.memSize();
-    nucleus.baseReg = dyn.inst.baseReg();
-    nucleus.rd = dyn.inst.rd;
-    nucleus.writesRd = dyn.inst.writesReg();
-    nucleus.fused = fused;
-    window.push_back(nucleus);
+    window.push_back({dyn, fused});
     while (!window.empty() &&
-           dyn.seq - window.front().seq > oracleDistance)
+           dyn.seq - window.front().dyn.seq > oracleDistance)
         window.pop_front();
 }
 
@@ -386,64 +369,35 @@ void
 FusionProfiler::oracleScan(const Uop &uop)
 {
     const DynInst &tail = uop.dyn;
-    const bool tail_store = tail.isStore();
-    const uint64_t t_begin = tail.effAddr;
-    const uint64_t t_end = t_begin + tail.memSize();
-
     Nucleus *found = nullptr;
-    uint64_t span_begin = 0, span_end = 0;
     for (auto it = window.rbegin(); it != window.rend(); ++it) {
         Nucleus &head = *it;
-        if (tail.seq - head.seq > oracleDistance)
+        if (tail.seq - head.dyn.seq > oracleDistance)
             break;
-        if (head.isStore != tail_store)
+        if (head.dyn.isStore() != tail.isStore())
             continue;
-
-        bool ok = !head.fused && !head.claimed;
-        const uint64_t begin = std::min(head.begin, t_begin);
-        const uint64_t end = std::max(head.end, t_end);
-        if (ok)
-            ok = end - begin <= regionBytes;
-        // Different-base store pairs need a fourth source register;
-        // only fusable when the DBR ablation knob is on.
-        if (ok && tail_store && !fuseDbrStores &&
-            head.baseReg != tail.inst.baseReg())
-            ok = false;
-        // Statically-dependent loads never fuse (Section II-B).
-        if (ok && !tail_store && head.writesRd &&
-            head.rd == tail.inst.baseReg())
-            ok = false;
-        // Never hoist a tail load over a catalyst store writing bytes
-        // the pair reads (mirrors the pipeline's oracle).
-        if (ok && !tail_store) {
-            for (const Nucleus &mid : window) {
-                if (mid.seq <= head.seq || mid.seq >= tail.seq ||
-                    !mid.isStore)
-                    continue;
-                if (rangesOverlap(mid.begin, mid.end, begin, end)) {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if (ok) {
+        // The window is in commit order, and a fused tail enters it
+        // with its head, so the catalyst is selected by seq.
+        auto blocks_hoist = [&](const Nucleus &mid) {
+            return mid.dyn.seq > head.dyn.seq && mid.dyn.seq < tail.seq &&
+                   NcsfRules::blocksHoist(mid.dyn, tail);
+        };
+        if (!head.fused && !head.claimed &&
+            rules.pairable(head.dyn, tail) &&
+            std::none_of(window.begin(), window.end(), blocks_hoist)) {
             found = &head;
-            span_begin = begin;
-            span_end = end;
             break;
         }
         // Stores may only pair with the nearest older store.
-        if (tail_store)
+        if (tail.isStore())
             break;
     }
-    (void)span_begin;
-    (void)span_end;
 
     if (!found)
         return;
     found->claimed = true;
     const MissReason reason =
-        classifyMiss(uop, tail.seq - found->seq);
+        classifyMiss(uop, tail.seq - found->dyn.seq);
     ++site(tail.pc).missed[size_t(reason)];
     ++result.missedTotals[size_t(reason)];
 }

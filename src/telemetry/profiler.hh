@@ -6,12 +6,12 @@
  * hooks, everything the whole-run counters collapse: which static
  * sites carry the fusion coverage, where the cycles go (reusing the
  * exact per-cycle CPI attribution, keyed to the blocked ROB-head
- * µ-op's PC), and — through an oracle pair-finder running alongside
- * the predictor at commit — *why* each oracle-visible pair the
- * machine did not fuse was missed. Each missed pair is tagged with
- * exactly one MissReason, so the reasons partition the
- * oracle-minus-predictor coverage gap per site (the paper's
- * 12.2%-vs-13.6% story, decomposed).
+ * µ-op's PC), and — through an oracle pair-finder that applies the
+ * NCSF rules (fusion/ncsf_rules.hh) at commit — *why* each
+ * oracle-visible pair the machine did not fuse was missed. Each
+ * missed pair is tagged with exactly one MissReason, so the reasons
+ * partition the oracle-minus-predictor coverage gap per site (the
+ * paper's 12.2%-vs-13.6% story, decomposed).
  *
  * Like the LifecycleTracer, the profiler is a passive PipelineObserver
  * (uarch/observer.hh): the pipeline builds and attaches one only when
@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "fusion/ncsf_rules.hh"
 #include "uarch/observer.hh"
 #include "uarch/params.hh"
 
@@ -232,13 +233,7 @@ class FusionProfiler final : public PipelineObserver
     /** One committed memory nucleus in the oracle finder's window. */
     struct Nucleus
     {
-        uint64_t seq = 0;
-        bool isStore = false;
-        uint64_t begin = 0;
-        uint64_t end = 0;
-        uint8_t baseReg = 0;
-        uint8_t rd = 0;
-        bool writesRd = false;
+        DynInst dyn;
         bool fused = false;   ///< committed as part of a fused pair
         bool claimed = false; ///< already the head of an oracle pair
     };
@@ -252,8 +247,7 @@ class FusionProfiler final : public PipelineObserver
     // Configuration mirrored from CoreParams at attach time.
     uint64_t oracleDistance;    ///< eligibility window (UCH reach)
     uint64_t predictorDistance; ///< what the predictor can express
-    uint64_t regionBytes;
-    bool fuseDbrStores;
+    NcsfRules rules;
     uint64_t windowCycles;
 
     std::unordered_map<uint64_t, ProfileSite> siteMap;

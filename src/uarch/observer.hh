@@ -64,8 +64,8 @@ class PipelineObserver
     /**
      * onFusePair(head, tail, kind, absorbed, cycle): a fused pair
      * formed. `absorbed` is true when the tail µ-op leaves the machine
-     * at once (consecutive and oracle fusion); predicted pairs absorb
-     * their tail later, at marker validation.
+     * at once (consecutive fusion); non-consecutive pairs absorb their
+     * tail later, at marker validation.
      */
     virtual void onFusePair(const Uop &, const DynInst &, FusionKind, bool,
                             uint64_t)

@@ -22,7 +22,7 @@ enum class FusionMode : uint8_t
     CsfSbr,        ///< consecutive contiguous same-base memory pairs
     RiscvFusionPP, ///< all Table I idioms, consecutive only
     Helios,        ///< RiscvFusionPP + predictive NCSF/NCTF/DBR
-    Oracle,        ///< all eligible memory pairs + non-memory idioms
+    Oracle,        ///< Helios with an address oracle as its predictor
 };
 
 const char *fusionModeName(FusionMode mode);

@@ -11,7 +11,8 @@
  *
  * All fusion flavours live here: consecutive fusion at Decode, the
  * Helios predictive NCSF/NCTF/DBR machinery across AQ / Rename /
- * Dispatch / Execute / Commit, and the oracle.
+ * Dispatch / Execute / Commit, and the address oracle that drives the
+ * same machinery in OracleFusion mode.
  */
 
 #ifndef UARCH_PIPELINE_HH
@@ -133,12 +134,8 @@ class Pipeline
     // ---- fusion ----
     void applyConsecutiveFusion(std::vector<Uop *> &group);
     bool tryPredictedFusion(Uop *tail);
-    bool tryOracleFusion(Uop *tail);
-    // The oracle's catalyst walks take AQ indices: the catalyst is
-    // aq[head_index + 1 .. tail_index - 1] (the AQ is seq-ordered).
-    bool oracleDependent(size_t head_index, size_t tail_index) const;
-    bool catalystWritesTailSource(size_t head_index,
-                                  size_t tail_index) const;
+    FpPrediction oracleLookup(const Uop *tail) const;
+    void resolveFusion(const FpPrediction &pred, bool correct);
     void unfuseInPlace(Uop *head);
     void countFusedPair(const Uop *head);
 

@@ -23,7 +23,7 @@ enum class FusionKind : uint8_t
     None = 0,
     CsfMem,    ///< decode-time consecutive memory pair
     CsfOther,  ///< decode-time non-memory Table I idiom
-    NcsfMem,   ///< AQ-time (predicted or oracle) memory pair
+    NcsfMem,   ///< AQ-time memory pair (predictor- or oracle-named head)
 };
 
 /**

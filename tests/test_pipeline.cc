@@ -90,8 +90,12 @@ TEST_P(ModeSweep, StatisticsAreSelfConsistent)
                   r.stat("fusion.fp_applied"));
         break;
       case FusionMode::Oracle:
-        EXPECT_EQ(r.stat("fusion.fp_applied"), 0u);
-        EXPECT_EQ(r.stat("fusion.mispredicts"), 0u);
+        // The address oracle names only eligible in-region heads, each
+        // of which the shared fusion path accepts, and never trains.
+        EXPECT_EQ(r.stat("fusion.fp_applied"),
+                  r.stat("fusion.fp_attempts"));
+        EXPECT_EQ(r.stat("fusion.mispredict_region"), 0u);
+        EXPECT_EQ(r.stat("uch.matches"), 0u);
         break;
     }
 
