@@ -19,19 +19,20 @@
  * architectural instructions per host second on the same three
  * workloads along both functional paths: a Hart::step() loop through
  * forEachDynInst (the per-instruction path the pipeline feed and the
- * trace analyses run) and Hart::runFast() (threaded block dispatch
- * with fused handlers), reporting per-cell rates, per-path geomeans
- * and the fast/step speedup.
+ * trace analyses run) and Hart::runFast() (threaded dispatch with one
+ * budget check per basic block), reporting per-cell rates, per-path
+ * geomeans and the fast/step speedup.
  *
  * The matrix is three workloads of deliberately different character
  * (605.mcf_s: pointer chasing and flushes; qsort: branchy integer
  * code; fft: dense float arithmetic) under three fusion configs
  * (None: baseline decode path, Helios: the predictive front end,
- * Oracle: the AQ-scanning upper bound), so a regression in any major
- * subsystem moves at least one cell. Cells run sequentially on one
- * thread — this is a wall-clock benchmark, co-scheduling cells would
- * just measure contention. Each cell reports its best-of-N µ-ops per
- * host second; the headline number is the geomean across cells.
+ * Oracle: Helios's path with an address oracle as its predictor), so
+ * a regression in any major subsystem moves at least one cell. Cells
+ * run sequentially on one thread — this is a wall-clock benchmark,
+ * co-scheduling cells would just measure contention. Each cell
+ * reports its best-of-N µ-ops per host second; the headline number is
+ * the geomean across cells.
  *
  * Exit status: 0 clean, 1 regression against the baseline, 2 usage /
  * file errors.

@@ -590,11 +590,9 @@ main(int argc, char **argv)
             const double minst_per_sec =
                 elapsed > 0 ? double(executed) / elapsed / 1e6 : 0.0;
             std::printf("functional: %llu instructions in %.3f s "
-                        "(%.1f M inst/s, decoder cache: %zu entries, "
-                        "%zu fused pairs)\n",
+                        "(%.1f M inst/s, decoder cache: %zu entries)\n",
                         (unsigned long long)executed, elapsed,
-                        minst_per_sec, hart.fastCacheEntries(),
-                        hart.fastFusedPairs());
+                        minst_per_sec, hart.fastCacheEntries());
             if (timing)
                 std::printf("time: %.3f s wall, %.2f Minst/s "
                             "(functional)\n",

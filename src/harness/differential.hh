@@ -150,9 +150,8 @@ struct EngineDiffReport
  *     exits or @a max_insts have run. At every stop the executed
  *     count, instsExecuted() and Hart::archChecksum() (registers, pc,
  *     exit state, output) must match, and Memory::checksum() at the
- *     end. The
- *     stops land mid-block and between fused instructions, so
- *     runFast()'s budget tail and off-text fallbacks run too.
+ *     end. The stops land mid-block, so runFast()'s budget tail and
+ *     off-text fallbacks run too.
  */
 EngineDiffReport
 runEngineDifferential(const std::vector<const Workload *> &workloads,

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 
 #include "common/logging.hh"
 #include "isa/decoder.hh"
@@ -70,108 +71,6 @@ mulhsu64(int64_t a, uint64_t b)
          static_cast<unsigned __int128>(b)) >> 64);
 }
 
-/**
- * Fused-pair matcher. The caller guarantees @a head is not a block
- * terminator and @a tail lies inside the same block. Every fused
- * handler executes head-then-tail sequentially against the register
- * file, so apart from HidFusedLi (which folds the constant and needs
- * the addi to read the lui's rd) no operand-role constraint is
- * required for correctness — the op-pair table just picks the paper's
- * hot idioms.
- */
-uint8_t
-matchFusion(const FastEntry &head, const FastEntry &tail)
-{
-    switch (head.op) {
-      case Op::Lui:
-        // lui rd, hi ; addi rdx, rd, lo — materialize a constant.
-        if (tail.op == Op::Addi && tail.rs1 == head.rd &&
-            head.rd != 0)
-            return HidFusedLi;
-        return 0;
-      case Op::Addi:
-        // addi ; branch — the loop-step idiom (addi t0,t0,-1 ;
-        // bnez t0,loop) — and addi ; slli index scaling.
-        switch (tail.op) {
-          case Op::Beq: return HidFusedAddiBeq;
-          case Op::Bne: return HidFusedAddiBne;
-          case Op::Blt: return HidFusedAddiBlt;
-          case Op::Bge: return HidFusedAddiBge;
-          case Op::Bltu: return HidFusedAddiBltu;
-          case Op::Bgeu: return HidFusedAddiBgeu;
-          case Op::Slli: return HidFusedAddiSlli;
-          default: return 0;
-        }
-      case Op::Ld:
-        // ld ; {alu, second field load, scan-loop branch}.
-        switch (tail.op) {
-          case Op::Add: return HidFusedLdAdd;
-          case Op::Addi: return HidFusedLdAddi;
-          case Op::Ld: return HidFusedLdLd;
-          case Op::Bltu: return HidFusedLdBltu;
-          default: return 0;
-        }
-      case Op::Lw:
-        if (tail.op == Op::Add)
-            return HidFusedLwAdd;
-        if (tail.op == Op::Addi)
-            return HidFusedLwAddi;
-        return 0;
-      case Op::Add:
-        // add ; xor checksum folds, add ; ld indexed loads.
-        if (tail.op == Op::Xor)
-            return HidFusedAddXor;
-        if (tail.op == Op::Ld)
-            return HidFusedAddLd;
-        return 0;
-      case Op::Slli:
-        if (tail.op == Op::Add)
-            return HidFusedSlliAdd;
-        return 0;
-      default:
-        return 0;
-    }
-}
-
-/**
- * Multi-instruction idioms, matched longest-first before pair fusion.
- * Like the pairs, the fused handlers execute every instruction's
- * exact semantics in order against the register file, so the op
- * sequence is the only constraint. Interior ops are never block
- * terminators; a terminator may only appear as the final op.
- */
-struct FusionPattern
-{
-    uint8_t len;
-    Op ops[5];
-    uint8_t hid;
-};
-
-constexpr FusionPattern longPatterns[] = {
-    // Scaled-index scan loop step (qsort's Hoare partition scans):
-    // addi i ; slli t, i, k ; add t, t, base ; ld v ; bltu.
-    {5, {Op::Addi, Op::Slli, Op::Add, Op::Ld, Op::Bltu},
-     HidFusedScanBltu},
-    // Scaled-index load + bounds test (validation sweeps).
-    {4, {Op::Slli, Op::Add, Op::Ld, Op::Bgeu, Op::Invalid},
-     HidFusedSlliAddLdBgeu},
-    // Field-pair fetch + checksum fold (mcf's list traversal).
-    {4, {Op::Ld, Op::Ld, Op::Add, Op::Xor, Op::Invalid},
-     HidFusedLdLdAddXor},
-    // Field-pair fetch + signed compare (range-stack pop).
-    {3, {Op::Ld, Op::Ld, Op::Bge, Op::Invalid, Op::Invalid},
-     HidFusedLdLdBge},
-    // Pointer-chase + count-down loop close.
-    {3, {Op::Ld, Op::Addi, Op::Bne, Op::Invalid, Op::Invalid},
-     HidFusedLdAddiBne},
-    // Double pointer/counter step + loop close.
-    {3, {Op::Addi, Op::Addi, Op::Bne, Op::Invalid, Op::Invalid},
-     HidFusedAddiAddiBne},
-    // Scaled-index address generation + load.
-    {3, {Op::Slli, Op::Add, Op::Ld, Op::Invalid, Op::Invalid},
-     HidFusedSlliAddLd},
-};
-
 } // namespace
 
 FastEntry
@@ -179,17 +78,15 @@ DecoderCache::makeEntry(const Instruction &inst, uint64_t pc)
 {
     FastEntry entry;
     entry.op = inst.op;
-    entry.hid = static_cast<uint8_t>(inst.op);
     entry.rd = inst.rd;
     entry.rs1 = inst.rs1;
     entry.rs2 = inst.rs2;
     switch (inst.op) {
       case Op::Lui:
-        entry.imm = inst.imm << 12;
-        break;
       case Op::Auipc:
-        entry.imm = static_cast<int64_t>(
-            pc + static_cast<uint64_t>(inst.imm << 12));
+        // auipc's handler adds the pc, so the entry fits a RunEntry
+        // wherever the word sits.
+        entry.imm = inst.imm << 12;
         break;
       case Op::Jal:
       case Op::Beq: case Op::Bne: case Op::Blt:
@@ -199,8 +96,9 @@ DecoderCache::makeEntry(const Instruction &inst, uint64_t pc)
             pc + static_cast<uint64_t>(inst.imm));
         break;
       case Op::Invalid:
-        // Keep the raw word for the fault message.
-        entry.imm = static_cast<int64_t>(uint64_t(inst.raw));
+        // Keep the raw word for the fault message, sign-extended so
+        // that a word with its top bit set still fits a RunEntry.
+        entry.imm = static_cast<int32_t>(inst.raw);
         break;
       default:
         entry.imm = inst.imm;
@@ -224,7 +122,7 @@ DecoderCache::build(const Memory &memory, uint64_t text_base,
     base = text_base;
     words = num_words;
     ++version_;
-    entries.assign(num_words + 1, FastEntry{});
+    entries.assign(num_words, FastEntry{});
     insts.assign(num_words, Instruction{});
     // One sentinel slot past the last word, permanently 1: a branch
     // chaining to pc == textLimit budget-checks it like a real block
@@ -232,11 +130,6 @@ DecoderCache::build(const Memory &memory, uint64_t text_base,
     blockLens.assign(num_words + 1, 1);
     for (size_t w = 0; w < num_words; ++w)
         decodeWord(memory, w);
-
-    // Sentinel: straight-line code running past the last text word
-    // dispatches here instead of off the end of the array.
-    entries[num_words].hid = HidTextEnd;
-    entries[num_words].op = Op::Invalid;
 
     if (num_words > 0)
         rebuildRange(0, num_words - 1);
@@ -256,7 +149,7 @@ void
 DecoderCache::invalidate(const Memory &memory, size_t lo_word,
                          size_t hi_word)
 {
-    if (entries.empty() || words == 0)
+    if (words == 0)
         return;
     ++version_;
     for (size_t w = lo_word; w <= hi_word; ++w)
@@ -264,9 +157,8 @@ DecoderCache::invalidate(const Memory &memory, size_t lo_word,
 
     // Expand to the enclosing straight-line region *under the new
     // contents*: back to the previous terminator (block lengths of
-    // every upstream word in the run change with the patch, and a
-    // fused head is never a terminator, so this also unwinds pairs
-    // reaching into the patched words) and forward to the next.
+    // every upstream word in the run change with the patch) and
+    // forward to the next.
     size_t lo = lo_word;
     while (lo > 0 && !isBlockTerminatorOp(entries[lo - 1].op))
         --lo;
@@ -279,64 +171,14 @@ DecoderCache::invalidate(const Memory &memory, size_t lo_word,
 void
 DecoderCache::rebuildRange(size_t lo, size_t hi)
 {
-    // Back to unfused handlers before re-pairing.
-    for (size_t w = lo; w <= hi; ++w)
-        entries[w].hid = static_cast<uint8_t>(entries[w].op);
-
-    // Block lengths, innermost-out. entries[hi] is a terminator or
-    // the last text word, so blockLens[hi + 1] is never needed.
+    // Innermost-out. entries[hi] is a terminator or the last text
+    // word, so blockLens[hi + 1] is never needed.
     for (size_t w = hi + 1; w-- > lo;) {
         if (isBlockTerminatorOp(entries[w].op) || w == words - 1)
             blockLens[w] = 1;
         else
             blockLens[w] = blockLens[w + 1] + 1;
     }
-
-    // Greedy in-order fusion within each block, longest idiom first.
-    size_t w = lo;
-    while (w <= hi) {
-        const size_t block_end = w + blockLens[w] - 1;
-        size_t i = w;
-        while (i <= block_end) {
-            size_t advance = 1;
-            for (const FusionPattern &p : longPatterns) {
-                if (i + p.len - 1 > block_end)
-                    continue;
-                bool match = true;
-                for (unsigned k = 0; k < p.len; ++k)
-                    if (entries[i + k].op != p.ops[k]) {
-                        match = false;
-                        break;
-                    }
-                if (match) {
-                    entries[i].hid = p.hid;
-                    advance = p.len;
-                    break;
-                }
-            }
-            if (advance == 1 && i < block_end) {
-                const uint8_t fused =
-                    matchFusion(entries[i], entries[i + 1]);
-                if (fused != 0) {
-                    entries[i].hid = fused;
-                    advance = 2;
-                }
-            }
-            i += advance;
-        }
-        w = block_end + 1;
-    }
-}
-
-size_t
-DecoderCache::fusedPairs() const
-{
-    size_t count = 0;
-    for (size_t w = 0; w < words; ++w)
-        if (entries[w].hid >= static_cast<uint8_t>(Op::NumOps) &&
-            entries[w].hid != HidTextEnd)
-            ++count;
-    return count;
 }
 
 void
@@ -344,13 +186,6 @@ Hart::ensureFastCache()
 {
     if (!fastCache.built())
         fastCache.build(mem, textBase, (textLimit - textBase) / 4);
-}
-
-size_t
-Hart::fastFusedPairs()
-{
-    ensureFastCache();
-    return fastCache.fusedPairs();
 }
 
 size_t
@@ -374,7 +209,7 @@ Hart::fastCacheEntries()
  *     that need it;
  *   - block chaining: a terminator settles seq/executed from the
  *     pointer distance, bounds- and budget-checks its own target
- *     inline (FAST_GOTO_N) and jumps straight to the target block's
+ *     inline (FAST_GOTO) and jumps straight to the target block's
  *     first handler — each static branch gets its own indirect
  *     dispatch site, so the predictor learns per-branch targets. The
  *     outer loop is only re-entered on the slow paths: off-text or
@@ -419,7 +254,8 @@ Hart::runFast(uint64_t max_insts)
     } reg_publish{this, lregs};
     uint64_t *const regs = lregs;
 
-    static const void *const handlers[NumFastHids] = {
+    // One label per opcode, in Op order: an entry's op indexes it.
+    static const void *const handlers[] = {
         &&h_Invalid, &&h_Lui, &&h_Auipc, &&h_Jal, &&h_Jalr,
         &&h_Beq, &&h_Bne, &&h_Blt, &&h_Bge, &&h_Bltu, &&h_Bgeu,
         &&h_Lb, &&h_Lh, &&h_Lw, &&h_Ld, &&h_Lbu, &&h_Lhu, &&h_Lwu,
@@ -434,19 +270,9 @@ Hart::runFast(uint64_t max_insts)
         &&h_Div, &&h_Divu, &&h_Rem, &&h_Remu,
         &&h_Mulw, &&h_Divw, &&h_Divuw, &&h_Remw, &&h_Remuw,
         &&h_Fence, &&h_Ecall, &&h_Ebreak,
-        &&h_FusedLi,
-        &&h_FusedAddiBeq, &&h_FusedAddiBne, &&h_FusedAddiBlt,
-        &&h_FusedAddiBge, &&h_FusedAddiBltu, &&h_FusedAddiBgeu,
-        &&h_FusedLdAdd, &&h_FusedLdAddi,
-        &&h_FusedLwAdd, &&h_FusedLwAddi,
-        &&h_FusedLdLd, &&h_FusedLdBltu,
-        &&h_FusedAddXor, &&h_FusedAddLd,
-        &&h_FusedAddiSlli, &&h_FusedSlliAdd,
-        &&h_FusedLdAddiBne, &&h_FusedLdLdAddXor, &&h_FusedScanBltu,
-        &&h_FusedSlliAddLd, &&h_FusedSlliAddLdBgeu,
-        &&h_FusedAddiAddiBne, &&h_FusedLdLdBge,
-        &&h_TextEnd,
     };
+    static_assert(std::size(handlers) == size_t(Op::NumOps));
+    const void *const text_end = &&h_TextEnd;
 
     // Translate the durable cache into the dispatch table the hot
     // loop actually walks: resolved label pointer + packed operands,
@@ -455,15 +281,18 @@ Hart::runFast(uint64_t max_insts)
     const auto retranslate = [&] {
         const FastEntry *const ce = fastCache.entryArray();
         runEntries.resize(text_words + 1);
-        for (size_t w = 0; w <= text_words; ++w) {
+        for (size_t w = 0; w < text_words; ++w) {
             helios_assert(
                 ce[w].imm == int64_t(int32_t(uint32_t(
                                  uint64_t(ce[w].imm)))),
                 "fast-engine immediate overflows the packed run entry");
-            runEntries[w].handler = handlers[ce[w].hid];
+            runEntries[w].handler = handlers[size_t(ce[w].op)];
             runEntries[w].meta = packFastMeta(ce[w].rd, ce[w].rs1,
                                               ce[w].rs2, ce[w].imm);
         }
+        // The slot past the last word: straight-line code running off
+        // the end of text dispatches here instead of off the array.
+        runEntries[text_words] = RunEntry{text_end, 0};
         runEntriesVersion = fastCache.version();
     };
     if (runEntriesVersion != fastCache.version())
@@ -511,7 +340,7 @@ Hart::runFast(uint64_t max_insts)
  * Untraced dispatch context. FAST_OP opens a scope that loads the
  * packed meta word once — entry reads never repeat after a register
  * write — and FAST_END/FAST_TERM close it after advancing to the next
- * handler pointer (one load, no hid indirection).
+ * handler pointer (one load).
  */
 #define FAST_OP(name)                                                  \
       h_##name: {                                                      \
@@ -538,11 +367,10 @@ Hart::runFast(uint64_t max_insts)
  * own indirect-branch site, which the host predictor tracks far
  * better than one shared dispatch point.
  */
-#define FAST_GOTO_N(target, consumed)                                  \
+#define FAST_GOTO(target)                                              \
         do {                                                           \
             const uint64_t chain_pc = (target);                        \
-            const uint64_t blk =                                       \
-                uint64_t(e - block_start) + (consumed);                \
+            const uint64_t blk = uint64_t(e - block_start) + 1;        \
             executed += blk;                                           \
             seq += blk;                                                \
             const uint64_t chain_off = chain_pc - text_base;           \
@@ -559,7 +387,6 @@ Hart::runFast(uint64_t max_insts)
             block_start = e;                                           \
             goto *e->handler;                                          \
         } while (0)
-#define FAST_GOTO(target) FAST_GOTO_N(target, 1)
 #define FRD fastMetaRd(fe_meta)
 #define FRS1 fastMetaRs1(fe_meta)
 #define FRS2 fastMetaRs2(fe_meta)
@@ -588,264 +415,6 @@ Hart::runFast(uint64_t max_insts)
 
 #include "sim/fast_ops.inc"
 
-        /*
-         * Fused handlers: untraced only. Each executes the head
-         * instruction's exact semantics, then the tail's, against the
-         * register file — so any operand roles (including x0 and
-         * aliased registers) behave exactly as the unfused sequence
-         * would, and a jump landing on the pair's tail still executes
-         * it standalone through its own entry. Only the dispatch tail
-         * is shared.
-         */
-
-      h_FusedLi: {
-        // matcher guarantees tail.rs1 == head.rd != 0, so the addi's
-        // source is the lui constant — fold without a register read.
-        const uint64_t m0 = e->meta, m1 = e[1].meta;
-        const uint64_t v0 = uint64_t(fastMetaImm(m0));
-        regs[fastMetaRd(m0)] = v0;
-        WREG(fastMetaRd(m1), v0 + uint64_t(fastMetaImm(m1)));
-        e += 2;
-        goto *e->handler;
-      }
-
-#define HELIOS_FUSED_ADDI_BRANCH(name, cond)                           \
-      h_FusedAddi##name: {                                             \
-        const uint64_t m0 = e->meta, m1 = e[1].meta;                   \
-        WREG(fastMetaRd(m0),                                           \
-             regs[fastMetaRs1(m0)] + uint64_t(fastMetaImm(m0)));       \
-        const uint64_t a = regs[fastMetaRs1(m1)];                      \
-        const uint64_t b = regs[fastMetaRs2(m1)];                      \
-        FAST_GOTO_N((cond) ? uint64_t(fastMetaImm(m1))                 \
-                           : FAST_PC + 8, 2);                          \
-      }
-
-        HELIOS_FUSED_ADDI_BRANCH(Beq, a == b)
-        HELIOS_FUSED_ADDI_BRANCH(Bne, a != b)
-        HELIOS_FUSED_ADDI_BRANCH(Blt, s64(a) < s64(b))
-        HELIOS_FUSED_ADDI_BRANCH(Bge, s64(a) >= s64(b))
-        HELIOS_FUSED_ADDI_BRANCH(Bltu, a < b)
-        HELIOS_FUSED_ADDI_BRANCH(Bgeu, a >= b)
-
-#undef HELIOS_FUSED_ADDI_BRANCH
-
-/* Head of every load-led pair: perform the load, write rd. */
-#define HELIOS_FUSED_LOAD_HEAD(width, convert)                         \
-        const uint64_t m0 = e->meta, m1 = e[1].meta;                   \
-        const uint64_t addr0 =                                         \
-            regs[fastMetaRs1(m0)] + uint64_t(fastMetaImm(m0));         \
-        WREG(fastMetaRd(m0), convert(mem.loadFast<width>(addr0)));
-
-      h_FusedLdAdd: {
-        HELIOS_FUSED_LOAD_HEAD(8, )
-        WREG(fastMetaRd(m1),
-             regs[fastMetaRs1(m1)] + regs[fastMetaRs2(m1)]);
-        e += 2;
-        goto *e->handler;
-      }
-
-      h_FusedLdAddi: {
-        HELIOS_FUSED_LOAD_HEAD(8, )
-        WREG(fastMetaRd(m1),
-             regs[fastMetaRs1(m1)] + uint64_t(fastMetaImm(m1)));
-        e += 2;
-        goto *e->handler;
-      }
-
-      h_FusedLwAdd: {
-        HELIOS_FUSED_LOAD_HEAD(4, sext32)
-        WREG(fastMetaRd(m1),
-             regs[fastMetaRs1(m1)] + regs[fastMetaRs2(m1)]);
-        e += 2;
-        goto *e->handler;
-      }
-
-      h_FusedLwAddi: {
-        HELIOS_FUSED_LOAD_HEAD(4, sext32)
-        WREG(fastMetaRd(m1),
-             regs[fastMetaRs1(m1)] + uint64_t(fastMetaImm(m1)));
-        e += 2;
-        goto *e->handler;
-      }
-
-      h_FusedLdLd: {
-        HELIOS_FUSED_LOAD_HEAD(8, )
-        const uint64_t addr1 =
-            regs[fastMetaRs1(m1)] + uint64_t(fastMetaImm(m1));
-        WREG(fastMetaRd(m1), mem.loadFast<8>(addr1));
-        e += 2;
-        goto *e->handler;
-      }
-
-      h_FusedLdBltu: {
-        HELIOS_FUSED_LOAD_HEAD(8, )
-        const bool taken =
-            regs[fastMetaRs1(m1)] < regs[fastMetaRs2(m1)];
-        FAST_GOTO_N(taken ? uint64_t(fastMetaImm(m1)) : FAST_PC + 8,
-                    2);
-      }
-
-#undef HELIOS_FUSED_LOAD_HEAD
-
-      h_FusedAddXor: {
-        const uint64_t m0 = e->meta, m1 = e[1].meta;
-        WREG(fastMetaRd(m0),
-             regs[fastMetaRs1(m0)] + regs[fastMetaRs2(m0)]);
-        WREG(fastMetaRd(m1),
-             regs[fastMetaRs1(m1)] ^ regs[fastMetaRs2(m1)]);
-        e += 2;
-        goto *e->handler;
-      }
-
-      h_FusedAddLd: {
-        const uint64_t m0 = e->meta, m1 = e[1].meta;
-        WREG(fastMetaRd(m0),
-             regs[fastMetaRs1(m0)] + regs[fastMetaRs2(m0)]);
-        const uint64_t addr1 =
-            regs[fastMetaRs1(m1)] + uint64_t(fastMetaImm(m1));
-        WREG(fastMetaRd(m1), mem.loadFast<8>(addr1));
-        e += 2;
-        goto *e->handler;
-      }
-
-      h_FusedAddiSlli: {
-        const uint64_t m0 = e->meta, m1 = e[1].meta;
-        WREG(fastMetaRd(m0),
-             regs[fastMetaRs1(m0)] + uint64_t(fastMetaImm(m0)));
-        WREG(fastMetaRd(m1),
-             regs[fastMetaRs1(m1)] << (fastMetaImm(m1) & 63));
-        e += 2;
-        goto *e->handler;
-      }
-
-      h_FusedSlliAdd: {
-        const uint64_t m0 = e->meta, m1 = e[1].meta;
-        WREG(fastMetaRd(m0),
-             regs[fastMetaRs1(m0)] << (fastMetaImm(m0) & 63));
-        WREG(fastMetaRd(m1),
-             regs[fastMetaRs1(m1)] + regs[fastMetaRs2(m1)]);
-        e += 2;
-        goto *e->handler;
-      }
-
-        /*
-         * Multi-instruction idioms: same generic-sequential rule as
-         * the pairs, just more of it per dispatch. These are whole
-         * hot-loop bodies — one meta load per instruction, one
-         * chained dispatch per iteration.
-         */
-
-      h_FusedLdAddiBne: {
-        // ld x ; addi n ; bne — pointer-chase loop close.
-        const uint64_t m0 = e->meta, m1 = e[1].meta, m2 = e[2].meta;
-        const uint64_t addr0 =
-            regs[fastMetaRs1(m0)] + uint64_t(fastMetaImm(m0));
-        WREG(fastMetaRd(m0), mem.loadFast<8>(addr0));
-        WREG(fastMetaRd(m1),
-             regs[fastMetaRs1(m1)] + uint64_t(fastMetaImm(m1)));
-        const bool taken =
-            regs[fastMetaRs1(m2)] != regs[fastMetaRs2(m2)];
-        FAST_GOTO_N(taken ? uint64_t(fastMetaImm(m2)) : FAST_PC + 12,
-                    3);
-      }
-
-      h_FusedLdLdAddXor: {
-        // ld a ; ld b ; add acc, a ; xor acc, b — field-pair fold.
-        const uint64_t m0 = e->meta, m1 = e[1].meta;
-        const uint64_t m2 = e[2].meta, m3 = e[3].meta;
-        const uint64_t addr0 =
-            regs[fastMetaRs1(m0)] + uint64_t(fastMetaImm(m0));
-        WREG(fastMetaRd(m0), mem.loadFast<8>(addr0));
-        const uint64_t addr1 =
-            regs[fastMetaRs1(m1)] + uint64_t(fastMetaImm(m1));
-        WREG(fastMetaRd(m1), mem.loadFast<8>(addr1));
-        WREG(fastMetaRd(m2),
-             regs[fastMetaRs1(m2)] + regs[fastMetaRs2(m2)]);
-        WREG(fastMetaRd(m3),
-             regs[fastMetaRs1(m3)] ^ regs[fastMetaRs2(m3)]);
-        e += 4;
-        goto *e->handler;
-      }
-
-      h_FusedScanBltu: {
-        // addi i ; slli t,i,k ; add t,t,base ; ld v ; bltu — a whole
-        // scaled-index scan-loop iteration in one dispatch.
-        const uint64_t m0 = e->meta, m1 = e[1].meta, m2 = e[2].meta;
-        const uint64_t m3 = e[3].meta, m4 = e[4].meta;
-        WREG(fastMetaRd(m0),
-             regs[fastMetaRs1(m0)] + uint64_t(fastMetaImm(m0)));
-        WREG(fastMetaRd(m1),
-             regs[fastMetaRs1(m1)] << (fastMetaImm(m1) & 63));
-        WREG(fastMetaRd(m2),
-             regs[fastMetaRs1(m2)] + regs[fastMetaRs2(m2)]);
-        const uint64_t addr3 =
-            regs[fastMetaRs1(m3)] + uint64_t(fastMetaImm(m3));
-        WREG(fastMetaRd(m3), mem.loadFast<8>(addr3));
-        const bool taken =
-            regs[fastMetaRs1(m4)] < regs[fastMetaRs2(m4)];
-        FAST_GOTO_N(taken ? uint64_t(fastMetaImm(m4)) : FAST_PC + 20,
-                    5);
-      }
-
-      h_FusedSlliAddLd: {
-        // slli t,i,k ; add t,t,base ; ld v — scaled-index load.
-        const uint64_t m0 = e->meta, m1 = e[1].meta, m2 = e[2].meta;
-        WREG(fastMetaRd(m0),
-             regs[fastMetaRs1(m0)] << (fastMetaImm(m0) & 63));
-        WREG(fastMetaRd(m1),
-             regs[fastMetaRs1(m1)] + regs[fastMetaRs2(m1)]);
-        const uint64_t addr2 =
-            regs[fastMetaRs1(m2)] + uint64_t(fastMetaImm(m2));
-        WREG(fastMetaRd(m2), mem.loadFast<8>(addr2));
-        e += 3;
-        goto *e->handler;
-      }
-
-      h_FusedSlliAddLdBgeu: {
-        // slli ; add ; ld ; bgeu — scaled-index load + bounds test.
-        const uint64_t m0 = e->meta, m1 = e[1].meta;
-        const uint64_t m2 = e[2].meta, m3 = e[3].meta;
-        WREG(fastMetaRd(m0),
-             regs[fastMetaRs1(m0)] << (fastMetaImm(m0) & 63));
-        WREG(fastMetaRd(m1),
-             regs[fastMetaRs1(m1)] + regs[fastMetaRs2(m1)]);
-        const uint64_t addr2 =
-            regs[fastMetaRs1(m2)] + uint64_t(fastMetaImm(m2));
-        WREG(fastMetaRd(m2), mem.loadFast<8>(addr2));
-        const bool taken =
-            regs[fastMetaRs1(m3)] >= regs[fastMetaRs2(m3)];
-        FAST_GOTO_N(taken ? uint64_t(fastMetaImm(m3)) : FAST_PC + 16,
-                    4);
-      }
-
-      h_FusedAddiAddiBne: {
-        // addi p ; addi n ; bne — double pointer/counter loop close.
-        const uint64_t m0 = e->meta, m1 = e[1].meta, m2 = e[2].meta;
-        WREG(fastMetaRd(m0),
-             regs[fastMetaRs1(m0)] + uint64_t(fastMetaImm(m0)));
-        WREG(fastMetaRd(m1),
-             regs[fastMetaRs1(m1)] + uint64_t(fastMetaImm(m1)));
-        const bool taken =
-            regs[fastMetaRs1(m2)] != regs[fastMetaRs2(m2)];
-        FAST_GOTO_N(taken ? uint64_t(fastMetaImm(m2)) : FAST_PC + 12,
-                    3);
-      }
-
-      h_FusedLdLdBge: {
-        // ld lo ; ld hi ; bge — range-stack pop + empty test.
-        const uint64_t m0 = e->meta, m1 = e[1].meta, m2 = e[2].meta;
-        const uint64_t addr0 =
-            regs[fastMetaRs1(m0)] + uint64_t(fastMetaImm(m0));
-        WREG(fastMetaRd(m0), mem.loadFast<8>(addr0));
-        const uint64_t addr1 =
-            regs[fastMetaRs1(m1)] + uint64_t(fastMetaImm(m1));
-        WREG(fastMetaRd(m1), mem.loadFast<8>(addr1));
-        const bool taken =
-            s64(regs[fastMetaRs1(m2)]) >= s64(regs[fastMetaRs2(m2)]);
-        FAST_GOTO_N(taken ? uint64_t(fastMetaImm(m2)) : FAST_PC + 12,
-                    3);
-      }
-
       h_TextEnd: {
         // Straight-line code ran off the end of text: settle the
         // instructions executed on the way here, then hand the pc to
@@ -862,7 +431,6 @@ Hart::runFast(uint64_t max_insts)
 #undef FAST_END
 #undef FAST_TERM
 #undef FAST_GOTO
-#undef FAST_GOTO_N
 #undef FRD
 #undef FRS1
 #undef FRS2
@@ -881,10 +449,10 @@ Hart::runFast(uint64_t max_insts)
 }
 
 /*
- * The single-stepper: same cache, same bodies, but dispatching the
- * *base* op of every entry (fused handler ids are ignored) and filling
- * the DynInst the pipeline feed and the trace analyses consume. Also
- * runFast()'s fallback for off-text pcs and budget tails.
+ * The single-stepper: same cache, same bodies, but dispatching through
+ * a switch on the entry's op and filling the DynInst the pipeline feed
+ * and the trace analyses consume. Also runFast()'s fallback for
+ * off-text pcs and budget tails.
  */
 bool
 Hart::step(DynInst &out)

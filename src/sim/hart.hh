@@ -45,9 +45,8 @@ class Hart
     void reset(const Program &prog);
 
     /**
-     * Execute a single instruction through the decoder cache, on the
-     * base op of its entry (fused handlers are ignored). This is the
-     * pipeline feed's path; for throughput use runFast().
+     * Execute a single instruction through the decoder cache. This is
+     * the pipeline feed's path; for throughput use runFast().
      * @param out record of the executed instruction
      * @return false once the program has exited (out is untouched)
      */
@@ -55,10 +54,11 @@ class Hart
 
     /**
      * Run to completion or until @a max_insts executed, through the
-     * decoder cache with threaded dispatch, fused handlers and
-     * basic-block stepping (src/sim/decoder_cache.{hh,cc}). Stops on
-     * the exact instruction, with the same registers, memory, pc,
-     * seq, exit state and output as as many step() calls. The one
+     * decoder cache with threaded dispatch (one handler per
+     * instruction) and one budget check per basic block
+     * (src/sim/decoder_cache.{hh,cc}). Stops on the exact
+     * instruction, with the same registers, memory, pc, seq, exit
+     * state and output as as many step() calls. The one
      * documented difference is fatal() paths (invalid/ebreak/
      * unsupported ecall): the fault fires with an identical message
      * and pc, but instsExecuted() is block-aligned rather than
@@ -75,10 +75,8 @@ class Hart
      */
     bool referenceStep(DynInst &out);
 
-    /** Fused entry pairs in the decoder cache (builds it if needed). */
-    size_t fastFusedPairs();
-
-    /** Static instruction slots in the decoder cache (ditto). */
+    /** Static instruction slots in the decoder cache (builds it if
+     *  needed). */
     size_t fastCacheEntries();
 
     bool exited() const { return hasExited; }
@@ -105,10 +103,10 @@ class Hart
      * resident memory page — into a Checkpoint cut at the current
      * dynamic instruction index. runFast(n) stops at an exact
      * instruction count, so a checkpoint can be cut anywhere in a
-     * run: mid-basic-block, between the halves of a fused pair,
-     * after self-modifying stores or mid-way through the stdin
-     * buffer. Purely architectural (no decoder-cache or timing
-     * state), so one checkpoint serves every configuration.
+     * run: mid-basic-block, after self-modifying stores or mid-way
+     * through the stdin buffer. Purely architectural (no
+     * decoder-cache or timing state), so one checkpoint serves every
+     * configuration.
      *
      * @param program_hash Program::sourceHash, stamped into the
      *        checkpoint so restore sites can verify provenance
@@ -129,8 +127,8 @@ class Hart
   private:
     /**
      * Re-decode cached words touched by a store (or a syscall that
-     * wrote guest memory) into [addr, addr+size), including block
-     * lengths and fused pairs spanning the patched words.
+     * wrote guest memory) into [addr, addr+size), and recompute the
+     * block lengths of the straight-line region around them.
      */
     void invalidateText(uint64_t addr, uint64_t size);
 

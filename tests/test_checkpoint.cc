@@ -6,8 +6,7 @@
  * index and restored into a fresh hart must finish bit-identically
  * (registers, memory, output, exit state) to the uninterrupted run,
  * along runFast(), step() and the oracle referenceStep(). Cuts are
- * exercised mid-basic-block, between the halves of fused
- * decoder-cache pairs, after self-modifying stores, and mid-way
+ * exercised mid-basic-block, after self-modifying stores, and mid-way
  * through the stdin buffer.
  */
 
@@ -181,10 +180,9 @@ TEST(Checkpoint, RestoreRequiresFreshMemory)
 
 TEST(Checkpoint, CutSweepContinuesBitIdentical)
 {
-    // Arbitrary dynamic indices, chosen to land mid-basic-block and
-    // between the halves of fused pairs (runFast() fuses this
-    // kernel's hot loop); instruction-exact runFast stops make every
-    // index a legal cut.
+    // Arbitrary dynamic indices, chosen to land mid-basic-block in
+    // this kernel's hot loop; instruction-exact runFast stops make
+    // every index a legal cut.
     const Program prog = findWorkload("crc32").program();
     const uint64_t total = 60'000;
     for (uint64_t cut : {uint64_t(1), uint64_t(2), uint64_t(777),

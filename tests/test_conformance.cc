@@ -143,6 +143,11 @@ const ConformanceCase kCases[] = {
         auipc a0, 0
         la t0, here
         sub a0, a0, t0)", "", 0},
+    {"auipc_large_positive_offset", R"(
+    here:
+        auipc a0, 0x7ffff
+        la t0, here
+        sub a0, a0, t0)", "", 0x7ffff000},
 
     // ---- logic -------------------------------------------------------
     {"and_masks", R"(

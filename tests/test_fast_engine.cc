@@ -4,8 +4,9 @@
  * must match the oracle Hart::referenceStep() across the decoder
  * cache's edge cases — self-modifying code, instruction budgets
  * expiring mid-block, ecall handling inside blocks, indirect jumps
- * leaving the text segment, and fused handlers sitting at the very
- * end of text. Suite-wide equivalence runs through the engine
+ * leaving the text segment, branches chaining into the middle of a
+ * block or out of the last text word, and undecodable words whose
+ * top bit is set. Suite-wide equivalence runs through the engine
  * differential harness (harness/differential.hh).
  */
 
@@ -35,15 +36,12 @@ pick(std::initializer_list<const char *> names)
     return workloads;
 }
 
-/** Run @a source to completion along every path and assert step()
- *  and runFast() agree with the oracle on every architectural
- *  observable; returns the exit code. */
+/** Run @a prog to completion along every path and assert step() and
+ *  runFast() agree with the oracle on every architectural observable;
+ *  returns the exit code. */
 uint64_t
-runAllPaths(const std::string &source,
-            uint64_t max_insts = 1'000'000)
+runAllPaths(const Program &prog, uint64_t max_insts = 1'000'000)
 {
-    const Program prog = assemble(source);
-
     Memory ref_mem;
     Hart ref(ref_mem);
     ref.reset(prog);
@@ -67,6 +65,12 @@ runAllPaths(const std::string &source,
     return ref.exitCode();
 }
 
+uint64_t
+runAllPaths(const std::string &source)
+{
+    return runAllPaths(assemble(source));
+}
+
 /** Run @a prog along @a path; returns the FatalError message. */
 std::string
 faultMessage(const Program &prog, HartPath path)
@@ -87,9 +91,9 @@ faultMessage(const Program &prog, HartPath path)
 
 TEST(FastEngine, SmokeSubsetBitIdentical)
 {
-    // Traced lockstep plus chunked untraced stops over kernels
-    // covering the fused idioms: mcf (pointer chase), qsort (scan
-    // loops), fft (butterfly address gen), crc32 (table lookups).
+    // Traced lockstep plus chunked untraced stops over hot loops of
+    // different shapes: mcf (pointer chase), qsort (scan loops), fft
+    // (butterfly address gen), crc32 (table lookups).
     const EngineDiffReport report = runEngineDifferential(
         pick({"605.mcf_s", "qsort", "fft", "crc32"}), 50'000, 5'000);
     EXPECT_TRUE(report.ok()) << report.toJson();
@@ -134,9 +138,9 @@ TEST(FastEngine, SmcWorkloadBitIdentical)
 TEST(FastEngine, SmcRewritesTerminatorIntoStraightLine)
 {
     // The store turns a block *terminator* (beq) into a nop, merging
-    // two basic blocks: block lengths and any fusion spanning the old
-    // boundary must be rebuilt, and the next iteration has to fall
-    // through into the previously skipped add.
+    // two basic blocks: block lengths spanning the old boundary must
+    // be rebuilt, and the next iteration has to fall through into the
+    // previously skipped add.
     const std::string source = R"(
         li s0, 0
         li s1, 6
@@ -252,12 +256,12 @@ TEST(FastEngine, JalrToNonTextTargetFaultsIdentically)
     EXPECT_EQ(faultMessage(prog, HartPath::RunFast), oracle);
 }
 
-TEST(FastEngine, FusedPairAtEndOfTextTakesBranch)
+TEST(FastEngine, BranchInLastTextWordBeatsTextEnd)
 {
-    // The final two text words form a fuseable addi+bne whose taken
-    // edge is the only way out; the not-taken fall-through would run
-    // off the end of text. The fused handler's branch target must win
-    // over the text-end sentinel.
+    // The last text word is a bne whose taken edge is the only way
+    // out; the not-taken fall-through would run off the end of text.
+    // The branch's target must win over the text-end sentinel in the
+    // slot after it.
     const std::string source = R"(
         li s0, 0
         li s1, 5
@@ -293,20 +297,21 @@ TEST(FastEngine, StraightLineOffTextEndFaultsIdentically)
     EXPECT_EQ(faultMessage(prog, HartPath::RunFast), oracle);
 }
 
-TEST(FastEngine, JumpIntoFusedTailExecutesStandalone)
+TEST(FastEngine, ChainIntoMidBlockRunsFromTheTarget)
 {
-    // Fusion only re-points the *head* entry; a branch landing on the
-    // pair's tail must execute the tail's own unfused semantics. The
-    // loop back-edge targets the second instruction of an addi+addi
-    // pair the matcher fuses on entry.
+    // Block lengths are kept for every word, not only for block
+    // leaders. The loop back-edge chains to `mid`, the fourth word of
+    // the straight-line run that starts at the entry point, so each
+    // later iteration enters that block in the middle and is
+    // budget-checked with the length counted from `mid`.
     const std::string source = R"(
         li s0, 0
         li s1, 4
-        addi s0, s0, 100   # fused head, executed once
-    tail:
-        addi s0, s0, 1     # fused tail, also the loop target
+        addi s0, s0, 100   # executed once, on the way in
+    mid:
+        addi s0, s0, 1     # mid-block word, also the loop target
         addi s1, s1, -1
-        bnez s1, tail
+        bnez s1, mid
         mv a0, s0
         li a7, 93
         ecall
@@ -316,14 +321,41 @@ TEST(FastEngine, JumpIntoFusedTailExecutesStandalone)
 
 TEST(FastEngine, DecoderCacheIntrospection)
 {
-    // The cache covers every static instruction and the hot kernels
-    // actually fuse (the perf claim rests on it).
+    // The cache covers every static instruction.
     const Workload &workload = findWorkload("qsort");
     Memory mem;
     Hart hart(mem);
     hart.reset(workload.program());
     EXPECT_EQ(hart.fastCacheEntries(), workload.program().code.size());
-    EXPECT_GT(hart.fastFusedPairs(), 0u);
+}
+
+TEST(FastEngine, HighBitInvalidWordPastExitIsNeverRun)
+{
+    // An undecodable word with its top bit set sits after the exit
+    // ecall, as arbitrary bytes can in an ELF's executable segment.
+    // Translating it must not abort runFast(): the word is never
+    // executed, so every path exits 7.
+    Program prog = assemble(R"(
+        li a0, 7
+        li a7, 93
+        ecall
+    )");
+    prog.code.push_back(0xffffffff);
+    EXPECT_EQ(runAllPaths(prog), 7u);
+}
+
+TEST(FastEngine, HighBitInvalidWordFaultsIdentically)
+{
+    // The same word, executed: every path raises the oracle's fault,
+    // naming the full 32-bit word and its pc.
+    Program prog = assemble("li s0, 7\n");
+    prog.code.push_back(0xffffffff);
+    const std::string oracle = faultMessage(prog, HartPath::Oracle);
+    EXPECT_NE(oracle.find("invalid instruction 0xffffffff at pc 0x10004"),
+              std::string::npos)
+        << oracle;
+    EXPECT_EQ(faultMessage(prog, HartPath::Step), oracle);
+    EXPECT_EQ(faultMessage(prog, HartPath::RunFast), oracle);
 }
 
 TEST(FastEngine, TracedStepMatchesReferenceThroughSmc)

@@ -5,7 +5,8 @@
  *
  * The load-bearing guarantees under test:
  *  - the exact CPI stack partitions total cycles (residual 0) under
- *    every fusion mode;
+ *    every fusion mode, and a kernel built to block the ROB head for
+ *    one reason is charged to that reason's category at that head;
  *  - attaching every pipeline observer and turning on histogram
  *    sampling changes NOTHING about the simulation (observer-effect
  *    guard, at the PipelineObserver interface: identical
@@ -17,7 +18,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
+#include <string_view>
 
 #include "common/json.hh"
 #include "common/stats.hh"
@@ -212,6 +215,147 @@ TEST(CpiStack, ExactUnderEveryFusionMode)
         for (size_t i = 0; i < stack.size(); ++i)
             claimed += stack.cycles(i);
         EXPECT_EQ(claimed, result.cycles) << fusionModeName(mode);
+    }
+}
+
+TEST(CpiStack, EachBlockedCategoryNamesItsHead)
+{
+    // One kernel per commit-blocked category, each built so that the
+    // instruction labelled `blocked` waits at the ROB head for that
+    // reason. The observer's CycleView must agree with the counter,
+    // and the latched blocked PC must be that instruction.
+    struct Row
+    {
+        const char *category;
+        FusionMode mode;
+        uint64_t floor; ///< about half the cycles the kernel is charged
+        const char *source;
+    };
+    const Row rows[] = {
+        // A pointer chase: each load's address is the previous
+        // load's value, so the head is always a load in flight.
+        {"cpi.exec.load", FusionMode::None, 4'000, R"(
+            la x2, buf
+            sd x2, 0(x2)
+            li s0, 2000
+        blocked:
+            ld x2, 0(x2)
+            addi s0, s0, -1
+            bnez s0, blocked
+            li a0, 0
+            li a7, 93
+            ecall
+            .data
+            .align 6
+        buf:
+            .zero 64
+        )"},
+        // A dependent divide chain: the head is a divide in flight.
+        {"cpi.exec.other", FusionMode::None, 19'000, R"(
+            li x9, 12345
+            li x11, 1
+            li s0, 2000
+        blocked:
+            div x9, x9, x11
+            addi s0, s0, -1
+            bnez s0, blocked
+            li a0, 0
+            li a7, 93
+            ecall
+        )"},
+        // The divide at `blocked` waits for its source through an add,
+        // so the younger, independent divide issues first and holds
+        // the one unpipelined divider. The older divide then sits at
+        // the ROB head, ready, until the divider frees.
+        {"cpi.backend.ports", FusionMode::None, 2'000, R"(
+            li x9, 12345
+            li x11, 1
+            li x21, 7
+            li s0, 500
+        loop:
+            add x22, x21, zero
+        blocked:
+            div x20, x22, x11
+            div x21, x9, x11
+            addi s0, s0, -1
+            bnez s0, loop
+            li a0, 0
+            li a7, 93
+            ecall
+        )"},
+        // Helios fuses the two loads around a store. Committed stores
+        // to new lines drain slowly and fill the SQ, so the catalyst
+        // store cannot dispatch: the fused head reaches the ROB head
+        // before its tail marker sets NCS Ready.
+        {"cpi.fusion.pending", FusionMode::Helios, 12'000, R"(
+            la x2, buf
+            la x3, big
+            li s0, 1000
+        loop:
+            sd x0, 0(x3)
+            sd x0, 64(x3)
+            sd x0, 128(x3)
+            sd x0, 192(x3)
+        blocked:
+            ld x5, 0(x2)
+            sd x0, 256(x3)
+            ld x7, 16(x2)
+            addi x3, x3, 320
+            addi s0, s0, -1
+            bnez s0, loop
+            li a0, 0
+            li a7, 93
+            ecall
+            .data
+            .align 6
+        buf:
+            .zero 64
+        big:
+            .zero 320000
+        )"},
+    };
+    struct Charges : PipelineObserver
+    {
+        std::string_view category;
+        uint64_t cycles = 0;
+        uint64_t latched = 0;
+        std::map<uint64_t, uint64_t> byPc; ///< blocked PC -> cycles
+
+        void
+        onCycleEnd(const CycleView &view) override
+        {
+            if (view.cpiCategory != category)
+                return;
+            ++cycles;
+            if (view.headBlocked) {
+                ++latched;
+                ++byPc[view.blockedPc];
+            }
+        }
+    };
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.category);
+        Workload kernel;
+        kernel.name = row.category;
+        kernel.source = row.source;
+        const uint64_t blocked = kernel.program().symbol("blocked");
+        Charges charges;
+        charges.category = row.category;
+        const RunResult r =
+            observedRun(kernel, CoreParams::icelake(row.mode), 100'000,
+                        {&charges});
+        EXPECT_TRUE(r.exited);
+        EXPECT_EQ(charges.cycles, r.stat(row.category));
+        EXPECT_GT(charges.byPc[blocked], row.floor);
+        // Every charged cycle latches a head. The cold pipeline may
+        // charge a setup instruction one cycle on its way through;
+        // only the labelled one is charged again and again.
+        EXPECT_EQ(charges.latched, charges.cycles);
+        for (const auto &[pc, cycles] : charges.byPc) {
+            if (pc != blocked) {
+                EXPECT_LE(cycles, 1u) << "pc 0x" << std::hex << pc;
+            }
+        }
     }
 }
 
