@@ -64,9 +64,8 @@ main()
     for (unsigned width : {5u, 8u}) {
         CoreParams params = CoreParams::icelake(FusionMode::Helios);
         params.fetchWidth = width;
-        params.decodeWidth = width;
         ablations.push_back(
-            {"fetch/decode width", std::to_string(width), params});
+            {"fetch width", std::to_string(width), params});
     }
     for (bool dbr_stores : {false, true}) {
         CoreParams params = CoreParams::icelake(FusionMode::Helios);

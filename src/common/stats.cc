@@ -260,23 +260,14 @@ CpiStack::operator==(const CpiStack &other) const
 // ---------------------------------------------------------------------
 
 Stat &
-StatGroup::counter(const std::string &name)
+StatGroup::counter(std::string_view name)
 {
-    const auto [it, fresh] =
-        counterIndex.try_emplace(name, counterSlots.size());
-    if (fresh)
+    auto it = counterIndex.find(name);
+    if (it == counterIndex.end()) {
+        it = counterIndex.emplace(name, counterSlots.size()).first;
         counterSlots.emplace_back();
+    }
     return counterSlots[it->second];
-}
-
-std::pair<const std::string *, Stat *>
-StatGroup::counterEntry(std::string_view name)
-{
-    const auto [it, fresh] = counterIndex.try_emplace(
-        std::string(name), counterSlots.size());
-    if (fresh)
-        counterSlots.emplace_back();
-    return {&it->first, &counterSlots[it->second]};
 }
 
 uint64_t

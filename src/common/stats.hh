@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -182,18 +183,9 @@ class CpiStack
 class StatGroup
 {
   public:
-    /** Get or create the counter with the given name. */
-    Stat &counter(const std::string &name);
-
-    /**
-     * Get or create, also returning the interned name string. The
-     * name pointer stays valid for the group's lifetime (node-based
-     * index map), so callers may key caches on a string_view of it —
-     * see Pipeline::counter(), which memoizes Stat addresses by
-     * content without pinning the caller's storage.
-     */
-    std::pair<const std::string *, Stat *>
-    counterEntry(std::string_view name);
+    /** Get or create the counter with the given name; finding an
+     *  existing one allocates nothing. */
+    Stat &counter(std::string_view name);
 
     /** Read a counter; zero if it was never created. */
     uint64_t get(const std::string &name) const;
@@ -231,7 +223,13 @@ class StatGroup
     // Deques keep references stable across growth; the maps give O(1)
     // amortized name lookup.
     std::deque<Stat> counterSlots;
-    std::unordered_map<std::string, size_t> counterIndex;
+    /** Looks names up by std::string_view without a std::string. */
+    struct NameHash : std::hash<std::string_view>
+    {
+        using is_transparent = void;
+    };
+    std::unordered_map<std::string, size_t, NameHash, std::equal_to<>>
+        counterIndex;
     std::deque<Histogram> histogramSlots;
     std::unordered_map<std::string, size_t> histogramIndex;
 };

@@ -49,7 +49,6 @@ configHash(const CoreParams &p)
         canon += ';';
     };
     field("fetch_width", p.fetchWidth);
-    field("decode_width", p.decodeWidth);
     field("rename_width", p.renameWidth);
     field("dispatch_width", p.dispatchWidth);
     field("commit_width", p.commitWidth);
@@ -91,7 +90,6 @@ configHash(const CoreParams &p)
     field("fusion_region_bytes", p.fusionRegionBytes);
     field("max_fusion_distance", p.maxFusionDistance);
     field("ncsf_nest_depth", p.ncsfNestDepth);
-    field("fp_confidence_threshold", p.fpConfidenceThreshold);
     field("fp_kind", uint64_t(p.fpKind));
     field("fuse_dbr_store_pairs", p.fuseDbrStorePairs ? 1 : 0);
     return fnv1a(canon.data(), canon.size());

@@ -44,7 +44,6 @@ struct CoreParams
 {
     // Widths.
     unsigned fetchWidth = 8;
-    unsigned decodeWidth = 8;
     unsigned renameWidth = 5;
     unsigned dispatchWidth = 5;
     unsigned commitWidth = 8;
@@ -95,7 +94,6 @@ struct CoreParams
     unsigned fusionRegionBytes = 64;  ///< cache access granularity
     unsigned maxFusionDistance = 64;  ///< µ-ops (UCH window)
     unsigned ncsfNestDepth = 2;       ///< concurrent pending NCSF'd µ-ops
-    unsigned fpConfidenceThreshold = 3;
     FpKind fpKind = FpKind::Tournament;
 
     /** The paper omits different-base-register store pairs (they are
@@ -104,7 +102,6 @@ struct CoreParams
     bool fuseDbrStorePairs = false;
 
     // Run control.
-    uint64_t maxInstructions = UINT64_MAX;
     uint64_t maxCycles = UINT64_MAX;
 
     /** Attach a PipelineAuditor to harness-level runs (runOne and the
@@ -156,9 +153,9 @@ struct CoreParams
  * Deliberately excluded: pure observers (audit, histogram sampling,
  * profiling, pool-recycling debug mode), which are
  * tier-1-guaranteed not to change any result, and the run-control
- * budget (maxInstructions/maxCycles), which the run ledger keys
- * separately. Two runs with equal (program hash, config hash, budget)
- * are bit-identical replays of each other.
+ * budget (maxCycles), which the run ledger keys separately. Two runs
+ * with equal (program hash, config hash, budget) are bit-identical
+ * replays of each other.
  */
 uint64_t configHash(const CoreParams &params);
 

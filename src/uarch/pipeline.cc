@@ -1,6 +1,7 @@
 #include "uarch/pipeline.hh"
 
 #include <algorithm>
+#include <string_view>
 
 #include "common/logging.hh"
 #include "fusion/fusion_predictor.hh"
@@ -225,15 +226,6 @@ Pipeline::readyRemove(Uop *uop)
     uop->readyPrev = nullptr;
     uop->readyNext = nullptr;
     uop->inReadyList = false;
-}
-
-bool
-Pipeline::sourceIsReady(uint64_t producer_seq) const
-{
-    if (producer_seq == invalidSeq)
-        return true;
-    const Uop *producer = findInflight(producer_seq);
-    return !producer || producer->done;
 }
 
 // ---------------------------------------------------------------------
@@ -1100,25 +1092,9 @@ Pipeline::dispatchStage()
             if (uop->mustUnfuse) {
                 // The tail re-dispatches as its own µ-op: two dispatch
                 // slots plus fresh ROB/IQ/LQ/SQ entries.
-                if (slots < 2)
+                if (slots < 2 ||
+                    !backendHasRoom(uop->dyn.isLoad(), uop->dyn.isStore()))
                     return;
-                if (rob.size() >= params.robSize) {
-                    literalCounter("dispatch.stall.rob")++;
-                    return;
-                }
-                if (iqCount >= params.iqSize) {
-                    literalCounter("dispatch.stall.iq")++;
-                    return;
-                }
-                if (uop->dyn.isLoad() && lqList.size() >= params.lqSize) {
-                    literalCounter("dispatch.stall.lq")++;
-                    return;
-                }
-                if (uop->dyn.isStore() &&
-                    sqList.size() + drainQueue.size() >= params.sqSize) {
-                    literalCounter("dispatch.stall.sq")++;
-                    return;
-                }
                 if (allocatedRegs + 1 >
                     params.numPhysRegs - numArchRegs) {
                     literalCounter("dispatch.stall.prf")++;
@@ -1144,40 +1120,20 @@ Pipeline::dispatchStage()
                     uop->numDests = 1;
                     ++allocatedRegs;
                 }
-                for (uint64_t producer_seq : uop->tailProducers) {
-                    if (sourceIsReady(producer_seq))
-                        continue;
-                    findInflight(producer_seq)
-                        ->dependents.push_back(uop->seq);
-                    ++uop->notReady;
-                                }
+                for (uint64_t producer_seq : uop->tailProducers)
+                    attachDependency(uop, producer_seq, -1);
                 if (uop->dyn.isLoad())
                     addStoreSetDependency(uop);
                 if (uop->dyn.isStore()) {
+                    // renameNormal's store-set chain, left uncounted.
                     const uint64_t previous =
                         storeSets.storeRenamed(uop->dyn.pc, uop->seq);
-                    if (previous != StoreSets::invalidSeq &&
-                        previous < uop->seq) {
-                        Uop *prev_store = findInflight(previous);
-                        if (prev_store && !prev_store->done) {
-                            prev_store->dependents.push_back(uop->seq);
-                            ++uop->notReady;
-                        }
-                    }
+                    if (previous < uop->seq)
+                        attachDependency(uop, previous, -1);
                 }
 
-                rob.push_back(uop);
-                ++iqCount;
-                uop->inIq = true;
-                uop->dispatchCycle = cycle;
-                if (uop->dyn.isLoad())
-                    lqList.push_back(uop);
-                if (uop->dyn.isStore())
-                    sqList.push_back(uop);
-                uop->dispatched = true;
                 uop->renamed = true;
-                maybeReady(uop);
-                renamedQueue.pop_front();
+                enterBackend(uop);
                 slots -= 2;
                 continue;
             }
@@ -1207,38 +1163,50 @@ Pipeline::dispatchStage()
         }
 
         // ---- regular µ-op ----
-        if (rob.size() >= params.robSize) {
-            literalCounter("dispatch.stall.rob")++;
+        if (!backendHasRoom(uop->isLoad(), uop->isStore()))
             return;
-        }
-        if (iqCount >= params.iqSize) {
-            literalCounter("dispatch.stall.iq")++;
-            return;
-        }
-        if (uop->isLoad() && lqList.size() >= params.lqSize) {
-            literalCounter("dispatch.stall.lq")++;
-            return;
-        }
-        if (uop->isStore() &&
-            sqList.size() + drainQueue.size() >= params.sqSize) {
-            literalCounter("dispatch.stall.sq")++;
-            return;
-        }
-
-        rob.push_back(uop);
-        ++iqCount;
-        uop->inIq = true;
-        uop->dispatchCycle = cycle;
-        if (uop->isLoad())
-            lqList.push_back(uop);
-        if (uop->isStore())
-            sqList.push_back(uop);
-        uop->dispatched = true;
-        maybeReady(uop);
-        renamedQueue.pop_front();
+        enterBackend(uop);
         --slots;
         hot.dispatchUops++;
     }
+}
+
+bool
+Pipeline::backendHasRoom(bool load, bool store)
+{
+    if (rob.size() >= params.robSize) {
+        literalCounter("dispatch.stall.rob")++;
+        return false;
+    }
+    if (iqCount >= params.iqSize) {
+        literalCounter("dispatch.stall.iq")++;
+        return false;
+    }
+    if (load && lqList.size() >= params.lqSize) {
+        literalCounter("dispatch.stall.lq")++;
+        return false;
+    }
+    if (store && sqList.size() + drainQueue.size() >= params.sqSize) {
+        literalCounter("dispatch.stall.sq")++;
+        return false;
+    }
+    return true;
+}
+
+void
+Pipeline::enterBackend(Uop *uop)
+{
+    rob.push_back(uop);
+    ++iqCount;
+    uop->inIq = true;
+    uop->dispatchCycle = cycle;
+    if (uop->isLoad())
+        lqList.push_back(uop);
+    if (uop->isStore())
+        sqList.push_back(uop);
+    uop->dispatched = true;
+    maybeReady(uop);
+    renamedQueue.pop_front();
 }
 
 // ---------------------------------------------------------------------
@@ -1750,10 +1718,7 @@ Pipeline::commitStageImpl()
     while (slots > 0 && !rob.empty()) {
         Uop *uop = rob.front();
         if (!uop->done) {
-            if (!uop->dispatched) {
-                literalCounter("commit.blocked.not_dispatched")++;
-                cpiBlockReason = "cpi.backend.dispatch";
-            } else if (!uop->ncsReady) {
+            if (!uop->ncsReady) {
                 literalCounter("commit.blocked.ncs_pending")++;
                 cpiBlockReason = "cpi.fusion.pending";
             } else if (!uop->issued && uop->notReady > 0) {
@@ -1892,9 +1857,10 @@ Pipeline::resumeFetchAfter(uint64_t delay)
 void
 Pipeline::squashFrom(uint64_t seq_min, const char *reason)
 {
-    // Formatted flush reason: safe through counter() since the cache
-    // keys on content and views the name interned inside StatGroup.
-    counter(strFormat("flush.%s", reason))++;
+    // issueStage's two flush requests name one of these reasons.
+    literalCounter(std::string_view(reason) == "order_violation"
+                       ? "flush.order_violation"
+                       : "flush.fusion_region")++;
 
     // Solution ii) of Section IV-C: if a surviving fused µ-op's tail
     // would be squashed, move the flush point up to that head.

@@ -21,8 +21,6 @@
 #include <array>
 #include <deque>
 #include <memory>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ring.hh"
@@ -127,6 +125,11 @@ class Pipeline
     void completeExecution();
     void issueStage();
     void dispatchStage();
+    /** Room in the ROB, IQ, LQ (for a load) and SQ (for a store) for
+     *  one more µ-op; counts the dispatch.stall.* it hits. */
+    bool backendHasRoom(bool load, bool store);
+    /** Enter the renamed-queue head into the ROB and the IQ/LQ/SQ. */
+    void enterBackend(Uop *uop);
     void renameStage();
     void aqInsertStage();
     void fetchStage();
@@ -171,7 +174,7 @@ class Pipeline
      * direct-mapped ring sized to at least twice the maximum number
      * of in-flight sequence numbers, and the stored µ-op's own seq
      * disambiguates — absent or long-retired seqs (e.g. a committed
-     * producer queried by sourceIsReady) miss on the compare.
+     * producer queried by attachDependency) miss on the compare.
      */
     Uop *
     findInflight(uint64_t seq) const
@@ -182,55 +185,44 @@ class Pipeline
 
     void inflightInsert(Uop *uop);
     Uop *inflightErase(uint64_t seq);
-    bool sourceIsReady(uint64_t producer_seq) const;
 
     // ---- issue ready list (ascending seq, intrusive links) ----
     void readyInsert(Uop *uop);
     void readyRemove(Uop *uop);
 
     /**
-     * Hot-path counter access, memoized by *content* in a
-     * string_view-keyed map: identical names from different call
-     * sites or translation units always coalesce onto one Stat, and
-     * temporaries (e.g. squashFrom's formatted flush reason) are safe
-     * because the cache key views the name interned inside StatGroup
-     * (stable for the group's lifetime), never the caller's storage.
-     * Stat references are stable: StatGroup stores counters in a
-     * deque. The per-µop hottest counters skip even this hash via the
-     * HotStats references bound at construction.
-     */
-    Stat &
-    counter(std::string_view name)
-    {
-        auto it = statCache.find(name);
-        if (it != statCache.end())
-            return *it->second;
-        auto [stable_name, stat] = statGroup.counterEntry(name);
-        statCache.emplace(std::string_view(*stable_name), stat);
-        return *stat;
-    }
-
-    /**
-     * Even cheaper counter access for call sites that pass *string
-     * literals*: a direct-mapped memo keyed on the literal's address
-     * skips the string hash entirely (one pointer compare on the hot
-     * path). Safe only because a literal's address is stable for the
-     * whole program; never call this with heap or stack storage (use
-     * counter() for formatted names). Misses — including the rare
-     * collision between two literals mapping to the same slot — fall
-     * back to the content-keyed counter(), so aliasing can never
-     * attribute an increment to the wrong Stat.
+     * Hot-path counter access for call sites that pass *string
+     * literals*: a memo keyed on the literal's address skips the
+     * string hash entirely (one pointer compare on the hot path).
+     * Safe only because a literal's address is stable for the whole
+     * program; never call this with heap or stack storage. A literal
+     * seen for the first time looks its name up in the StatGroup by
+     * content, so two literals with one name share one Stat, and
+     * takes the next free slot from its home slot on. Entries are
+     * never evicted: where literals share a home slot, which depends
+     * on where the linker puts them, each costs one more compare
+     * instead of a string lookup per call. Stat references are
+     * stable: StatGroup stores counters in a deque. The per-µop
+     * hottest counters skip even this memo via the HotStats
+     * references bound at construction.
      */
     Stat &
     literalCounter(const char *name)
     {
-        auto &slot = literalStats[(reinterpret_cast<uintptr_t>(name) >>
-                                   3) % literalStats.size()];
-        if (slot.first != name) {
-            slot.first = name;
-            slot.second = &counter(name);
+        constexpr size_t mask = std::tuple_size_v<LiteralStats> - 1;
+        size_t slot = (reinterpret_cast<uintptr_t>(name) >> 3) & mask;
+        for (size_t probe = 0; probe <= mask; ++probe) {
+            auto &[key, stat] = literalStats[slot];
+            if (key == name)
+                return *stat;
+            if (!key) {
+                key = name;
+                stat = &statGroup.counter(name);
+                return *stat;
+            }
+            slot = (slot + 1) & mask;
         }
-        return *slot.second;
+        return statGroup.counter(name);
     }
 
     const CoreParams params;
@@ -253,9 +245,10 @@ class Pipeline
     std::unique_ptr<FusionProfiler> profiler;
 
     StatGroup statGroup;
-    std::unordered_map<std::string_view, Stat *> statCache;
-    /** literalCounter()'s direct-mapped address-keyed memo. */
-    std::array<std::pair<const char *, Stat *>, 64> literalStats{};
+    /** literalCounter()'s address-keyed memo: a power of two, about
+     *  twice the number of literals pipeline.cc counts through it. */
+    using LiteralStats = std::array<std::pair<const char *, Stat *>, 128>;
+    LiteralStats literalStats{};
 
     /** Per-µop / per-event counters hot enough to bypass even the
      *  content-hashed cache: bound once in the constructor. */

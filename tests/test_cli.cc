@@ -14,8 +14,8 @@
  *
  * Drives the real binaries (HELIOS_RUN_BIN, COMPARE_REPORTS_BIN,
  * HELIOS_ANNOTATE_BIN, HELIOS_DB_BIN, FIGURES_BIN,
- * SAMPLING_ERROR_BIN, PERF_SMOKE_BIN and FUSION_EXPLORER_BIN, injected
- * by CMake) through std::system.
+ * SAMPLING_ERROR_BIN and FUSION_EXPLORER_BIN, injected by CMake)
+ * through std::system.
  */
 
 #include <gtest/gtest.h>
@@ -685,10 +685,6 @@ const BadInvocation kBadInvocations[] = {
      "--budget needs a positive integer (got '2k')"},
     {SAMPLING_ERROR_BIN, "--report /dev/null/r.json",
      "--report: cannot open '/dev/null/r.json' for writing"},
-    {PERF_SMOKE_BIN, "--tolerance abc",
-     "--tolerance needs a non-negative number (got 'abc')"},
-    {PERF_SMOKE_BIN, "--out /dev/null/p.json",
-     "--out: cannot open '/dev/null/p.json' for writing"},
     {FUSION_EXPLORER_BIN, "qsort 2k",
      "max_insts needs a positive integer (got '2k')"},
     {FUSION_EXPLORER_BIN, "bogus", "unknown workload 'bogus'"},

@@ -401,7 +401,6 @@ TEST(ConfigHash, IgnoresRunBudget)
     // only fingerprints the machine.
     const CoreParams base = CoreParams::icelake(FusionMode::Helios);
     CoreParams capped = base;
-    capped.maxInstructions = 12345;
     capped.maxCycles = 99999;
     EXPECT_EQ(configHash(base), configHash(capped));
 }
