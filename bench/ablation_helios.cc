@@ -67,19 +67,6 @@ main()
         ablations.push_back(
             {"fetch width", std::to_string(width), params});
     }
-    for (bool dbr_stores : {false, true}) {
-        CoreParams params = CoreParams::icelake(FusionMode::Helios);
-        params.fuseDbrStorePairs = dbr_stores;
-        ablations.push_back(
-            {"DBR store pairs", dbr_stores ? "on" : "off", params});
-    }
-    for (FpKind kind : {FpKind::Tournament, FpKind::Tage}) {
-        CoreParams params = CoreParams::icelake(FusionMode::Helios);
-        params.fpKind = kind;
-        ablations.push_back(
-            {"fusion predictor",
-             kind == FpKind::Tage ? "TAGE" : "tournament", params});
-    }
 
     // Flatten every (ablation, workload) into a fused run and its
     // no-fusion baseline: cell 2*(a*W + w) is the Helios variant,

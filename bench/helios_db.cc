@@ -26,8 +26,7 @@
  *           when it drifted past --tolerance (percent) vs the mean of
  *           the preceding --window points (default: window 5,
  *           tolerance 2%, higher is better unless --lower-is-better).
- *           Exit 1 when any series is flagged — the CI drift
- *           observatory's gate.
+ *           Exit 1 when any series is flagged.
  *
  *       diff DIR SEQ_BASE SEQ_CUR
  *           Diff two ledger records through the same report-diff core

@@ -20,13 +20,32 @@
 #include <vector>
 
 #include "common/counters.hh"
-#include "fusion/fp_base.hh"
 
 namespace helios
 {
 
+/**
+ * Prediction record flowing down the pipeline with the µ-op, mirroring
+ * the paper's dedicated update queue (29 bits per entry; unlimited in
+ * the evaluation, as in the paper).
+ */
+struct FpPrediction
+{
+    bool valid = false;       ///< a confident distance was produced
+    unsigned distance = 0;    ///< µ-op distance to the head nucleus
+
+    // Update-time bookkeeping.
+    bool usedGlobal = false;
+    bool localValid = false;
+    bool globalValid = false;
+    unsigned localDistance = 0;
+    unsigned globalDistance = 0;
+    uint32_t pc = 0;
+    uint16_t history = 0;
+};
+
 /** The paper's tournament fusion predictor (Section IV-A2). */
-class FusionPredictor : public FusionPredictorBase
+class FusionPredictor
 {
   public:
     static constexpr unsigned numSets = 512;
@@ -41,15 +60,14 @@ class FusionPredictor : public FusionPredictorBase
      * The returned prediction is valid only when the selected
      * component hits with a saturated confidence counter.
      */
-    FpPrediction lookup(uint64_t pc, uint16_t history) override;
+    FpPrediction lookup(uint64_t pc, uint16_t history);
 
     /**
      * UCH-driven training at Commit: a (tail PC, distance) pair was
      * observed. Allocates/updates both components, like the update
      * policy of tournament branch predictors.
      */
-    void train(uint64_t pc, uint16_t history,
-               unsigned distance) override;
+    void train(uint64_t pc, uint16_t history, unsigned distance);
 
     /**
      * Resolution of a predicted fusion at Execute.
@@ -59,7 +77,10 @@ class FusionPredictor : public FusionPredictorBase
      * (Section IV-A2). The selector is steered toward whichever
      * component was right when the components disagreed.
      */
-    void resolve(const FpPrediction &pred, bool correct) override;
+    void resolve(const FpPrediction &pred, bool correct);
+
+    uint64_t lookups = 0;
+    uint64_t confidentPredictions = 0;
 
   private:
     struct Entry

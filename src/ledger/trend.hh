@@ -5,12 +5,10 @@
  * per workload × configuration, with regression flagging of the
  * latest point against a rolling window of its predecessors.
  *
- * This is the CI drift observatory's brain: the committed ledger seed
- * plus every recorded CI sweep form the history, and a latest point
+ * `helios_db trend` runs it over a ledger's history: a latest point
  * that drifts past the tolerance relative to the rolling-window mean
- * fails the build (`helios_db trend`, exit 1). Pure computation over
- * LedgerRecord meta — no I/O — so the synthetic-history regression
- * tests drive it directly.
+ * exits 1. Pure computation over LedgerRecord meta — no I/O — so the
+ * synthetic-history regression tests drive it directly.
  */
 
 #ifndef LEDGER_TREND_HH

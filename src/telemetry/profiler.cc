@@ -303,7 +303,7 @@ ProfileData::fromJson(const JsonValue &value)
 FusionProfiler::FusionProfiler(const CoreParams &params)
     : oracleDistance(params.maxFusionDistance),
       predictorDistance(FusionPredictor::maxDistance),
-      rules{params.fusionRegionBytes, params.fuseDbrStorePairs},
+      rules{params.fusionRegionBytes},
       windowCycles(params.profileWindowCycles)
 {
 }

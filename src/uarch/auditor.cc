@@ -167,10 +167,9 @@ PipelineAuditor::onFusePair(const Uop &head, const DynInst &tail,
                    strFormat("distance %llu exceeds limit %u",
                              static_cast<unsigned long long>(distance),
                              params.maxFusionDistance));
-        if (both_stores && !params.fuseDbrStorePairs &&
-            hi.baseReg() != ti.baseReg())
+        if (both_stores && hi.baseReg() != ti.baseReg())
             report("pair.store_dbr", head_seq, cycle,
-                   "different-base store pair without DBR support");
+                   "store pair with different base registers");
         if (hi.writesReg() && hi.rd == ti.baseReg())
             report("pair.dependent_base", head_seq, cycle,
                    "tail base register produced by the head nucleus");

@@ -15,10 +15,10 @@
  *    AQ, IQ, LQ, SQ, physical registers) are never exceeded;
  *  - fused pairs obey the idiom legality rules: consecutive pairs
  *    match Table I, memory pairs are same-kind, store pairs share a
- *    base register (unless DBR stores are enabled), a pair's combined
- *    access fits the fusion region, no store sits in a store pair's
- *    catalyst, and a pair that consumed a catalyst-produced source
- *    issued only after that producer completed;
+ *    base register, a pair's combined access fits the fusion region,
+ *    no store sits in a store pair's catalyst, and a pair that
+ *    consumed a catalyst-produced source issued only after that
+ *    producer completed;
  *  - unfuse/replay restores the unfused µ-op count (the tail nucleus
  *    of an unfused pair commits exactly once on its own).
  *

@@ -90,8 +90,6 @@ configHash(const CoreParams &p)
     field("fusion_region_bytes", p.fusionRegionBytes);
     field("max_fusion_distance", p.maxFusionDistance);
     field("ncsf_nest_depth", p.ncsfNestDepth);
-    field("fp_kind", uint64_t(p.fpKind));
-    field("fuse_dbr_store_pairs", p.fuseDbrStorePairs ? 1 : 0);
     return fnv1a(canon.data(), canon.size());
 }
 

@@ -28,13 +28,6 @@ enum class FusionMode : uint8_t
 const char *fusionModeName(FusionMode mode);
 FusionMode fusionModeFromName(const std::string &name);
 
-/** Fusion predictor organization (Section IV-A2 offers alternatives). */
-enum class FpKind : uint8_t
-{
-    Tournament, ///< the paper's local+global+selector design
-    Tage,       ///< TAGE-organized alternative the paper points at
-};
-
 /**
  * Machine parameters, modeled after an Intel Icelake-class core with a
  * widened 8-wide front end so that the Allocation Queue fills
@@ -94,12 +87,6 @@ struct CoreParams
     unsigned fusionRegionBytes = 64;  ///< cache access granularity
     unsigned maxFusionDistance = 64;  ///< µ-ops (UCH window)
     unsigned ncsfNestDepth = 2;       ///< concurrent pending NCSF'd µ-ops
-    FpKind fpKind = FpKind::Tournament;
-
-    /** The paper omits different-base-register store pairs (they are
-     *  0.54% of fused stores and would need a 4th source register);
-     *  this knob enables them so the ablation can test that claim. */
-    bool fuseDbrStorePairs = false;
 
     // Run control.
     uint64_t maxCycles = UINT64_MAX;

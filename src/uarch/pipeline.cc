@@ -6,7 +6,6 @@
 #include "common/logging.hh"
 #include "fusion/fusion_predictor.hh"
 #include "fusion/ncsf_rules.hh"
-#include "fusion/tage_fp.hh"
 #include "telemetry/profiler.hh"
 
 namespace helios
@@ -124,12 +123,8 @@ Pipeline::Pipeline(const CoreParams &p, InstructionFeed &f)
     wheel.resize(nextPow2(maxCompletionLatency(p) + 1), noEvent);
     wheelMask = wheel.size() - 1;
     // OracleFusion names its heads from addresses and learns nothing.
-    if (params.fusion == FusionMode::Helios) {
-        if (params.fpKind == FpKind::Tage)
-            fusionPred = std::make_unique<TageFusionPredictor>();
-        else
-            fusionPred = std::make_unique<FusionPredictor>();
-    }
+    if (params.fusion == FusionMode::Helios)
+        fusionPred.emplace();
     rat.resize(numArchRegs);
     for (RatEntry &entry : rat)
         entry.producerSeq = invalidSeq;
@@ -397,8 +392,7 @@ Pipeline::tryPredictedFusion(Uop *tail)
     Uop *head = findInflight(tail->seq - pred.distance);
     // Only the rules that need no address apply here: the predicted
     // region is validated at issue (case 5, Section IV-C).
-    const NcsfRules rules{params.fusionRegionBytes,
-                          params.fuseDbrStorePairs};
+    const NcsfRules rules{params.fusionRegionBytes};
     const NcsfBreak broken =
         head ? rules.broken(head->dyn, tail->dyn) : NcsfBreak::MixedKinds;
     if (!head || !head->inAq || head->isTailMarker ||
@@ -407,8 +401,8 @@ Pipeline::tryPredictedFusion(Uop *tail)
         literalCounter("fusion.fp_no_head")++;
         return false;
     }
-    // Different-base-register store pairs are not supported by
-    // default (Section IV-B: 0.54% of fused stores).
+    // Different-base-register store pairs are not supported
+    // (Section IV-B: 0.54% of fused stores).
     if (broken == NcsfBreak::DbrStorePair) {
         literalCounter("fusion.fp_store_dbr")++;
         return false;
@@ -646,8 +640,7 @@ Pipeline::oracleLookup(const Uop *tail) const
 {
     const DynInst &t = tail->dyn;
     const uint64_t line = t.effAddr / params.lineBytes;
-    const NcsfRules rules{params.fusionRegionBytes,
-                          params.fuseDbrStorePairs};
+    const NcsfRules rules{params.fusionRegionBytes};
     // The AQ is seq-ordered, so each candidate's catalyst is exactly
     // the entries this walk has already passed.
     for (size_t index = aq.size(); index-- > 0;) {

@@ -21,11 +21,12 @@
 #include <array>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/ring.hh"
 #include "common/stats.hh"
-#include "fusion/fp_base.hh"
+#include "fusion/fusion_predictor.hh"
 #include "fusion/uch.hh"
 #include "sim/trace.hh"
 #include "uarch/branch_pred.hh"
@@ -298,7 +299,7 @@ class Pipeline
     BranchPredictor bpred;
     StoreSets storeSets;
     UnfusedCommittedHistory uch;
-    std::unique_ptr<FusionPredictorBase> fusionPred;
+    std::optional<FusionPredictor> fusionPred;
 
     uint64_t cycle = 0;
     bool feedExhausted = false;

@@ -295,17 +295,61 @@ TEST(AuditorCorruption, ConsecutivePairWithGapDetected)
         << auditor.toJson();
 }
 
-TEST(AuditorCorruption, MixedLoadStorePairDetected)
+TEST(AuditorCorruption, EachNcsfPairRuleDetected)
 {
-    PipelineAuditor auditor(CoreParams::icelake(FusionMode::Helios));
-    const DynInst head = memDyn(0, Op::Ld, 8, 0x2000);
-    const DynInst tail = memDyn(2, Op::Sd, 8, 0x2008);
-    auditor.onFetch(makeUop(head), 0);
-    auditor.onFetch(makeUop(aluDyn(1)), 0);
-    auditor.onFetch(makeUop(tail), 0);
-    auditor.onFusePair(makeUop(head), tail, FusionKind::NcsfMem, false,
-                       1);
-    EXPECT_TRUE(caught(auditor, "pair.mixed_kind")) << auditor.toJson();
+    // Each row breaks one rule of an NCSF memory pair; its twin
+    // differs only in that rule. The broken pair must be caught under
+    // that rule's name and no other, and the twin must pass.
+    const auto ld = [](uint64_t seq, unsigned base, uint64_t addr) {
+        return memDyn(seq, Op::Ld, base, addr);
+    };
+    const auto sd = [](uint64_t seq, unsigned base, uint64_t addr) {
+        return memDyn(seq, Op::Sd, base, addr);
+    };
+    const auto writing = [](DynInst dyn, unsigned rd) {
+        dyn.inst.rd = uint8_t(rd);
+        return dyn;
+    };
+    const unsigned limit =
+        CoreParams::icelake(FusionMode::Helios).maxFusionDistance;
+    const struct
+    {
+        const char *invariant;
+        DynInst head, tail;         ///< breaks the rule
+        DynInst twinHead, twinTail; ///< keeps it
+    } rows[] = {
+        {"pair.mixed_kind", ld(0, 8, 0x2000), sd(2, 8, 0x2008),
+         ld(0, 8, 0x2000), ld(2, 8, 0x2008)},
+        {"pair.distance", ld(0, 8, 0x2000), ld(limit + 1, 8, 0x2008),
+         ld(0, 8, 0x2000), ld(limit, 8, 0x2008)},
+        {"pair.store_dbr", sd(0, 8, 0x2000), sd(2, 9, 0x2008),
+         sd(0, 8, 0x2000), sd(2, 8, 0x2008)},
+        {"pair.dependent_base", writing(ld(0, 8, 0x2000), 9),
+         ld(2, 9, 0x2008), writing(ld(0, 8, 0x2000), 12),
+         ld(2, 9, 0x2008)},
+    };
+    // Head, ALU catalysts, tail: a pair Helios's predictor proposed.
+    const auto fuse = [](PipelineAuditor &auditor, const DynInst &head,
+                         const DynInst &tail) {
+        auditor.onFetch(makeUop(head), 0);
+        for (uint64_t seq = head.seq + 1; seq < tail.seq; ++seq)
+            auditor.onFetch(makeUop(aluDyn(seq)), 0);
+        auditor.onFetch(makeUop(tail), 0);
+        auditor.onFusePair(makeUop(head), tail, FusionKind::NcsfMem,
+                           false, 1);
+    };
+    for (const auto &row : rows) {
+        SCOPED_TRACE(row.invariant);
+        PipelineAuditor broken(CoreParams::icelake(FusionMode::Helios));
+        fuse(broken, row.head, row.tail);
+        EXPECT_TRUE(caught(broken, row.invariant)) << broken.toJson();
+        for (const AuditViolation &violation : broken.violations())
+            EXPECT_EQ(violation.invariant, row.invariant);
+
+        PipelineAuditor twin(CoreParams::icelake(FusionMode::Helios));
+        fuse(twin, row.twinHead, row.twinTail);
+        EXPECT_TRUE(twin.ok()) << twin.toJson();
+    }
 }
 
 TEST(AuditorCorruption, PairOrderInversionDetected)

@@ -1174,7 +1174,7 @@ TEST(HeliosDb, MissingArgumentsExitTwo)
 
 TEST(HeliosDb, IngestTrendDiffGcWorkflow)
 {
-    // The full drift-observatory loop in miniature: seed a history
+    // The ledger's drift-detection loop in miniature: seed a history
     // from one report under synthetic build names, inject an IPC
     // regression, and watch trend + diff flag it.
     const std::string dir = ledgerDir("cli_db_flow");

@@ -243,10 +243,10 @@ TEST(NcsfRules, EachRuleRejectsItsPair)
          {}, false, NcsfBreak::None, false},
         {"head writes the tail's base", access(load(2, 2, 0), 0x1000),
          ld_tail, {}, false, NcsfBreak::HeadWritesBase, false},
-        {"DBR store pair, knob off", sd_head, sd_dbr_tail, {}, false,
+        {"DBR store pair", sd_head, sd_dbr_tail, {}, false,
          NcsfBreak::DbrStorePair, false},
-        {"DBR store pair, knob on", sd_head, sd_dbr_tail, {}, true,
-         NcsfBreak::None, false},
+        {"DBR store pair, counted as Figure 5 potential", sd_head,
+         sd_dbr_tail, {}, true, NcsfBreak::None, false},
         {"DBR load pair", ld_head, access(load(5, 3, 16), 0x1010), {},
          false, NcsfBreak::None, false},
         {"catalyst store overlaps the hoisted load", ld_head, ld_tail,
