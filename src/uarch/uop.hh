@@ -27,9 +27,8 @@ enum class FusionKind : uint8_t
 };
 
 /**
- * Why a once-fused pair was broken before issue (profiling only;
- * inert when no profiler is attached). One byte on purpose — it rides
- * in every Uop.
+ * Why a predicted pair was broken before issue. One byte: it rides in
+ * every Uop.
  */
 enum class ProfBreak : uint8_t
 {
@@ -83,21 +82,18 @@ struct Uop
     uint64_t pairSeq = 0;      ///< marker <-> fused-head linkage
     bool ncsReady = true;      ///< NCS Ready bit (Section IV-B2)
     bool tailRenamed = false;  ///< marker passed Rename (RAT updated)
-    bool mustUnfuse = false;   ///< deadlock / store-catalyst / fence
     bool storeInCatalyst = false;
     bool serializingInCatalyst = false;
     bool fpInitiated = false;  ///< fusion came from the predictor
-    /** Why a once-fused pair was broken (profiling only; first
-     *  reason wins, None when never broken). One byte so it packs
-     *  into the bool block — the Uop must not grow for a passive
-     *  feature. */
+    /** Why a once-fused pair was broken (first reason wins, None while
+     *  it stands). A tail marker's reason makes Dispatch unfuse it. */
     ProfBreak profBreak = ProfBreak::None;
     FpPrediction fpPred;
 
-    /** Producers of the tail nucleus' sources, captured when the tail
-     *  marker renames (the program-order-correct lookup point). */
-    std::vector<uint64_t> tailProducers;
-
+    /** Producers of a tail marker's rs1 and (for a store) rs2, captured
+     *  when it renames (the program-order-correct lookup point); ~0
+     *  where the tail reads no such register. */
+    uint64_t tailProducers[2] = {~0ULL, ~0ULL};
 
     // ---- rename state ----
     unsigned numDests = 0;
@@ -108,7 +104,7 @@ struct Uop
 
     // ---- issue ready list (intrusive, owned by Pipeline) ----
     // Doubly linked in ascending seq order so issue walks exactly the
-    // ready µ-ops oldest-first, replacing the std::map rescan.
+    // ready µ-ops oldest-first.
     Uop *readyPrev = nullptr;
     Uop *readyNext = nullptr;
     bool inReadyList = false;
@@ -122,7 +118,6 @@ struct Uop
     bool headDone = false; ///< head-half result delivered
     bool tailDone = false; ///< tail-half result delivered
     bool done = false;     ///< fully complete (commit-eligible)
-    bool committed = false;
     uint64_t fetchCycle = 0;
     uint64_t aqCycle = 0; ///< decode done, inserted into the AQ
     uint64_t renameCycle = 0;
@@ -137,7 +132,7 @@ struct Uop
 
     /**
      * Reset to freshly-constructed state while keeping the heap
-     * capacity of the three dependency vectors, so a UopPool-recycled
+     * capacity of the two dependency vectors, so a UopPool-recycled
      * slot is indistinguishable from a new Uop but allocation-free in
      * steady state. Exactness matters: pooled and heap-per-µ-op runs
      * must be bit-identical (tests/test_perf_structures.cc). The slot
@@ -147,15 +142,12 @@ struct Uop
     void
     recycle()
     {
-        auto tail_producers = std::move(tailProducers);
         auto deps_head = std::move(dependents);
         auto deps_tail = std::move(dependentsTail);
-        tail_producers.clear();
         deps_head.clear();
         deps_tail.clear();
         std::destroy_at(this);
         Uop *fresh = std::construct_at(this);
-        fresh->tailProducers = std::move(tail_producers);
         fresh->dependents = std::move(deps_head);
         fresh->dependentsTail = std::move(deps_tail);
     }

@@ -3,13 +3,11 @@
  * Slab allocator with a free list for in-flight µ-op records.
  *
  * The pipeline allocates one Uop per fetched µ-op and frees it at
- * commit, drain or squash — millions of times per run. Routing that
- * churn through the general-purpose heap (the old
- * unordered_map<seq, unique_ptr<Uop>>) costs an allocator round-trip
- * plus cold memory per µ-op. The pool hands out slots from 256-entry
- * slabs and recycles released slots LIFO, so the working set is a few
- * cache-resident slabs and a recycled Uop even keeps the heap
- * capacity of its three dependency vectors.
+ * commit, drain or squash — millions of times per run. The pool hands
+ * out slots from 256-entry slabs and recycles released slots LIFO, so
+ * the working set is a few cache-resident slabs, no allocator
+ * round-trip is paid per µ-op, and a recycled Uop even keeps the heap
+ * capacity of its two dependency vectors.
  *
  * Recycling must be *exact*: a recycled slot is reset to
  * freshly-constructed state (Uop::recycle()), so pooled and

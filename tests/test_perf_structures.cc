@@ -110,7 +110,8 @@ TEST(UopPool, RecyclesSlotsLifoAndResetsState)
     first->seq = 42;
     first->issued = true;
     first->dependents.push_back(7);
-    first->tailProducers.push_back(9);
+    first->dependentsTail.push_back(8);
+    first->tailProducers[0] = 9;
 
     pool.release(first);
     Uop *second = pool.alloc();
@@ -120,7 +121,8 @@ TEST(UopPool, RecyclesSlotsLifoAndResetsState)
     EXPECT_EQ(second->seq, 0u);
     EXPECT_FALSE(second->issued);
     EXPECT_TRUE(second->dependents.empty());
-    EXPECT_TRUE(second->tailProducers.empty());
+    EXPECT_TRUE(second->dependentsTail.empty());
+    EXPECT_EQ(second->tailProducers[0], ~0ULL);
 }
 
 TEST(UopPool, DebugModeNeverReusesSlots)
