@@ -9,7 +9,6 @@
  */
 
 #include <cstdio>
-#include <vector>
 
 #include "harness/analysis.hh"
 #include "harness/runner.hh"
@@ -120,10 +119,10 @@ main()
         return 1;
 
     // 2) Stream characterization (what could fuse?).
-    std::vector<DynInst> trace;
+    NcsfPotentialAccumulator accumulator;
     forEachDynInst(workload, UINT64_MAX,
-                   [&](const DynInst &dyn) { trace.push_back(dyn); });
-    const NcsfPotentialStats potential = analyzeNcsfPotential(trace);
+                   [&](const DynInst &dyn) { accumulator.add(dyn); });
+    const NcsfPotentialStats &potential = accumulator.stats();
     std::printf("pairable: CSF %.1f%%  NCSF %.1f%%  (of %llu µ-ops)\n",
                 100.0 * potential.fraction(potential.csfSbr +
                                            potential.csfDbr),

@@ -39,15 +39,6 @@ IdiomAccumulator::add(const DynInst &dyn)
     havePending = false; // greedy non-overlapping pairing
 }
 
-IdiomStats
-analyzeIdioms(const std::vector<DynInst> &trace)
-{
-    IdiomAccumulator acc;
-    for (const DynInst &dyn : trace)
-        acc.add(dyn);
-    return acc.stats();
-}
-
 double
 CsfCategoryStats::fraction(uint64_t pairs) const
 {
@@ -98,16 +89,6 @@ CsfCategoryAccumulator::add(const DynInst &dyn)
         pending = dyn;
 }
 
-CsfCategoryStats
-analyzeCsfCategories(const std::vector<DynInst> &trace,
-                     unsigned line_bytes)
-{
-    CsfCategoryAccumulator acc(line_bytes);
-    for (const DynInst &dyn : trace)
-        acc.add(dyn);
-    return acc.stats();
-}
-
 double
 NcsfPotentialStats::fraction(uint64_t pair_count) const
 {
@@ -154,16 +135,6 @@ NcsfPotentialAccumulator::add(const DynInst &dyn)
             break;
     }
     recent.push_back({dyn, i, matched});
-}
-
-NcsfPotentialStats
-analyzeNcsfPotential(const std::vector<DynInst> &trace, unsigned window,
-                     unsigned region_bytes)
-{
-    NcsfPotentialAccumulator acc(window, region_bytes);
-    for (const DynInst &dyn : trace)
-        acc.add(dyn);
-    return acc.stats();
 }
 
 } // namespace helios

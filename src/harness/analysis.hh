@@ -9,8 +9,7 @@
  * Each analysis is a streaming accumulator — feed it one DynInst at a
  * time (e.g. from forEachDynInst()) and read the stats at the end —
  * so characterizing a 500M-instruction region never materializes the
- * dynamic stream. The vector-taking functions are thin wrappers kept
- * for tests and small traces.
+ * dynamic stream.
  */
 
 #ifndef HARNESS_ANALYSIS_HH
@@ -18,7 +17,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <vector>
 
 #include "sim/trace.hh"
 
@@ -49,8 +47,6 @@ class IdiomAccumulator
     bool havePending = false;
 };
 
-IdiomStats analyzeIdioms(const std::vector<DynInst> &trace);
-
 /** Figure 4: consecutive memory pairs by address relationship. */
 struct CsfCategoryStats
 {
@@ -80,9 +76,6 @@ class CsfCategoryAccumulator
     DynInst pending;
     bool havePending = false;
 };
-
-CsfCategoryStats analyzeCsfCategories(const std::vector<DynInst> &trace,
-                                      unsigned line_bytes = 64);
 
 /** Figure 5: additional potential of NCSF and DBR fusion. */
 struct NcsfPotentialStats
@@ -129,10 +122,6 @@ class NcsfPotentialAccumulator
     uint64_t nextIndex = 0;
     std::deque<Candidate> recent; ///< the window's memory µ-ops, newest last
 };
-
-NcsfPotentialStats
-analyzeNcsfPotential(const std::vector<DynInst> &trace,
-                     unsigned window = 64, unsigned region_bytes = 64);
 
 } // namespace helios
 

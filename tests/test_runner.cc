@@ -128,27 +128,34 @@ TEST(StreamingTrace, AccumulatorsMatchVectorAnalyses)
                    [&](const DynInst &dyn) { trace.push_back(dyn); });
     ASSERT_EQ(trace.size(), budget);
 
-    IdiomAccumulator idioms;
-    CsfCategoryAccumulator csf;
-    NcsfPotentialAccumulator ncsf;
+    // One set of accumulators rides the stream, the other reads the
+    // recorded vector.
+    IdiomAccumulator idioms, vector_idioms;
+    CsfCategoryAccumulator csf, vector_csf;
+    NcsfPotentialAccumulator ncsf, vector_ncsf;
     forEachDynInst(workload, budget, [&](const DynInst &dyn) {
         idioms.add(dyn);
         csf.add(dyn);
         ncsf.add(dyn);
     });
+    for (const DynInst &dyn : trace) {
+        vector_idioms.add(dyn);
+        vector_csf.add(dyn);
+        vector_ncsf.add(dyn);
+    }
 
-    const IdiomStats vi = analyzeIdioms(trace);
+    const IdiomStats &vi = vector_idioms.stats();
     EXPECT_EQ(idioms.stats().totalUops, vi.totalUops);
     EXPECT_EQ(idioms.stats().memoryPairUops, vi.memoryPairUops);
     EXPECT_EQ(idioms.stats().otherPairUops, vi.otherPairUops);
 
-    const CsfCategoryStats vc = analyzeCsfCategories(trace);
+    const CsfCategoryStats &vc = vector_csf.stats();
     EXPECT_EQ(csf.stats().contiguous, vc.contiguous);
     EXPECT_EQ(csf.stats().overlapping, vc.overlapping);
     EXPECT_EQ(csf.stats().sameLine, vc.sameLine);
     EXPECT_EQ(csf.stats().nextLine, vc.nextLine);
 
-    const NcsfPotentialStats vn = analyzeNcsfPotential(trace);
+    const NcsfPotentialStats &vn = vector_ncsf.stats();
     EXPECT_EQ(ncsf.stats().csfSbr, vn.csfSbr);
     EXPECT_EQ(ncsf.stats().csfDbr, vn.csfDbr);
     EXPECT_EQ(ncsf.stats().ncsfSbr, vn.ncsfSbr);
