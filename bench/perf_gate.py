@@ -35,8 +35,11 @@ import sys
 # which fig10_sweep does not run. sampled_long times checkpoint
 # cut/restore and many short cold-start cells: the one measured
 # regression the first two missed (a counter memo that thrashed, op_p90
-# +37%, worse in 5 of 5 pairs) showed only there.
-WORKLOADS = ("fig10_sweep", "fastforward", "sampled_long")
+# +37%, worse in 5 of 5 pairs) showed only there. observed_sweep is the
+# only one that runs the cycle model with observers attached (auditor,
+# profiler, histograms), so only it times the paths that notify them:
+# every fusion break, unfuse and mispredict event.
+WORKLOADS = ("fig10_sweep", "fastforward", "sampled_long", "observed_sweep")
 # At five pairs, one run in thirteen of one commit against a copy of
 # itself failed on fig10_sweep's setup_s, whose single runs spread from
 # 16 to 31 ms on a 4-vCPU host.
