@@ -168,22 +168,31 @@ class Hart
     uint64_t runEntriesVersion = UINT64_MAX;
 };
 
-/** Feed adapter running a hart with an instruction budget. */
-class HartFeed : public InstructionFeed
+/** The pipeline's feed: a hart stepped under an instruction budget. */
+class HartFeed
 {
   public:
     HartFeed(Hart &hart, uint64_t max_insts = UINT64_MAX)
         : hart(hart), remaining(max_insts)
     {}
 
+    /**
+     * Execute the next instruction into @a out.
+     * @return false once the program has exited or the budget is
+     *         spent (out is untouched).
+     */
     bool
-    next(DynInst &out) override
+    next(DynInst &out)
     {
         if (remaining == 0)
             return false;
         --remaining;
         return hart.step(out);
     }
+
+    /** The seq of the record next() fills: the hart's instruction
+     *  count, which a restored checkpoint starts past zero. */
+    uint64_t nextSeq() const { return hart.instsExecuted(); }
 
   private:
     Hart &hart;

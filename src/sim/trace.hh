@@ -1,7 +1,7 @@
 /**
  * @file
- * Dynamic-instruction records and the feed interface between the
- * functional simulator and the timing model.
+ * Dynamic-instruction records, the stream the functional simulator
+ * hands the timing model.
  */
 
 #ifndef SIM_TRACE_HH
@@ -37,21 +37,6 @@ struct DynInst
 
     /** Cache-line address of the access (64 B lines). */
     uint64_t lineAddr() const { return effAddr >> 6; }
-};
-
-/**
- * Pull interface delivering the committed dynamic instruction stream.
- */
-class InstructionFeed
-{
-  public:
-    virtual ~InstructionFeed() = default;
-
-    /**
-     * Produce the next dynamic instruction.
-     * @return false when the program has exited (out is untouched).
-     */
-    virtual bool next(DynInst &out) = 0;
 };
 
 } // namespace helios
