@@ -73,8 +73,8 @@ LifecycleTracer::capture(const Uop &uop) const
     UopLifecycle rec;
     rec.seq = uop.seq;
     rec.uid = uop.uid;
-    rec.pc = uop.dyn.pc;
-    rec.disasm = disassemble(uop.dyn.inst);
+    rec.pc = uop.dyn->pc;
+    rec.disasm = disassemble(uop.dyn->inst);
     rec.fetch = uop.fetchCycle;
     rec.aqInsert = uop.aqCycle;
     rec.rename = uop.renameCycle;
@@ -83,11 +83,11 @@ LifecycleTracer::capture(const Uop &uop) const
     rec.complete = uop.doneCycle;
     if (uop.hasTail) {
         rec.disasm += " + ";
-        rec.disasm += disassemble(uop.tailDyn.inst);
+        rec.disasm += disassemble(uop.tailDyn->inst);
         rec.fusion = uop.fusion;
         rec.idiom = uop.idiom;
-        rec.pairSeq = uop.tailDyn.seq;
-        rec.pairDistance = uop.tailDyn.seq - uop.seq;
+        rec.pairSeq = uop.tailDyn->seq;
+        rec.pairDistance = uop.tailDyn->seq - uop.seq;
         rec.catalystUops = rec.pairDistance ? rec.pairDistance - 1 : 0;
         rec.predicted = uop.fpInitiated;
     }

@@ -368,7 +368,7 @@ FusionProfiler::classifyMiss(const Uop &uop, uint64_t distance) const
 void
 FusionProfiler::oracleScan(const Uop &uop)
 {
-    const DynInst &tail = uop.dyn;
+    const DynInst &tail = *uop.dyn;
     Nucleus *found = nullptr;
     for (auto it = window.rbegin(); it != window.rend(); ++it) {
         Nucleus &head = *it;
@@ -405,12 +405,12 @@ FusionProfiler::oracleScan(const Uop &uop)
 void
 FusionProfiler::onCommit(const Uop &uop, uint64_t)
 {
-    ++site(uop.dyn.pc).executions;
+    ++site(uop.dyn->pc).executions;
     current.instructions += uop.archInsts();
     ++current.uops;
 
     if (uop.hasTail) {
-        ++site(uop.tailDyn.pc).executions;
+        ++site(uop.tailDyn->pc).executions;
 
         PairClass cls;
         switch (uop.fusion) {
@@ -422,43 +422,43 @@ FusionProfiler::onCommit(const Uop &uop, uint64_t)
             break;
           case FusionKind::NcsfMem:
           default: {
-            const uint64_t distance = uop.tailDyn.seq - uop.dyn.seq;
+            const uint64_t distance = uop.tailDyn->seq - uop.dyn->seq;
             if (distance == 1)
                 cls = PairClass::Nctf;
-            else if (uop.dyn.inst.baseReg() !=
-                     uop.tailDyn.inst.baseReg())
+            else if (uop.dyn->inst.baseReg() !=
+                     uop.tailDyn->inst.baseReg())
                 cls = PairClass::Dbr;
             else
                 cls = PairClass::Ncsf;
             break;
           }
         }
-        ++site(uop.dyn.pc).fused[size_t(cls)];
-        ++site(uop.tailDyn.pc).fusedTail;
+        ++site(uop.dyn->pc).fused[size_t(cls)];
+        ++site(uop.tailDyn->pc).fusedTail;
         ++result.fusedTotals[size_t(cls)];
         ++current.fusedPairs;
 
         // Fused nuclei enter the oracle window claimed: the machine
         // already paired them, so they are not part of the gap.
-        if (uop.dyn.inst.isMem())
-            pushNucleus(uop.dyn, /*fused=*/true);
-        if (uop.tailDyn.inst.isMem())
-            pushNucleus(uop.tailDyn, /*fused=*/true);
+        if (uop.dyn->inst.isMem())
+            pushNucleus(*uop.dyn, /*fused=*/true);
+        if (uop.tailDyn->inst.isMem())
+            pushNucleus(*uop.tailDyn, /*fused=*/true);
         return;
     }
 
-    if (uop.dyn.inst.isMem()) {
+    if (uop.dyn->inst.isMem()) {
         // Unfused committed memory µ-op: the oracle finder looks for
         // the partner the machine did not take.
         oracleScan(uop);
-        pushNucleus(uop.dyn, /*fused=*/false);
+        pushNucleus(*uop.dyn, /*fused=*/false);
     }
 }
 
 void
 FusionProfiler::onSquash(const Uop &uop, uint64_t, const char *)
 {
-    ++site(uop.dyn.pc).squashes;
+    ++site(uop.dyn->pc).squashes;
 }
 
 void

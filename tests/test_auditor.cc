@@ -141,12 +141,13 @@ memDyn(uint64_t seq, Op op, unsigned base, uint64_t addr)
     return dyn;
 }
 
+/** A µ-op over @a dyn, which must outlive it. */
 Uop
 makeUop(const DynInst &dyn)
 {
     Uop uop;
     uop.seq = dyn.seq;
-    uop.dyn = dyn;
+    uop.dyn = &dyn;
     return uop;
 }
 
@@ -386,11 +387,14 @@ TEST(AuditorCorruption, StructuralOverflowDetected)
     const CoreParams params = CoreParams::icelake(FusionMode::Helios);
     PipelineAuditor auditor(params);
 
+    std::vector<DynInst> records;
     std::vector<Uop> storage;
+    records.reserve(params.robSize + 1);
     storage.reserve(params.robSize + 1);
     RingBuffer<Uop *> rob(params.robSize + 1);
     for (uint64_t seq = 0; seq <= params.robSize; ++seq) {
-        storage.push_back(makeUop(aluDyn(seq)));
+        records.push_back(aluDyn(seq));
+        storage.push_back(makeUop(records.back()));
         rob.push_back(&storage.back());
     }
 
@@ -405,8 +409,10 @@ TEST(AuditorCorruption, StructuralOverflowDetected)
 TEST(AuditorCorruption, LoadQueueDisorderDetected)
 {
     PipelineAuditor auditor(CoreParams::icelake(FusionMode::Helios));
-    Uop older = makeUop(memDyn(1, Op::Ld, 8, 0x2000));
-    Uop younger = makeUop(memDyn(2, Op::Ld, 8, 0x2008));
+    const DynInst older_dyn = memDyn(1, Op::Ld, 8, 0x2000);
+    const DynInst younger_dyn = memDyn(2, Op::Ld, 8, 0x2008);
+    Uop older = makeUop(older_dyn);
+    Uop younger = makeUop(younger_dyn);
     RingBuffer<Uop *> lq(2);
     lq.push_back(&younger); // inverted
     lq.push_back(&older);
