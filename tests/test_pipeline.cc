@@ -5,9 +5,12 @@
  * while keeping its statistics self-consistent.
  */
 
+#include <map>
+
 #include <gtest/gtest.h>
 
 #include "harness/runner.hh"
+#include "sim/checkpoint.hh"
 #include "sim/hart.hh"
 #include "uarch/pipeline.hh"
 
@@ -39,20 +42,100 @@ class ModeSweep
     FusionMode mode() { return allModes[std::get<1>(GetParam())]; }
 };
 
+/** Every committed nucleus by seq: each µ-op's head and a fused µ-op's
+ *  tail (an NCSF tail commits before its catalyst). */
+struct CommittedNuclei : PipelineObserver
+{
+    std::map<uint64_t, DynInst> bySeq;
+    uint64_t repeats = 0;
+
+    void
+    onCommit(const Uop &uop, uint64_t) override
+    {
+        record(*uop.dyn);
+        if (uop.hasTail)
+            record(*uop.tailDyn);
+    }
+
+    void
+    record(const DynInst &dyn)
+    {
+        if (!bySeq.emplace(dyn.seq, dyn).second)
+            ++repeats;
+    }
+};
+
+/**
+ * Run @a hart for the budget under @a mode and check that the pipeline
+ * commits each record of @a expected, the functional stream from the
+ * hart's current instruction on, exactly once and with the facts the
+ * functional run gave it.
+ */
+void
+expectCommitsStream(Hart &hart, FusionMode mode,
+                    const std::vector<DynInst> &expected)
+{
+    HartFeed feed(hart, budget);
+    Pipeline pipeline(CoreParams::icelake(mode), feed);
+    CommittedNuclei committed;
+    pipeline.attach(&committed);
+    const PipelineResult result = pipeline.run();
+    EXPECT_GT(result.cycles, 0u);
+    EXPECT_EQ(result.instructions, expected.size())
+        << "pipeline committed a different instruction count";
+    EXPECT_EQ(committed.repeats, 0u) << "a seq committed twice";
+    EXPECT_EQ(committed.bySeq.size(), expected.size());
+    for (const DynInst &want : expected) {
+        const auto it = committed.bySeq.find(want.seq);
+        ASSERT_NE(it, committed.bySeq.end())
+            << "seq " << want.seq << " never committed";
+        const DynInst &got = it->second;
+        ASSERT_TRUE(got.pc == want.pc && got.inst == want.inst &&
+                    got.effAddr == want.effAddr &&
+                    got.nextPc == want.nextPc && got.taken == want.taken)
+            << "seq " << want.seq << " committed as another instruction";
+    }
+}
+
 } // namespace
 
 TEST_P(ModeSweep, CommitsExactlyTheFunctionalStream)
 {
-    // Functional execution gives ground truth for the dynamic length.
+    // Functional execution is the ground truth, record by record.
+    std::vector<DynInst> expected;
+    forEachDynInst(workload(), budget,
+                   [&](const DynInst &dyn) { expected.push_back(dyn); });
+
     Memory mem;
     Hart hart(mem);
     hart.reset(workload().program());
-    const uint64_t expected = hart.runFast(budget);
+    expectCommitsStream(hart, mode(), expected);
+}
 
-    RunResult result = runOne(workload(), mode(), budget);
-    EXPECT_EQ(result.instructions, expected)
-        << "pipeline committed a different instruction count";
-    EXPECT_GT(result.cycles, 0u);
+TEST(Pipeline, RestoredCheckpointCommitsTheFunctionalStream)
+{
+    // A restored hart's first record is its checkpoint's instruction
+    // index, not seq 0.
+    const Workload &workload = findWorkload("rsynth");
+    constexpr uint64_t cut = 25'000;
+    std::vector<DynInst> expected;
+    forEachDynInst(workload, cut + budget, [&](const DynInst &dyn) {
+        if (dyn.seq >= cut)
+            expected.push_back(dyn);
+    });
+
+    Memory mem;
+    Hart hart(mem);
+    const Program prog = workload.program();
+    hart.reset(prog);
+    ASSERT_EQ(hart.runFast(cut), cut);
+    const Checkpoint ckpt = hart.makeCheckpoint(prog.sourceHash);
+
+    Memory restored_mem;
+    Hart restored(restored_mem);
+    restored.restoreCheckpoint(ckpt);
+    ASSERT_EQ(restored.instsExecuted(), cut);
+    expectCommitsStream(restored, FusionMode::Helios, expected);
 }
 
 TEST_P(ModeSweep, StatisticsAreSelfConsistent)
