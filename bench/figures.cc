@@ -302,7 +302,6 @@ CpiStack
 stallStack(const RunReport &run)
 {
     CpiStack stack(run.cycles);
-    stack.addCategory("prf", run.stats.get("rename.stall.prf"));
     stack.addCategory("rob", run.stats.get("dispatch.stall.rob"));
     stack.addCategory("iq", run.stats.get("dispatch.stall.iq"));
     stack.addCategory("lq", run.stats.get("dispatch.stall.lq"));

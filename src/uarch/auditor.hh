@@ -12,7 +12,7 @@
  *  - every fetched µ-op is exactly-once committed or squashed — no
  *    leaks from the in-flight set, no double commits;
  *  - the LQ/SQ/ROB stay in program order and structural limits (ROB,
- *    AQ, IQ, LQ, SQ, physical registers) are never exceeded;
+ *    AQ, IQ, LQ, SQ) are never exceeded;
  *  - fused pairs obey the idiom legality rules: consecutive pairs
  *    match Table I, memory pairs are same-kind, store pairs share a
  *    base register, a pair's combined access fits the fusion region,

@@ -39,7 +39,6 @@ struct CycleView
     unsigned iqCount = 0;
     size_t drainCount = 0;
     size_t inflightCount = 0;
-    unsigned allocatedRegs = 0;
 
     /** The cpi.* category the commit stage charged this cycle to. */
     const char *cpiCategory = nullptr;

@@ -57,7 +57,6 @@ configHash(const CoreParams &p)
     field("iq_size", p.iqSize);
     field("lq_size", p.lqSize);
     field("sq_size", p.sqSize);
-    field("num_phys_regs", p.numPhysRegs);
     field("frontend_depth", p.frontendDepth);
     field("mispredict_penalty", p.mispredictPenalty);
     field("alu_ports", p.aluPorts);

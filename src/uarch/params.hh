@@ -48,9 +48,6 @@ struct CoreParams
     unsigned iqSize = 160;
     unsigned lqSize = 128;
     unsigned sqSize = 72;
-    /** Effectively unconstrained, as in the paper's model: the window
-     *  is bounded by ROB/IQ/LQ/SQ, which is what fusion relieves. */
-    unsigned numPhysRegs = 1024;
 
     // Front end.
     unsigned frontendDepth = 4;       ///< decode pipe stages
