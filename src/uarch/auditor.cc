@@ -1,6 +1,7 @@
 #include "uarch/auditor.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 #include "fusion/idiom.hh"
@@ -66,7 +67,12 @@ AuditViolation::toJson() const
                      jsonEscape(detail).c_str());
 }
 
-PipelineAuditor::PipelineAuditor(const CoreParams &p) : params(p) {}
+PipelineAuditor::PipelineAuditor(const CoreParams &p)
+    : params(p),
+      recs(std::bit_ceil(inflightRingSize(p) + committedRetention)),
+      recMask(recs.size() - 1)
+{
+}
 
 void
 Pipeline::attachAuditor(PipelineAuditor *auditor)
@@ -77,8 +83,24 @@ Pipeline::attachAuditor(PipelineAuditor *auditor)
 PipelineAuditor::Rec *
 PipelineAuditor::findRec(uint64_t seq)
 {
-    auto it = recs.find(seq);
-    return it == recs.end() ? nullptr : &it->second;
+    Rec &slot = recs[seq & recMask];
+    if (slot.state != SeqState::Free && slot.dyn.seq == seq)
+        return &slot;
+    if (displaced.empty())
+        return nullptr;
+    auto it = displaced.find(seq);
+    return it == displaced.end() ? nullptr : &it->second;
+}
+
+/** Back to unseen; a refetch re-creates the record. */
+void
+PipelineAuditor::dropRec(uint64_t seq)
+{
+    Rec &slot = recs[seq & recMask];
+    if (slot.state != SeqState::Free && slot.dyn.seq == seq)
+        slot.state = SeqState::Free;
+    else
+        displaced.erase(seq);
 }
 
 void
@@ -106,9 +128,8 @@ PipelineAuditor::onFetch(const Uop &uop, uint64_t cycle)
     minSeq = std::min(minSeq, uop.seq);
     maxSeq = std::max(maxSeq, uop.seq);
 
-    auto [it, fresh] = recs.try_emplace(uop.seq);
-    if (!fresh) {
-        report(it->second.state == SeqState::Committed
+    if (const Rec *rec = findRec(uop.seq)) {
+        report(rec->state == SeqState::Committed
                    ? "fetch.refetch_committed"
                    : "fetch.duplicate",
                uop.seq, cycle,
@@ -116,8 +137,13 @@ PipelineAuditor::onFetch(const Uop &uop, uint64_t cycle)
                          static_cast<unsigned long long>(uop.seq)));
         return;
     }
-    it->second.dyn = *uop.dyn;
-    it->second.state = SeqState::InFlight;
+    // A committed record in the slot is past retention and goes; an
+    // uncommitted one must still be found, and reported if it leaks.
+    Rec &slot = recs[uop.seq & recMask];
+    if (slot.state == SeqState::InFlight ||
+        slot.state == SeqState::Absorbed)
+        displaced.emplace(slot.dyn.seq, slot);
+    slot = Rec{.dyn = *uop.dyn, .state = SeqState::InFlight};
 }
 
 void
@@ -477,9 +503,6 @@ PipelineAuditor::onCommit(const Uop &uop, uint64_t cycle)
     };
     std::erase_if(committedLoadPairs, retired);
     std::erase_if(committedStorePairs, retired);
-
-    if ((committedSeqs & 0xfff) == 0)
-        pruneCommitted();
 }
 
 void
@@ -487,18 +510,18 @@ PipelineAuditor::onSquash(const Uop &uop, uint64_t cycle, const char *)
 {
     ++checks;
     auto drop = [&](uint64_t seq) {
-        auto it = recs.find(seq);
-        if (it == recs.end()) {
+        Rec *rec = findRec(seq);
+        if (!rec) {
             report("squash.unknown", seq, cycle,
                    "squashed µ-op is not tracked");
             return;
         }
-        if (it->second.state == SeqState::Committed) {
+        if (rec->state == SeqState::Committed) {
             report("squash.committed", seq, cycle,
                    "squashed an already-committed µ-op");
             return;
         }
-        recs.erase(it); // back to unseen; the refetch re-creates it
+        dropRec(seq);
     };
 
     drop(uop.seq);
@@ -571,32 +594,33 @@ PipelineAuditor::checkOrderedScan(const CycleView &view)
 }
 
 void
-PipelineAuditor::pruneCommitted()
-{
-    if (lastCommitSeq < pruneWindow)
-        return;
-    const uint64_t floor = lastCommitSeq - pruneWindow;
-    std::erase_if(recs, [floor](const auto &entry) {
-        return entry.second.state == SeqState::Committed &&
-               entry.first < floor;
-    });
-}
-
-void
 PipelineAuditor::onFinish(bool drained, uint64_t cycle)
 {
     ++checks;
     if (!drained)
         return; // budget abort: in-flight leftovers are legitimate
 
-    for (const auto &[seq, rec] : recs) {
-        if (rec.state == SeqState::Committed)
-            continue;
-        report(rec.state == SeqState::Absorbed ? "leak.absorbed"
-                                               : "leak.inflight",
-               seq, cycle,
+    // Leaks in ascending seq order, wherever their records live.
+    std::vector<const Rec *> leaked;
+    const auto leaks = [](const Rec &rec) {
+        return rec.state == SeqState::InFlight ||
+               rec.state == SeqState::Absorbed;
+    };
+    for (const Rec &rec : recs)
+        if (leaks(rec))
+            leaked.push_back(&rec);
+    for (const auto &[seq, rec] : displaced)
+        if (leaks(rec))
+            leaked.push_back(&rec);
+    std::sort(leaked.begin(), leaked.end(),
+              [](const Rec *a, const Rec *b) {
+                  return a->dyn.seq < b->dyn.seq;
+              });
+    for (const Rec *rec : leaked)
+        report(rec->state == SeqState::Absorbed ? "leak.absorbed"
+                                                 : "leak.inflight",
+               rec->dyn.seq, cycle,
                "µ-op neither committed nor squashed at drain");
-    }
     if (!fusedPairs.empty())
         report("leak.pair", fusedPairs.begin()->first, cycle,
                strFormat("%zu pair records survive the drain",

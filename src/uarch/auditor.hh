@@ -33,10 +33,8 @@
 #define UARCH_AUDITOR_HH
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "uarch/observer.hh"
@@ -101,6 +99,7 @@ class PipelineAuditor final : public PipelineObserver
     /** Lifecycle of one sequence number. */
     enum class SeqState : uint8_t
     {
+        Free,     ///< ring slot holds no record
         InFlight, ///< fetched, not yet committed/absorbed
         Absorbed, ///< tail nucleus folded into a fused head
         Committed,
@@ -108,8 +107,8 @@ class PipelineAuditor final : public PipelineObserver
 
     struct Rec
     {
-        DynInst dyn;
-        SeqState state = SeqState::InFlight;
+        DynInst dyn; ///< dyn.seq keys the record
+        SeqState state = SeqState::Free;
         bool issued = false;
         /** Head or absorbed tail of a fused pair (possibly already
          *  committed); its registers arrive at per-half latencies the
@@ -137,16 +136,25 @@ class PipelineAuditor final : public PipelineObserver
     };
 
     Rec *findRec(uint64_t seq);
+    void dropRec(uint64_t seq);
     void report(const char *invariant, uint64_t seq, uint64_t cycle,
                 std::string detail);
     void checkPairAtCommit(const Uop &uop, const Rec &head_rec,
                            uint64_t cycle);
     void checkOrderedScan(const CycleView &view);
-    void pruneCommitted();
 
     const CoreParams params;
 
-    std::unordered_map<uint64_t, Rec> recs;
+    /**
+     * Records by seq & recMask. The ring holds the pipeline's in-flight
+     * span (inflightRingSize) plus committedRetention more seqs, so a
+     * slot is reused only once its committed record is that far behind
+     * the youngest commit.
+     */
+    std::vector<Rec> recs;
+    uint64_t recMask = 0;
+    /** Uncommitted records whose slot another seq took, by seq. */
+    std::map<uint64_t, Rec> displaced;
     std::map<uint64_t, PairInfo> fusedPairs; ///< keyed by head seq
     std::vector<CommittedPair> committedLoadPairs;
     std::vector<CommittedPair> committedStorePairs;
@@ -166,8 +174,8 @@ class PipelineAuditor final : public PipelineObserver
 
     /** Full order scans run every this many cycles (sizes: every cycle). */
     static constexpr uint64_t scanInterval = 64;
-    /** Committed records are pruned once this far behind commit. */
-    static constexpr uint64_t pruneWindow = 8192;
+    /** Committed records stay findable this many seqs behind commit. */
+    static constexpr uint64_t committedRetention = 8192;
 };
 
 } // namespace helios

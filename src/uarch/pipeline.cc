@@ -32,6 +32,8 @@ nextPow2(uint64_t n)
     return p;
 }
 
+} // namespace
+
 /**
  * Size of the seq-indexed rings: in-flight µ-ops, pending addresses and
  * fetched records. Live sequence numbers span at most the machine's
@@ -49,6 +51,9 @@ inflightRingSize(const CoreParams &p)
         2 * p.dispatchWidth + p.renameWidth + p.robSize + p.sqSize;
     return nextPow2(2 * (2 * uop_capacity) + p.fetchWidth + 64);
 }
+
+namespace
+{
 
 /** Extra cycles a load pays when a store covers only part of it. */
 constexpr unsigned partialForwardPenalty = 10;

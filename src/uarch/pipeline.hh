@@ -45,6 +45,10 @@ class HartFeed;
 class Histogram;
 class PipelineAuditor;
 
+/** Slots in the pipeline's seq-indexed rings (see pipeline.cc); the
+ *  auditor sizes its record ring from it. */
+uint64_t inflightRingSize(const CoreParams &params);
+
 /** Result summary of a pipeline run. */
 struct PipelineResult
 {

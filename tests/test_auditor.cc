@@ -13,10 +13,13 @@
  *    must be caught.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <initializer_list>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -448,4 +451,78 @@ TEST(AuditorCorruption, JsonReportNamesViolation)
     EXPECT_NE(json.find("\"ok\":false"), std::string::npos) << json;
     EXPECT_NE(json.find("commit.unknown"), std::string::npos) << json;
     EXPECT_NE(json.find("\"seq\":7"), std::string::npos) << json;
+}
+
+// ---------------------------------------------------------------------
+// Corruption far apart: long runs between the events that break a rule
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** Fetch and commit every seq in [@a first, @a last] but @a skip. */
+void
+fetchAndCommit(PipelineAuditor &auditor, uint64_t first, uint64_t last,
+               std::initializer_list<uint64_t> skip = {})
+{
+    for (uint64_t seq = first; seq <= last; ++seq) {
+        auditor.onFetch(makeUop(aluDyn(seq)), seq);
+        if (std::find(skip.begin(), skip.end(), seq) == skip.end())
+            auditor.onCommit(makeUop(aluDyn(seq)), seq + 1);
+    }
+}
+
+/** Seqs of the recorded violations named @a invariant, in order. */
+std::vector<uint64_t>
+violationSeqs(const PipelineAuditor &auditor, const std::string &invariant)
+{
+    std::vector<uint64_t> seqs;
+    for (const AuditViolation &violation : auditor.violations())
+        if (violation.invariant == invariant)
+            seqs.push_back(violation.seq);
+    return seqs;
+}
+
+/** More seqs than the auditor holds records for at the Ice Lake
+ *  defaults (the pipeline's in-flight span plus 8,192). */
+constexpr uint64_t pastRetention = 1 << 16;
+
+} // namespace
+
+TEST(AuditorCorruption, LeakDetectedAfterLongRun)
+{
+    // Seq 0 never commits while many more seqs than the auditor keeps
+    // records for flow past it.
+    PipelineAuditor auditor(CoreParams::icelake(FusionMode::Helios));
+    fetchAndCommit(auditor, 0, pastRetention, {0});
+    auditor.onFinish(true, pastRetention + 10);
+    EXPECT_EQ(violationSeqs(auditor, "leak.inflight"),
+              std::vector<uint64_t>{0})
+        << auditor.toJson();
+    EXPECT_TRUE(caught(auditor, "leak.count")) << auditor.toJson();
+    EXPECT_EQ(auditor.violations().size(), 2u) << auditor.toJson();
+}
+
+TEST(AuditorCorruption, RefetchLongAfterCommitDetected)
+{
+    // A committed seq stays known 8,000 seqs later.
+    PipelineAuditor auditor(CoreParams::icelake(FusionMode::Helios));
+    fetchAndCommit(auditor, 0, 8000);
+    auditor.onFetch(makeUop(aluDyn(0)), 9000);
+    EXPECT_EQ(violationSeqs(auditor, "fetch.refetch_committed"),
+              std::vector<uint64_t>{0})
+        << auditor.toJson();
+    EXPECT_EQ(auditor.violations().size(), 1u) << auditor.toJson();
+}
+
+TEST(AuditorCorruption, LeaksReportInSeqOrder)
+{
+    // Seq 1 leaks early and seq 20,000 late, with a long run between:
+    // the report lists them oldest first.
+    PipelineAuditor auditor(CoreParams::icelake(FusionMode::Helios));
+    fetchAndCommit(auditor, 0, 20'000, {1, 20'000});
+    auditor.onFinish(true, 30'000);
+    EXPECT_EQ(violationSeqs(auditor, "leak.inflight"),
+              (std::vector<uint64_t>{1, 20'000}))
+        << auditor.toJson();
 }
