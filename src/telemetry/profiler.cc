@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 
 #include "common/logging.hh"
 #include "fusion/fusion_predictor.hh"
@@ -311,9 +312,37 @@ FusionProfiler::FusionProfiler(const CoreParams &params)
 ProfileSite &
 FusionProfiler::site(uint64_t pc)
 {
-    ProfileSite &entry = siteMap[pc];
-    entry.pc = pc;
-    return entry;
+    ProfileSite *&cached = siteCache[(pc >> 2) & (siteCache.size() - 1)];
+    if (!cached || cached->pc != pc) {
+        cached = &siteMap[pc];
+        cached->pc = pc;
+    }
+    return *cached;
+}
+
+void
+FusionProfiler::chargeCycle(const char *category)
+{
+    constexpr size_t mask = std::tuple_size_v<decltype(charges)> - 1;
+    size_t slot = (reinterpret_cast<uintptr_t>(category) >> 3) & mask;
+    for (size_t probe = 0; probe <= mask; ++probe) {
+        Charge &charge = charges[slot];
+        if (charge.category == category || !charge.category) {
+            charge.category = category;
+            ++charge.cycles;
+            return;
+        }
+        slot = (slot + 1) & mask;
+    }
+    ++current.cpi[category]; // every slot taken: count by name
+}
+
+void
+FusionProfiler::foldStallRun()
+{
+    if (stallCycles)
+        site(stallPc).stalls[stallCategory] += stallCycles;
+    stallCycles = 0;
 }
 
 void
@@ -321,6 +350,11 @@ FusionProfiler::closeWindow()
 {
     if (current.cycles == 0)
         return;
+    for (Charge &charge : charges) {
+        if (charge.cycles)
+            current.cpi[charge.category] += charge.cycles;
+        charge.cycles = 0;
+    }
     result.windows.push_back(std::move(current));
     current = ProfileWindow();
     current.startCycle = cyclesSeen;
@@ -330,10 +364,17 @@ void
 FusionProfiler::onCycleEnd(const CycleView &view)
 {
     ++current.cycles;
-    ++current.cpi[view.cpiCategory];
+    chargeCycle(view.cpiCategory);
     ++cyclesSeen;
-    if (view.headBlocked)
-        ++site(view.blockedPc).stalls[view.cpiCategory];
+    if (view.headBlocked) {
+        if (view.blockedPc != stallPc ||
+            view.cpiCategory != stallCategory) {
+            foldStallRun();
+            stallPc = view.blockedPc;
+            stallCategory = view.cpiCategory;
+        }
+        ++stallCycles;
+    }
     if (windowCycles && current.cycles >= windowCycles)
         closeWindow();
 }
@@ -365,28 +406,42 @@ FusionProfiler::classifyMiss(const Uop &uop, uint64_t distance) const
     return MissReason::PredictorDisagreement;
 }
 
+uint64_t
+FusionProfiler::youngestBlocker(const DynInst &tail) const
+{
+    // The window is in commit order, and a fused tail enters it with
+    // its head, so the catalyst is selected by seq, over all of it.
+    uint64_t youngest = 0;
+    for (const Nucleus &mid : window)
+        if (mid.dyn.seq < tail.seq && mid.dyn.seq > youngest &&
+            NcsfRules::blocksHoist(mid.dyn, tail))
+            youngest = mid.dyn.seq;
+    return youngest;
+}
+
 void
 FusionProfiler::oracleScan(const Uop &uop)
 {
     const DynInst &tail = *uop.dyn;
     Nucleus *found = nullptr;
+    // A head pairs only if no nucleus between it and the tail blocks
+    // the hoist: only the youngest blocker matters, found once, at the
+    // first head that passes every other rule.
+    std::optional<uint64_t> blocker;
     for (auto it = window.rbegin(); it != window.rend(); ++it) {
         Nucleus &head = *it;
         if (tail.seq - head.dyn.seq > oracleDistance)
             break;
         if (head.dyn.isStore() != tail.isStore())
             continue;
-        // The window is in commit order, and a fused tail enters it
-        // with its head, so the catalyst is selected by seq.
-        auto blocks_hoist = [&](const Nucleus &mid) {
-            return mid.dyn.seq > head.dyn.seq && mid.dyn.seq < tail.seq &&
-                   NcsfRules::blocksHoist(mid.dyn, tail);
-        };
         if (!head.fused && !head.claimed &&
-            rules.pairable(head.dyn, tail) &&
-            std::none_of(window.begin(), window.end(), blocks_hoist)) {
-            found = &head;
-            break;
+            rules.pairable(head.dyn, tail)) {
+            if (!blocker)
+                blocker = youngestBlocker(tail);
+            if (*blocker <= head.dyn.seq) {
+                found = &head;
+                break;
+            }
         }
         // Stores may only pair with the nearest older store.
         if (tail.isStore())
@@ -488,6 +543,8 @@ FusionProfiler::onFinish(bool, uint64_t total_cycles)
     // there is no time series at all.
     if (windowCycles)
         closeWindow();
+    foldStallRun();
+    siteCache.fill(nullptr);
 
     result.windowCycles = windowCycles;
     result.totalCycles = total_cycles;

@@ -239,7 +239,12 @@ class FusionProfiler final : public PipelineObserver
     };
 
     ProfileSite &site(uint64_t pc);
+    void chargeCycle(const char *category);
+    void foldStallRun();
     void closeWindow();
+    /** Seq of the youngest window nucleus older than @a tail that
+     *  blocks hoisting it (0, which blocks no head, if none). */
+    uint64_t youngestBlocker(const DynInst &tail) const;
     void oracleScan(const Uop &uop);
     MissReason classifyMiss(const Uop &uop, uint64_t distance) const;
     void pushNucleus(const DynInst &dyn, bool fused);
@@ -251,7 +256,24 @@ class FusionProfiler final : public PipelineObserver
     uint64_t windowCycles;
 
     std::unordered_map<uint64_t, ProfileSite> siteMap;
+    /** Direct-mapped by pc; siteMap's nodes never move. */
+    std::array<ProfileSite *, 1024> siteCache{};
     std::deque<Nucleus> window;
+
+    /** The window's cycles per cpi.* literal, keyed by its address
+     *  (open addressing); closeWindow() folds them into current.cpi. */
+    struct Charge
+    {
+        const char *category = nullptr;
+        uint64_t cycles = 0;
+    };
+    std::array<Charge, 64> charges{};
+
+    /** The open run of blocked-head cycles at one (pc, category);
+     *  foldStallRun() adds it to the site. */
+    uint64_t stallPc = 0;
+    const char *stallCategory = nullptr;
+    uint64_t stallCycles = 0;
 
     ProfileWindow current;
     uint64_t cyclesSeen = 0;

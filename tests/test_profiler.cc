@@ -17,6 +17,8 @@
  *    instructions, fused pairs and per-category CPI all sum to the
  *    whole-run values) and round-trips losslessly through the
  *    RunReport v2 schema while v1 files stay parseable;
+ *  - every site's stall cycles and every window's CPI map recount
+ *    exactly from the cycle views the pipeline sends;
  *  - the annotated disassembly is well-formed text and JSON with one
  *    line per text-section instruction.
  */
@@ -25,10 +27,12 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/json.hh"
 #include "harness/run_report.hh"
 #include "harness/runner.hh"
+#include "observed_run.hh"
 #include "telemetry/annotate.hh"
 #include "telemetry/profiler.hh"
 
@@ -300,6 +304,70 @@ TEST(Profiler, WindowsTileTheRunExactly)
     EXPECT_EQ(fused, profile.fusedPairs());
     for (const auto &[category, count] : cpi)
         EXPECT_EQ(count, result.stat(category)) << category;
+}
+
+TEST(Profiler, StallChargesMatchCycleViews)
+{
+    // An observer beside the profiler keeps what every CycleView says;
+    // the profiler's site stalls and window CPI maps must recount from
+    // it exactly.
+    struct Charge
+    {
+        std::string category;
+        bool headBlocked;
+        uint64_t blockedPc;
+    };
+    struct Views : PipelineObserver
+    {
+        std::vector<Charge> cycles;
+        void
+        onCycleEnd(const CycleView &view) override
+        {
+            cycles.push_back(
+                {view.cpiCategory, view.headBlocked, view.blockedPc});
+        }
+    };
+
+    constexpr uint64_t interval = 512;
+    for (FusionMode mode : {FusionMode::Helios, FusionMode::None}) {
+        const char *name = fusionModeName(mode);
+        CoreParams params = CoreParams::icelake(mode);
+        params.profileWindowCycles = interval;
+        FusionProfiler profiler(params);
+        Views views;
+        const RunResult result = observedRun(
+            findWorkload("qsort"), params, smokeBudget, {&profiler, &views});
+        const ProfileData &profile = profiler.data();
+        ASSERT_EQ(views.cycles.size(), result.cycles) << name;
+
+        std::map<uint64_t, std::map<std::string, uint64_t>> stalls;
+        std::vector<std::map<std::string, uint64_t>> windows(
+            (views.cycles.size() + interval - 1) / interval);
+        for (size_t cycle = 0; cycle < views.cycles.size(); ++cycle) {
+            const Charge &charge = views.cycles[cycle];
+            ++windows[cycle / interval][charge.category];
+            if (charge.headBlocked)
+                ++stalls[charge.blockedPc][charge.category];
+        }
+
+        EXPECT_GT(stalls.size(), 0u) << name;
+        size_t stalled_sites = 0;
+        for (const ProfileSite &site : profile.sites) {
+            const auto it = stalls.find(site.pc);
+            if (it == stalls.end()) {
+                EXPECT_TRUE(site.stalls.empty()) << name << " " << site.pc;
+                continue;
+            }
+            ++stalled_sites;
+            EXPECT_EQ(site.stalls, it->second) << name << " " << site.pc;
+        }
+        EXPECT_EQ(stalled_sites, stalls.size()) << name;
+
+        ASSERT_EQ(profile.windows.size(), windows.size()) << name;
+        for (size_t i = 0; i < windows.size(); ++i)
+            EXPECT_EQ(profile.windows[i].cpi, windows[i])
+                << name << " window " << i;
+    }
 }
 
 TEST(Profiler, ZeroIntervalMeansNoTimeSeries)
