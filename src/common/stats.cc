@@ -24,9 +24,13 @@ Histogram::Histogram(std::vector<uint64_t> upper_bounds)
     : bounds(std::move(upper_bounds))
 {
     helios_assert(!bounds.empty(), "histogram needs at least one bucket");
-    for (size_t i = 1; i < bounds.size(); ++i)
+    step = bounds[0];
+    for (size_t i = 1; i < bounds.size(); ++i) {
         helios_assert(bounds[i - 1] < bounds[i],
                       "histogram bounds must be strictly increasing");
+        if (bounds[i] - bounds[i - 1] != bounds[0])
+            step = 0;
+    }
     buckets.assign(bounds.size() + 1, 0);
 }
 
@@ -47,9 +51,15 @@ Histogram::addSample(uint64_t value, uint64_t weight)
         return;
     // First bucket whose inclusive upper bound covers the value;
     // everything above the last bound lands in the overflow bucket.
-    const size_t index =
-        std::lower_bound(bounds.begin(), bounds.end(), value) -
-        bounds.begin();
+    // Bucket i of an evenly spaced layout covers (i step, (i+1) step].
+    size_t index;
+    if (step)
+        index = value ? std::min<uint64_t>((value - 1) / step,
+                                           bounds.size())
+                      : 0;
+    else
+        index = std::lower_bound(bounds.begin(), bounds.end(), value) -
+                bounds.begin();
     buckets[index] += weight;
     if (total == 0) {
         lo = hi = value;

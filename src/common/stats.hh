@@ -113,6 +113,9 @@ class Histogram
   private:
     std::vector<uint64_t> bounds;  ///< inclusive upper bounds, sorted
     std::vector<uint64_t> buckets; ///< bounds.size() + 1 (overflow last)
+    /** Bucket width when bounds are step, 2 step, 3 step, ... (0: not
+     *  evenly spaced); addSample() then divides instead of searching. */
+    uint64_t step = 0;
     uint64_t total = 0;
     uint64_t weightedSum = 0;
     uint64_t lo = 0;

@@ -18,9 +18,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <sstream>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/json.hh"
 #include "common/stats.hh"
@@ -159,6 +162,68 @@ TEST(Histogram, PercentileClampsToObservedMax)
     hist.addSample(3);
     // The quantile bucket's bound is 1000, but no sample exceeds 3.
     EXPECT_LE(hist.percentile(0.99), 3u);
+}
+
+TEST(Histogram, LinearIndexMatchesBoundsSearch)
+{
+    // Every layout the pipeline samples at the defaults, plus the
+    // layouts of the tests above.
+    CoreParams params = CoreParams::icelake(FusionMode::Helios);
+    params.sampleHistograms = true;
+    const RunResult run = runOne(findWorkload("crc32"), params, 1000);
+    std::map<std::string, std::vector<uint64_t>> layouts = {
+        {"linear(100, 25)", Histogram::linear(100, 25).bucketBounds()},
+        {"exponential", Histogram().bucketBounds()},
+        {"{10, 20, 30}", {10, 20, 30}},
+    };
+    for (const char *name :
+         {"occupancy.rob", "occupancy.iq", "occupancy.lq", "occupancy.sq",
+          "fusion.pair_distance", "fusion.fp_agreement"}) {
+        const Histogram *hist = run.stats.findHistogram(name);
+        ASSERT_NE(hist, nullptr) << name;
+        layouts[name] = hist->bucketBounds();
+    }
+
+    // A sample must land in the bucket std::lower_bound picks, whose
+    // count then goes up by one.
+    const auto check = [](const std::string &name,
+                          const std::vector<uint64_t> &bounds,
+                          uint64_t value, Histogram &hist) {
+        const size_t want =
+            std::lower_bound(bounds.begin(), bounds.end(), value) -
+            bounds.begin();
+        const uint64_t before = hist.bucketCount(want);
+        hist.addSample(value);
+        return hist.bucketCount(want) == before + 1
+                   ? ::testing::AssertionSuccess()
+                   : ::testing::AssertionFailure()
+                         << name << ": value " << value
+                         << " missed bucket " << want;
+    };
+    for (const auto &[name, bounds] : layouts) {
+        Histogram hist(bounds);
+        const uint64_t step = bounds.size() > 1
+                                  ? bounds.back() - bounds[bounds.size() - 2]
+                                  : bounds.back();
+        const uint64_t last = bounds.back() + 2 * step;
+        // Every value from 0 to two steps past the last bound. The
+        // exponential layout's end, 2^32, is too far to add values one
+        // by one: past 2^16 it checks each bound, its neighbours and
+        // the end.
+        const uint64_t dense = std::min<uint64_t>(last, 1 << 16);
+        for (uint64_t value = 0; value <= dense; ++value)
+            ASSERT_TRUE(check(name, bounds, value, hist));
+        for (uint64_t bound : bounds) {
+            for (uint64_t value = bound - 1; value <= bound + 1; ++value) {
+                if (value > dense) {
+                    ASSERT_TRUE(check(name, bounds, value, hist));
+                }
+            }
+        }
+        if (last > dense) {
+            ASSERT_TRUE(check(name, bounds, last, hist));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
