@@ -206,13 +206,18 @@ PipelineAuditor::onFusePair(const Uop &head, const DynInst &tail,
         break;
     }
 
-    auto [it, fresh] = fusedPairs.try_emplace(
-        head_seq, PairInfo{tail_seq, kind, head.fpInitiated});
-    if (!fresh)
+    Rec *head_rec = findRec(head_seq);
+    if (!head_rec) {
+        report("pair.unknown_head", head_seq, cycle,
+               "fused head was never fetched");
+        return;
+    }
+    if (head_rec->pairTail)
         report("pair.double_fuse", head_seq, cycle,
                "head fused while already paired");
-    if (Rec *head_rec = findRec(head_seq))
-        head_rec->partOfPair = true;
+    else
+        head_rec->pairTail = tail_seq;
+    head_rec->partOfPair = true;
 
     if (absorbed) {
         onTailAbsorbed(tail_seq, head_seq, cycle);
@@ -228,8 +233,8 @@ PipelineAuditor::onTailAbsorbed(uint64_t tail_seq, uint64_t head_seq,
                                 uint64_t cycle)
 {
     ++checks;
-    auto pair = fusedPairs.find(head_seq);
-    if (pair == fusedPairs.end() || pair->second.tailSeq != tail_seq) {
+    const Rec *head_rec = findRec(head_seq);
+    if (!head_rec || head_rec->pairTail != tail_seq) {
         report("pair.unpaired_absorb", tail_seq, cycle,
                strFormat("tail absorbed into head %llu without a "
                          "matching pair record",
@@ -257,21 +262,20 @@ PipelineAuditor::onUnfuse(const Uop &head, uint64_t tail_seq,
                           uint64_t cycle)
 {
     ++checks;
-    auto pair = fusedPairs.find(head.seq);
-    if (pair == fusedPairs.end()) {
+    Rec *head_rec = findRec(head.seq);
+    if (!head_rec || !head_rec->pairTail) {
         report("pair.unfuse_unpaired", head.seq, cycle,
                "unfused a head with no pair record");
         return;
     }
-    if (pair->second.tailSeq != tail_seq)
+    if (head_rec->pairTail != tail_seq)
         report("pair.unfuse_tail", head.seq, cycle,
                strFormat("unfuse names tail %llu, pair records %llu",
                          static_cast<unsigned long long>(tail_seq),
                          static_cast<unsigned long long>(
-                             pair->second.tailSeq)));
-    fusedPairs.erase(pair);
-    if (Rec *head_rec = findRec(head.seq))
-        head_rec->partOfPair = false;
+                             head_rec->pairTail)));
+    head_rec->pairTail = 0;
+    head_rec->partOfPair = false;
 
     // The tail must still be a live µ-op of its own: an absorbed tail
     // has no marker left to re-dispatch, so unfusing it would drop an
@@ -454,15 +458,13 @@ PipelineAuditor::onCommit(const Uop &uop, uint64_t cycle)
     ++committedSeqs;
 
     if (uop.hasTail) {
-        auto pair = fusedPairs.find(uop.seq);
-        if (pair == fusedPairs.end())
+        if (!rec->pairTail)
             report("pair.commit_unpaired", uop.seq, cycle,
                    "fused µ-op committed without a pair record");
-        else if (pair->second.tailSeq != uop.tailDyn->seq)
+        else if (rec->pairTail != uop.tailDyn->seq)
             report("pair.commit_tail", uop.seq, cycle,
                    "committed tail differs from the fused tail");
-        if (pair != fusedPairs.end())
-            fusedPairs.erase(pair);
+        rec->pairTail = 0;
 
         Rec *tail_rec = findRec(uop.tailDyn->seq);
         if (!tail_rec) {
@@ -490,10 +492,10 @@ PipelineAuditor::onCommit(const Uop &uop, uint64_t cycle)
                  uop.tailDyn->effAddr + uop.tailDyn->memSize(),
                  rec->issueCycle});
         }
-    } else if (fusedPairs.count(uop.seq)) {
+    } else if (rec->pairTail) {
         report("pair.commit_unfused", uop.seq, cycle,
                "pair record survives but the head committed unfused");
-        fusedPairs.erase(uop.seq);
+        rec->pairTail = 0;
     }
 
     // Catalysts of a committed pair all have seq < tailSeq and commit
@@ -526,7 +528,7 @@ PipelineAuditor::onSquash(const Uop &uop, uint64_t cycle, const char *)
 
     drop(uop.seq);
     if (uop.isTailMarker)
-        return; // the pair record is keyed by (and dies with) the head
+        return; // the pair record lives on (and dies with) the head
     if (uop.hasTail) {
         // The tail nucleus replays with its head. A pending (predicted)
         // tail still has its own marker in flight, which this squash
@@ -535,7 +537,9 @@ PipelineAuditor::onSquash(const Uop &uop, uint64_t cycle, const char *)
         if (tail_rec && tail_rec->state == SeqState::Absorbed)
             drop(uop.tailDyn->seq);
     }
-    fusedPairs.erase(uop.seq);
+    // drop() freed the head's record unless it had committed.
+    if (Rec *rec = findRec(uop.seq))
+        rec->pairTail = 0;
 }
 
 void
@@ -600,18 +604,25 @@ PipelineAuditor::onFinish(bool drained, uint64_t cycle)
     if (!drained)
         return; // budget abort: in-flight leftovers are legitimate
 
-    // Leaks in ascending seq order, wherever their records live.
+    // Leaks in ascending seq order, wherever their records live, and
+    // the pair records left, reported at the oldest head.
     std::vector<const Rec *> leaked;
-    const auto leaks = [](const Rec &rec) {
-        return rec.state == SeqState::InFlight ||
-               rec.state == SeqState::Absorbed;
+    const Rec *first_pair = nullptr;
+    size_t pairs = 0;
+    const auto scan = [&](const Rec &rec) {
+        if (rec.state == SeqState::InFlight ||
+            rec.state == SeqState::Absorbed)
+            leaked.push_back(&rec);
+        if (rec.state != SeqState::Free && rec.pairTail) {
+            ++pairs;
+            if (!first_pair || rec.dyn.seq < first_pair->dyn.seq)
+                first_pair = &rec;
+        }
     };
     for (const Rec &rec : recs)
-        if (leaks(rec))
-            leaked.push_back(&rec);
+        scan(rec);
     for (const auto &[seq, rec] : displaced)
-        if (leaks(rec))
-            leaked.push_back(&rec);
+        scan(rec);
     std::sort(leaked.begin(), leaked.end(),
               [](const Rec *a, const Rec *b) {
                   return a->dyn.seq < b->dyn.seq;
@@ -621,10 +632,9 @@ PipelineAuditor::onFinish(bool drained, uint64_t cycle)
                                                  : "leak.inflight",
                rec->dyn.seq, cycle,
                "µ-op neither committed nor squashed at drain");
-    if (!fusedPairs.empty())
-        report("leak.pair", fusedPairs.begin()->first, cycle,
-               strFormat("%zu pair records survive the drain",
-                         fusedPairs.size()));
+    if (pairs)
+        report("leak.pair", first_pair->dyn.seq, cycle,
+               strFormat("%zu pair records survive the drain", pairs));
 
     // Exactly-once: the feed's sequence numbers are contiguous, so the
     // committed count must cover [minSeq, maxSeq] with no gaps.

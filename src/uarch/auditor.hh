@@ -114,15 +114,11 @@ class PipelineAuditor final : public PipelineObserver
          *  committed); its registers arrive at per-half latencies the
          *  mirror cannot observe, so timing checks skip it. */
         bool partOfPair = false;
+        /** A fused head's pair record: its tail seq until the pair
+         *  commits, unfuses or is squashed (0: no pair). */
+        uint64_t pairTail = 0;
         uint64_t issueCycle = 0;
         uint64_t doneCycle = 0;
-    };
-
-    struct PairInfo
-    {
-        uint64_t tailSeq = 0;
-        FusionKind kind = FusionKind::None;
-        bool fpInitiated = false;
     };
 
     /** Committed fused memory pair, kept until its catalysts commit. */
@@ -155,7 +151,6 @@ class PipelineAuditor final : public PipelineObserver
     uint64_t recMask = 0;
     /** Uncommitted records whose slot another seq took, by seq. */
     std::map<uint64_t, Rec> displaced;
-    std::map<uint64_t, PairInfo> fusedPairs; ///< keyed by head seq
     std::vector<CommittedPair> committedLoadPairs;
     std::vector<CommittedPair> committedStorePairs;
 

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <functional>
 #include <initializer_list>
 #include <string>
 #include <vector>
@@ -383,6 +384,87 @@ TEST(AuditorCorruption, UnfuseAfterAbsorbDetected)
     auditor.onUnfuse(makeUop(head), tail.seq, 3);
     EXPECT_TRUE(caught(auditor, "pair.unfuse_absorbed"))
         << auditor.toJson();
+}
+
+TEST(AuditorCorruption, EachPairRecordCheckDetected)
+{
+    // A load head, an ALU catalyst and two tails it could pair with, all
+    // fetched; the ghost pair is not.
+    const DynInst head = memDyn(0, Op::Ld, 8, 0x2000);
+    const DynInst catalyst = aluDyn(1);
+    const DynInst tail = memDyn(2, Op::Ld, 8, 0x2008);
+    const DynInst other = memDyn(3, Op::Ld, 8, 0x2010);
+    const DynInst ghost_head = memDyn(5, Op::Ld, 8, 0x2000);
+    const DynInst ghost_tail = memDyn(6, Op::Ld, 8, 0x2008);
+    const auto fuse = [&](PipelineAuditor &auditor, const DynInst &with) {
+        auditor.onFusePair(makeUop(head), with, FusionKind::NcsfMem,
+                           false, 1);
+    };
+    const auto commit_fused = [&](PipelineAuditor &auditor,
+                                  const DynInst &with) {
+        Uop uop = makeUop(head);
+        uop.fusion = FusionKind::NcsfMem;
+        uop.hasTail = true;
+        uop.tailDyn = &with;
+        auditor.onCommit(uop, 4);
+    };
+    const struct
+    {
+        const char *invariant;
+        uint64_t seq; ///< where the report points
+        std::function<void(PipelineAuditor &)> events;
+    } rows[] = {
+        {"pair.unknown_head", ghost_head.seq,
+         [&](PipelineAuditor &a) {
+             a.onFusePair(makeUop(ghost_head), ghost_tail,
+                          FusionKind::NcsfMem, false, 1);
+         }},
+        {"pair.double_fuse", head.seq,
+         [&](PipelineAuditor &a) {
+             fuse(a, tail);
+             fuse(a, other);
+         }},
+        {"pair.unpaired_absorb", tail.seq,
+         [&](PipelineAuditor &a) { a.onTailAbsorbed(tail.seq, head.seq, 2); }},
+        {"pair.unfuse_unpaired", head.seq,
+         [&](PipelineAuditor &a) { a.onUnfuse(makeUop(head), tail.seq, 2); }},
+        {"pair.unfuse_tail", head.seq,
+         [&](PipelineAuditor &a) {
+             fuse(a, tail);
+             a.onUnfuse(makeUop(head), other.seq, 2);
+         }},
+        {"pair.commit_unpaired", head.seq,
+         [&](PipelineAuditor &a) { commit_fused(a, tail); }},
+        {"pair.commit_tail", head.seq,
+         [&](PipelineAuditor &a) {
+             fuse(a, tail);
+             commit_fused(a, other);
+         }},
+        {"pair.commit_unfused", head.seq,
+         [&](PipelineAuditor &a) {
+             fuse(a, tail);
+             a.onCommit(makeUop(head), 4);
+         }},
+        {"leak.pair", head.seq,
+         [&](PipelineAuditor &a) {
+             fuse(a, tail);
+             a.onFinish(true, 9);
+         }},
+    };
+    for (const auto &row : rows) {
+        SCOPED_TRACE(row.invariant);
+        PipelineAuditor auditor(CoreParams::icelake(FusionMode::Helios));
+        for (const DynInst *dyn : {&head, &catalyst, &tail, &other})
+            auditor.onFetch(makeUop(*dyn), 0);
+        row.events(auditor);
+        const auto &found = auditor.violations();
+        const auto it = std::find_if(
+            found.begin(), found.end(), [&](const AuditViolation &v) {
+                return v.invariant == row.invariant;
+            });
+        ASSERT_NE(it, found.end()) << auditor.toJson();
+        EXPECT_EQ(it->seq, row.seq);
+    }
 }
 
 TEST(AuditorCorruption, StructuralOverflowDetected)
