@@ -89,7 +89,7 @@ LifecycleTracer::capture(const Uop &uop) const
         rec.pairSeq = uop.tailDyn->seq;
         rec.pairDistance = uop.tailDyn->seq - uop.seq;
         rec.catalystUops = rec.pairDistance ? rec.pairDistance - 1 : 0;
-        rec.predicted = uop.fpInitiated;
+        rec.predicted = uop.fusion == FusionKind::NcsfMem;
     }
     return rec;
 }

@@ -54,7 +54,9 @@ struct UopLifecycle
     uint64_t pairSeq = 0;      ///< tail nucleus seq (0: unfused)
     uint64_t pairDistance = 0; ///< tail.seq - head.seq (0: unfused)
     uint64_t catalystUops = 0; ///< µ-ops between the nuclei
-    bool predicted = false;    ///< pair came from the fusion predictor
+    /** A predicted-path (NCSF) pair: its head was named by Helios's
+     *  fusion predictor or by OracleFusion's address oracle. */
+    bool predicted = false;
 
     bool fused() const { return fusion != FusionKind::None; }
 };

@@ -433,7 +433,6 @@ Pipeline::tryPredictedFusion(Uop *tail)
     head->tailDyn = tail->dyn;
     head->fusion = FusionKind::NcsfMem;
     head->ncsReady = false;
-    head->fpInitiated = true;
     head->fpPred = pred;
     head->pairSeq = tail->seq;
 
@@ -479,13 +478,14 @@ Pipeline::storeNuclei(const Uop &uop, StoreNucleus out[2])
 
 /**
  * One walk over the catalyst of a pending pair, the µ-ops between
- * @a head and @a tail in program order, that answers both rename-time
- * dependence checks. Catalyst µ-ops renamed before the tail marker
+ * @a head and @a tail in program order, that answers every rename-time
+ * check of the pair. Catalyst µ-ops renamed before the tail marker
  * live in the ROB or the rename->dispatch buffer (at AQ insertion, in
- * the AQ); CSF'd tails are folded into their heads, so walking the seq
- * range finds every writer.
+ * the AQ); none has committed, since the head has not. CSF'd tails
+ * are folded into their heads, so walking the seq range finds every
+ * writer. Besides whether a catalyst µ-op stores or serializes (a
+ * tail marker counts as neither), two register taints ride the walk:
  *
- * Two register taints ride the walk:
  *  - `on_head`: registers that (transitively) depend on the head's
  *    destination, through any source of either nucleus of a catalyst
  *    µ-op or a store-set wakeup edge. This is the precise outcome of
@@ -500,6 +500,7 @@ Pipeline::storeNuclei(const Uop &uop, StoreNucleus out[2])
 Pipeline::CatalystTaint
 Pipeline::catalystTaint(const Uop *head, const Uop *tail) const
 {
+    CatalystTaint answer;
     uint32_t on_head = 0;
     uint32_t on_load = 0;
     const auto set = [](uint32_t &taint, unsigned reg, bool on) {
@@ -529,6 +530,8 @@ Pipeline::catalystTaint(const Uop *head, const Uop *tail) const
                 set(on_load, inst.rd, true);
             continue;
         }
+        answer.store |= u->isStore();
+        answer.serializing |= inst.isSerializing();
 
         // A catalyst load made to wait on the head (or on a dependent
         // catalyst store) by the store-set predictor depends on the
@@ -555,7 +558,9 @@ Pipeline::catalystTaint(const Uop *head, const Uop *tail) const
             set(on_load, u->tailDyn->inst.rd, from_load);
         }
     }
-    return {reads(on_head, tail->dyn->inst), reads(on_load, tail->dyn->inst)};
+    answer.deadlock = reads(on_head, tail->dyn->inst);
+    answer.lateRaw = reads(on_load, tail->dyn->inst);
+    return answer;
 }
 
 /**
@@ -718,14 +723,12 @@ void
 Pipeline::renameNormal(Uop *uop)
 {
     const Instruction &inst = uop->dyn->inst;
-    bool helios_pending = uop->fusion == FusionKind::NcsfMem &&
-                          uop->fpInitiated;
+    bool helios_pending = uop->fusion == FusionKind::NcsfMem;
 
     // Max Active NCS saturation: a head nucleus entering Rename while
     // the nest levels are all busy behaves as unfused, and the tail
     // nucleus reverts to a regular µ-op in the AQ (Section IV-B2).
-    if (helios_pending &&
-        activeNcsHeads.size() >= params.ncsfNestDepth) {
+    if (helios_pending && activeNcsHeads >= params.ncsfNestDepth) {
         Uop *marker = findInflight(uop->pairSeq);
         helios_assert(marker && marker->isTailMarker,
                       "nest-unfuse lost its marker");
@@ -738,19 +741,6 @@ Pipeline::renameNormal(Uop *uop)
         --pendingNcsf;
         breakPair(marker, "fusion.fp_nest_limited", ProfBreak::NestLimit);
         helios_pending = false;
-    }
-
-    // ---- catalyst flags for active NCSF nests (Section IV-B) ----
-    if (!activeNcsHeads.empty()) {
-        if (uop->isStore()) {
-            for (Uop *head : activeNcsHeads)
-                if (head->isStore())
-                    head->storeInCatalyst = true;
-        }
-        if (inst.isSerializing()) {
-            for (Uop *head : activeNcsHeads)
-                head->serializingInCatalyst = true;
-        }
     }
 
     // ---- sources ----
@@ -803,12 +793,10 @@ Pipeline::renameNormal(Uop *uop)
           case FusionKind::CsfMem:
             // Consecutive: no catalyst, RAT updates immediately.
             rat[tail_rd].producerSeq = uop->seq;
-            uop->tailRenamed = true;
             break;
           case FusionKind::CsfOther:
             // Idioms write a single architectural register (tail.rd ==
             // head.rd), already renamed above.
-            uop->tailRenamed = true;
             break;
           case FusionKind::NcsfMem:
             // WaR deferral: RAT update happens when the tail marker
@@ -821,7 +809,7 @@ Pipeline::renameNormal(Uop *uop)
 
     // ---- activate a Helios NCSF nest ----
     if (helios_pending)
-        activeNcsHeads.push_back(uop);
+        ++activeNcsHeads;
 }
 
 void
@@ -849,10 +837,10 @@ Pipeline::renameMarker(Uop *marker)
     const CatalystTaint taint = catalystTaint(head, marker);
     if (taint.deadlock)
         breakPair(marker, "fusion.unfuse_deadlock", ProfBreak::Deadlock);
-    if (head->isStore() && head->storeInCatalyst)
+    if (head->isStore() && taint.store)
         breakPair(marker, "fusion.unfuse_store_catalyst",
                   ProfBreak::StoreCatalyst);
-    if (head->serializingInCatalyst)
+    if (taint.serializing)
         breakPair(marker, "fusion.unfuse_serializing",
                   ProfBreak::Serializing);
     // Refinement over the paper: when a tail source hangs off a LOAD
@@ -880,15 +868,12 @@ Pipeline::renameMarker(Uop *marker)
             // Deferred RAT update for the tail destination (the
             // paper's WaR buffer, Section IV-B2).
             rat[tail.rd].producerSeq = head->seq;
-            head->tailRenamed = true;
         }
     }
 
-    // Nest teardown.
-    auto it = std::find(activeNcsHeads.begin(), activeNcsHeads.end(),
-                        head);
-    if (it != activeNcsHeads.end())
-        activeNcsHeads.erase(it);
+    // Nest teardown: the head became active when it renamed.
+    helios_assert(activeNcsHeads > 0, "activeNcsHeads underflow");
+    --activeNcsHeads;
     helios_assert(pendingNcsf > 0, "pendingNcsf underflow");
     --pendingNcsf;
 }
@@ -933,7 +918,6 @@ Pipeline::unfuseInPlace(Uop *head, ProfBreak reason)
     head->fusion = FusionKind::None;
     head->hasTail = false;
     head->ncsReady = true;
-    head->fpInitiated = false;
     if (head->profBreak == ProfBreak::None)
         head->profBreak = reason;
 }
@@ -1185,7 +1169,7 @@ Pipeline::executeStore(Uop *uop)
             // misprediction: the store-set cannot protect a load
             // hoisted above a store that has not renamed yet, so the
             // fusion predictor must lose confidence in this pair.
-            if (load->fusion == FusionKind::NcsfMem && load->fpInitiated)
+            if (load->fusion == FusionKind::NcsfMem)
                 mispredictPair(load, "fusion.mispredict_violation");
             requestFlush(load->seq, "order_violation");
             break;
@@ -1313,16 +1297,13 @@ Pipeline::issueStage()
                 --store;
             }
             // Address-based fusion validation (case 5, Section IV-C).
-            if (uop->fusion == FusionKind::NcsfMem && uop->fpInitiated &&
+            if (uop->fusion == FusionKind::NcsfMem &&
                 !validateFusedAddresses(uop)) {
                 mispredictPair(uop, "fusion.mispredict_region");
                 requestFlush(uop->seq, "fusion_region");
-                readyRemove(uop);
-                // Keep the µ-op unissued; the flush below removes it.
-                uop->issued = true;
                 goto after_loop;
             }
-            if (uop->fusion == FusionKind::NcsfMem && uop->fpInitiated) {
+            if (uop->fusion == FusionKind::NcsfMem) {
                 if (fusionPred)
                     fusionPred->resolve(uop->fpPred, true);
                 literalCounter("fusion.fp_correct")++;
@@ -1490,8 +1471,7 @@ Pipeline::countFusedPair(const Uop *uop)
             isMemPairable(uop->dyn->inst, uop->tailDyn->inst, true);
         if (!static_csf)
             literalCounter("pairs.need_prediction")++;
-        if (uop->fpInitiated)
-            literalCounter("pairs.fp_validated")++;
+        literalCounter("pairs.fp_validated")++;
         return;
       }
       default:
@@ -1628,8 +1608,7 @@ Pipeline::commitStageImpl()
             }
         }
 
-        ++commitCount;
-        if ((commitCount & 0xffff) == 0)
+        if ((hot.commitUops.value() & 0xffff) == 0)
             storeSets.age();
         rob.pop_front();
         if (uop->isLoad()) {
@@ -1698,58 +1677,55 @@ Pipeline::squashFrom(uint64_t seq_min, const char *reason)
                        ? "flush.order_violation"
                        : "flush.fusion_region")++;
 
+    // Both requests name a dispatched µ-op, so the flush point lies in
+    // the ROB and everything outside it is younger and goes. The
+    // rename backlog, the AQ and the decode pipe hold one seq-ordered
+    // run, oldest first.
+    uint64_t oldest_outside = invalidSeq;
+    if (!renamedQueue.empty())
+        oldest_outside = renamedQueue.front()->seq;
+    else if (!aq.empty())
+        oldest_outside = aq.front()->seq;
+    else if (!decodePipe.empty())
+        oldest_outside =
+            decodePipe.front().uops[decodePipe.front().consumed]->seq;
+    helios_assert(oldest_outside >= seq_min,
+                  "flush point younger than a µ-op outside the ROB");
+
     // Solution ii) of Section IV-C: if a surviving fused µ-op's tail
-    // would be squashed, move the flush point up to that head.
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (const Uop *uop : inflightSlots) {
-            if (uop && uop->hasTail && !uop->isTailMarker &&
-                uop->seq < seq_min && uop->tailDyn->seq >= seq_min) {
-                seq_min = uop->seq;
-                changed = true;
-            }
-        }
+    // would be squashed, move the flush point up to that head. Walking
+    // the ROB youngest-first reaches the fixed point in one pass.
+    for (size_t i = rob.size(); i-- > 0;) {
+        const Uop *uop = rob[i];
+        if (uop->hasTail && uop->seq < seq_min &&
+            uop->tailDyn->seq >= seq_min)
+            seq_min = uop->seq;
     }
 
-    // Unlink the squashed suffix from every structure first; the
-    // records themselves are released in the sweep below.
+    // Unlink the squashed µ-ops from every structure first; the
+    // records themselves are released in the sweep below. A pending
+    // pair's marker waits in the AQ, so the move-up squashed every
+    // active NCSF head with it.
     while (readyTail && readyTail->seq >= seq_min)
         readyRemove(readyTail);
     auto chop = [seq_min](RingBuffer<Uop *> &ring) {
         while (!ring.empty() && ring.back()->seq >= seq_min)
             ring.pop_back();
     };
-    chop(aq);
-    chop(renamedQueue);
     chop(rob);
     chop(lqList);
     chop(sqList);
-    for (size_t g = decodePipe.size(); g-- > 0;) {
-        DecodeGroup &grp = decodePipe[g];
-        // Only the unconsumed suffix can hold squashed µ-ops: seqs
-        // ascend within a group and the consumed prefix is older.
-        while (grp.uops.size() > grp.consumed &&
-               grp.uops.back()->seq >= seq_min)
-            grp.uops.pop_back();
-    }
-    while (!decodePipe.empty() &&
-           decodePipe.back().uops.size() == decodePipe.back().consumed)
-        decodePipe.pop_back();
-    std::erase_if(activeNcsHeads, [seq_min](const Uop *uop) {
-        return uop->seq >= seq_min;
-    });
+    renamedQueue.clear();
+    aq.clear();
+    decodePipe.clear();
+    activeNcsHeads = 0;
+    pendingNcsf = 0;
 
     // Remove squashed seqs from survivors' wakeup lists (both halves:
     // a stale tail-half entry would corrupt the notReady count of a
     // refetched µ-op that reuses the squashed sequence number).
-    for (const Uop *survivor : inflightSlots) {
-        if (!survivor || survivor->seq >= seq_min)
-            continue;
-        Uop *uop = const_cast<Uop *>(survivor);
-        const auto stale = [seq_min](uint64_t dep) {
-            return dep >= seq_min;
-        };
+    const auto stale = [seq_min](uint64_t dep) { return dep >= seq_min; };
+    for (Uop *uop : rob) {
         std::erase_if(uop->dependents, stale);
         std::erase_if(uop->dependentsTail, stale);
     }
@@ -1784,29 +1760,17 @@ Pipeline::squashFrom(uint64_t seq_min, const char *reason)
         uopPool.release(inflightErase(s));
     }
 
-    // Rebuild the RAT from surviving renamed µ-ops in program order.
+    // Rebuild the RAT from the survivors in program order. The move-up
+    // squashed every head whose marker had not renamed, so each fused
+    // survivor maps its tail destination too.
     for (RatEntry &entry : rat)
         entry.producerSeq = invalidSeq;
-    auto rebuild = [this](const Uop *uop) {
-        if (uop->isTailMarker)
-            return;
+    for (const Uop *uop : rob) {
         if (uop->dyn->inst.writesReg())
             rat[uop->dyn->inst.rd].producerSeq = uop->seq;
-        if (uop->hasTail && uop->tailRenamed &&
-            uop->tailDyn->inst.writesReg())
+        if (uop->hasTail && uop->tailDyn->inst.writesReg())
             rat[uop->tailDyn->inst.rd].producerSeq = uop->seq;
-    };
-    for (const Uop *uop : rob)
-        rebuild(uop);
-    for (const Uop *uop : renamedQueue)
-        rebuild(uop);
-
-    // Helios rename-side state: pendingNcsf counts fused pairs whose
-    // tail marker has not yet renamed (markers still in the AQ).
-    pendingNcsf = 0;
-    for (const Uop *uop : aq)
-        if (uop->isTailMarker)
-            ++pendingNcsf;
+    }
 
     storeSets.squash(seq_min);
 

@@ -156,12 +156,14 @@ class Pipeline
     void unfuseInPlace(Uop *head, ProfBreak reason);
     void countFusedPair(const Uop *head);
 
-    /** Rename-time dependence of a pending pair's tail sources on its
-     *  catalyst (see catalystTaint). */
+    /** What a pending pair's catalyst holds at the marker's rename (see
+     *  catalystTaint). */
     struct CatalystTaint
     {
         bool deadlock = false; ///< a tail source depends on the head
         bool lateRaw = false;  ///< a tail source hangs off a catalyst load
+        bool store = false;       ///< a catalyst µ-op stores
+        bool serializing = false; ///< a catalyst µ-op serializes
         bool any() const { return deadlock || lateRaw; }
     };
     CatalystTaint catalystTaint(const Uop *head, const Uop *tail) const;
@@ -441,7 +443,6 @@ class Pipeline
     uint32_t freeEvents = noEvent;
 
     unsigned iqCount = 0;
-    uint64_t commitCount = 0;
     CommitWatch watch;
     uint64_t divBusyUntil = 0;
     uint64_t nextUid = 1;
@@ -469,8 +470,8 @@ class Pipeline
     };
     std::vector<RatEntry> rat;
 
-    std::vector<Uop *> activeNcsHeads; ///< renamed, marker not yet
-    unsigned pendingNcsf = 0;          ///< fused-in-AQ, marker pending
+    unsigned activeNcsHeads = 0; ///< renamed, marker not yet
+    unsigned pendingNcsf = 0;    ///< fused-in-AQ, marker pending
 };
 
 } // namespace helios

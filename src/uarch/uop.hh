@@ -83,10 +83,6 @@ struct Uop
     bool isTailMarker = false;
     uint64_t pairSeq = 0;      ///< marker <-> fused-head linkage
     bool ncsReady = true;      ///< NCS Ready bit (Section IV-B2)
-    bool tailRenamed = false;  ///< marker passed Rename (RAT updated)
-    bool storeInCatalyst = false;
-    bool serializingInCatalyst = false;
-    bool fpInitiated = false;  ///< fusion came from the predictor
     /** Why a once-fused pair was broken (first reason wins, None while
      *  it stands). A tail marker's reason makes Dispatch unfuse it. */
     ProfBreak profBreak = ProfBreak::None;

@@ -5,6 +5,7 @@
  * while keeping its statistics self-consistent.
  */
 
+#include <algorithm>
 #include <map>
 
 #include <gtest/gtest.h>
@@ -43,11 +44,15 @@ class ModeSweep
 };
 
 /** Every committed nucleus by seq: each µ-op's head and a fused µ-op's
- *  tail (an NCSF tail commits before its catalyst). */
+ *  tail (an NCSF tail commits before its catalyst). It also checks what
+ *  each flush leaves at the end of its cycle: an empty AQ, and a ROB
+ *  that holds only µ-ops older than every squashed seq. */
 struct CommittedNuclei : PipelineObserver
 {
     std::map<uint64_t, DynInst> bySeq;
     uint64_t repeats = 0;
+    uint64_t flushes = 0;
+    uint64_t oldestSquashed = ~0ULL; ///< this cycle's (~0: none)
 
     void
     onCommit(const Uop &uop, uint64_t) override
@@ -62,6 +67,29 @@ struct CommittedNuclei : PipelineObserver
     {
         if (!bySeq.emplace(dyn.seq, dyn).second)
             ++repeats;
+    }
+
+    void
+    onSquash(const Uop &uop, uint64_t, const char *) override
+    {
+        oldestSquashed = std::min(oldestSquashed, uop.seq);
+    }
+
+    void
+    onCycleEnd(const CycleView &view) override
+    {
+        if (oldestSquashed == ~0ULL)
+            return;
+        ++flushes;
+        EXPECT_TRUE(view.aq->empty())
+            << "the AQ holds µ-ops after the flush in cycle " << view.cycle;
+        bool rob_older = true;
+        for (const Uop *uop : *view.rob)
+            rob_older &= uop->seq < oldestSquashed;
+        EXPECT_TRUE(rob_older) << "the ROB holds a µ-op at or past seq "
+                               << oldestSquashed << " after the flush in "
+                               << "cycle " << view.cycle;
+        oldestSquashed = ~0ULL;
     }
 };
 
@@ -84,6 +112,11 @@ expectCommitsStream(Hart &hart, FusionMode mode,
     EXPECT_EQ(result.instructions, expected.size())
         << "pipeline committed a different instruction count";
     EXPECT_EQ(committed.repeats, 0u) << "a seq committed twice";
+    // At most one flush a cycle, and each squashes at least its flush
+    // point: equal counts mean the observer checked every flush.
+    EXPECT_EQ(committed.flushes,
+              pipeline.stats().get("flush.order_violation") +
+                  pipeline.stats().get("flush.fusion_region"));
     EXPECT_EQ(committed.bySeq.size(), expected.size());
     for (const DynInst &want : expected) {
         const auto it = committed.bySeq.find(want.seq);
