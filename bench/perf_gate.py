@@ -19,6 +19,12 @@ the parent's BENCHMARK.json, so a change cannot loosen the bounds it
 is judged by. The gate fails when the change's median on a metric is
 worse than the parent's median by more than that metric's bound.
 
+Beside each pair of medians the gate prints how many pairs the change
+won (ties count for neither side) and the parent's quartiles, so the
+rule for claiming a gain (the change wins at least nine pairs in ten,
+and the medians differ by more than the parent's quartile spread)
+reads off the table. Neither column fails the gate.
+
 Exit status: 0 when every workload passes; 1 when a run fails, a check
 fails or a median is worse than its bound (each such workload and
 metric is named); 2 on a bad argument.
@@ -89,6 +95,12 @@ def worse_by(metric, parent, change):
     return delta if metric["better"] == "lower" else -delta
 
 
+def wins(metric, parents, changes):
+    """Pairs in which the change reads strictly better."""
+    return sum(worse_by(metric, parent, change) < 0
+               for parent, change in zip(parents, changes))
+
+
 def main(argv):
     parser = argparse.ArgumentParser(
         prog="bench/perf_gate.py",
@@ -122,18 +134,25 @@ def main(argv):
                         for name in names)), flush=True)
 
         print("\n%s, median of %d pairs:" % (workload, PAIRS))
-        print("  %-18s %12s %12s %9s %6s" % (
-            "metric", "parent", "change", "worse by", "bound"))
+        print("  %-18s %12s %12s %9s %6s %5s  %s" % (
+            "metric", "parent", "change", "worse by", "bound", "wins",
+            "parent quartiles"))
         for metric in metrics:
             name = metric["name"]
-            parent, change = (
-                statistics.median(result[name] for result in runs[side])
+            parents, changes = (
+                [result[name] for result in runs[side]]
                 for side in ("parent", "change"))
+            parent, change = map(statistics.median, (parents, changes))
+            low, _, high = statistics.quantiles(
+                parents, n=4, method="inclusive")
             worse = worse_by(metric, parent, change)
             failed = worse > metric["bound"]
-            print("  %-18s %12.4g %12.4g %+8.1f%% %5.0f%%%s" % (
-                name, parent, change, 100 * worse, 100 * metric["bound"],
-                "  FAIL" if failed else ""))
+            print("  %-18s %12.4g %12.4g %+8.1f%% %5.0f%% %2d/%-2d  "
+                  "%.4g-%.4g%s" % (
+                      name, parent, change, 100 * worse,
+                      100 * metric["bound"],
+                      wins(metric, parents, changes), PAIRS, low, high,
+                      "  FAIL" if failed else ""))
             if failed:
                 regressions.append("%s %s" % (workload, name))
         print(flush=True)

@@ -58,6 +58,9 @@ namespace
 /** Extra cycles a load pays when a store covers only part of it. */
 constexpr unsigned partialForwardPenalty = 10;
 
+/** Cycles without a commit after which run() declares a deadlock. */
+constexpr uint64_t deadlockHorizon = 200000;
+
 /**
  * Longest issue-to-completion latency CoreParams allows: the slowest
  * functional unit, a partially forwarded load, or a line-crossing load
@@ -237,19 +240,19 @@ Pipeline::readyRemove(Uop *uop)
 // Fetch
 // ---------------------------------------------------------------------
 
-void
+bool
 Pipeline::fetchStage()
 {
     if (cycle < fetchBlockedUntil) {
-        hot.fetchBlocked++;
-        return;
+        stall(hot.fetchBlocked);
+        return false;
     }
     if (fetchStallSeq != invalidSeq) {
-        hot.fetchMispredictStall++;
-        return;
+        stall(hot.fetchMispredictStall);
+        return false;
     }
     if (decodePipe.size() >= params.frontendDepth + 4)
-        return;
+        return false;
 
     DecodeGroup &group = decodePipe.emplace_back();
     group.uops.clear();
@@ -320,8 +323,10 @@ Pipeline::fetchStage()
         }
     }
 
-    if (group.uops.empty())
-        decodePipe.pop_back();
+    if (!group.uops.empty())
+        return true;
+    decodePipe.pop_back();
+    return false;
 }
 
 // ---------------------------------------------------------------------
@@ -441,7 +446,6 @@ Pipeline::tryPredictedFusion(Uop *tail)
 
     notify(&PipelineObserver::onFusePair, *head, *tail->dyn,
            FusionKind::NcsfMem, /*absorbed=*/false, cycle);
-    ++pendingNcsf;
     literalCounter("fusion.fp_applied")++;
     literalCounter("fusion.fp_distance_sum") += pred.distance;
     if (histFpAgreement && fusionPred) {
@@ -607,9 +611,10 @@ Pipeline::oracleLookup(const Uop *tail) const
     return {};
 }
 
-void
+bool
 Pipeline::aqInsertStage()
 {
+    bool moved = false;
     while (!decodePipe.empty() &&
            decodePipe.front().readyCycle <= cycle) {
         DecodeGroup &grp = decodePipe.front();
@@ -619,14 +624,16 @@ Pipeline::aqInsertStage()
         if (!grp.fused) {
             applyConsecutiveFusion(grp.uops);
             grp.fused = true;
+            moved = true;
         }
 
         while (grp.consumed < grp.uops.size()) {
             if (aq.size() >= params.aqSize) {
-                literalCounter("decode.stall.aq_full")++;
-                return;
+                stall(literalCounter("decode.stall.aq_full"));
+                return moved;
             }
             Uop *uop = grp.uops[grp.consumed++];
+            moved = true;
 
             // Fusion-predictor lookup at Decode: Helios asks its
             // tournament predictor, OracleFusion the address oracle.
@@ -651,6 +658,7 @@ Pipeline::aqInsertStage()
         }
         decodePipe.pop_front();
     }
+    return moved;
 }
 
 // ---------------------------------------------------------------------
@@ -737,8 +745,6 @@ Pipeline::renameNormal(Uop *uop)
         marker->isTailMarker = false;
         marker->pairSeq = 0;
         marker->fpPred.valid = false;
-        helios_assert(pendingNcsf > 0, "pendingNcsf underflow");
-        --pendingNcsf;
         breakPair(marker, "fusion.fp_nest_limited", ProfBreak::NestLimit);
         helios_pending = false;
     }
@@ -874,24 +880,22 @@ Pipeline::renameMarker(Uop *marker)
     // Nest teardown: the head became active when it renamed.
     helios_assert(activeNcsHeads > 0, "activeNcsHeads underflow");
     --activeNcsHeads;
-    helios_assert(pendingNcsf > 0, "pendingNcsf underflow");
-    --pendingNcsf;
 }
 
-void
+bool
 Pipeline::renameStage()
 {
     unsigned renamed = 0;
     if (aq.empty()) {
-        hot.renameAqEmpty++;
-        return;
+        stall(hot.renameAqEmpty);
+        return false;
     }
     while (renamed < params.renameWidth && !aq.empty()) {
         // Rename stalls when the rename->dispatch skid buffer backs
         // up.
         if (renamedQueue.size() >= 2 * params.dispatchWidth) {
-            hot.renameBacklog++;
-            return;
+            stall(hot.renameBacklog);
+            break;
         }
         Uop *uop = aq.front();
         if (uop->isTailMarker)
@@ -905,6 +909,7 @@ Pipeline::renameStage()
         ++renamed;
         hot.renameUops++;
     }
+    return renamed > 0;
 }
 
 // ---------------------------------------------------------------------
@@ -931,7 +936,7 @@ Pipeline::maybeReady(Uop *uop)
         readyInsert(uop);
 }
 
-void
+bool
 Pipeline::dispatchStage()
 {
     unsigned slots = params.dispatchWidth;
@@ -947,7 +952,7 @@ Pipeline::dispatchStage()
                 // slots plus fresh ROB/IQ/LQ/SQ entries.
                 if (slots < 2 ||
                     !backendHasRoom(uop->dyn->isLoad(), uop->dyn->isStore()))
-                    return;
+                    break;
 
                 notify(&PipelineObserver::onUnfuse, *head, uop->seq, cycle);
                 unfuseInPlace(head, uop->profBreak);
@@ -996,30 +1001,31 @@ Pipeline::dispatchStage()
 
         // ---- regular µ-op ----
         if (!backendHasRoom(uop->isLoad(), uop->isStore()))
-            return;
+            break;
         enterBackend(uop);
         --slots;
         hot.dispatchUops++;
     }
+    return slots < params.dispatchWidth;
 }
 
 bool
 Pipeline::backendHasRoom(bool load, bool store)
 {
     if (rob.size() >= params.robSize) {
-        literalCounter("dispatch.stall.rob")++;
+        stall(literalCounter("dispatch.stall.rob"));
         return false;
     }
     if (iqCount >= params.iqSize) {
-        literalCounter("dispatch.stall.iq")++;
+        stall(literalCounter("dispatch.stall.iq"));
         return false;
     }
     if (load && lqList.size() >= params.lqSize) {
-        literalCounter("dispatch.stall.lq")++;
+        stall(literalCounter("dispatch.stall.lq"));
         return false;
     }
     if (store && sqList.size() + drainQueue.size() >= params.sqSize) {
-        literalCounter("dispatch.stall.sq")++;
+        stall(literalCounter("dispatch.stall.sq"));
         return false;
     }
     return true;
@@ -1231,9 +1237,10 @@ Pipeline::scheduleSplitCompletion(Uop *uop, unsigned head_latency,
     notify(&PipelineObserver::onIssue, *uop, cycle);
 }
 
-void
+bool
 Pipeline::issueStage()
 {
+    bool moved = false;
     unsigned alu = params.aluPorts;
     unsigned mul = params.mulPorts;
     unsigned div = params.divPorts;
@@ -1345,6 +1352,7 @@ Pipeline::issueStage()
                                 tail_latency.value_or(latency));
         readyRemove(uop);
         hot.issueUops++;
+        moved = true;
     }
 
   after_loop:
@@ -1354,7 +1362,9 @@ Pipeline::issueStage()
         flushRequestSeq = invalidSeq;
         flushReason = nullptr;
         squashFrom(target, reason);
+        moved = true;
     }
+    return moved;
 }
 
 // ---------------------------------------------------------------------
@@ -1374,11 +1384,12 @@ Pipeline::wakeDependents(std::vector<uint64_t> &list)
     list.clear();
 }
 
-void
+bool
 Pipeline::completeExecution()
 {
-    // This cycle's slot holds exactly the events due now: run() visits
-    // every cycle, and pushEvent() keeps each event within one lap.
+    // This cycle's slot holds exactly the events due now: run() skips
+    // no cycle whose slot holds an event, and pushEvent() keeps each
+    // event within one lap.
     //
     // The slot chains events in no meaningful order, and that order
     // cannot move a simulated number:
@@ -1393,6 +1404,8 @@ Pipeline::completeExecution()
     //    counts a stat or notifies an observer.
     uint32_t &slot = wheel[cycle & wheelMask];
     uint32_t node = slot;
+    if (node == noEvent)
+        return false;
     slot = noEvent;
     while (node != noEvent) {
         const Event event = eventPool[node];
@@ -1432,6 +1445,7 @@ Pipeline::completeExecution()
                 std::max(fetchBlockedUntil, cycle + refill);
         }
     }
+    return true;
 }
 
 // ---------------------------------------------------------------------
@@ -1487,7 +1501,7 @@ Pipeline::countFusedPair(const Uop *uop)
  * total cycles and StatGroup::cpiStack() is exact by construction —
  * the machine-checked form of the paper's Fig. 9 cycle accounting.
  */
-void
+bool
 Pipeline::commitStage()
 {
     commitsThisCycle = 0;
@@ -1510,11 +1524,12 @@ Pipeline::commitStage()
     } else {
         if (cpiBlockReason)
             cpiCategory = cpiBlockReason;
-        literalCounter(cpiCategory)++;
+        stall(literalCounter(cpiCategory));
     }
     // Latched now: a squash later this cycle may remove the head.
     headBlocked = commitsThisCycle == 0 && cpiBlockReason && !rob.empty();
     blockedPc = headBlocked ? rob.front()->dyn->pc : 0;
+    return commitsThisCycle > 0;
 }
 
 void
@@ -1525,25 +1540,25 @@ Pipeline::commitStageImpl()
         Uop *uop = rob.front();
         if (!uop->done) {
             if (!uop->ncsReady) {
-                literalCounter("commit.blocked.ncs_pending")++;
+                stall(literalCounter("commit.blocked.ncs_pending"));
                 cpiBlockReason = "cpi.fusion.pending";
             } else if (!uop->issued && uop->notReady > 0) {
-                literalCounter("commit.blocked.waiting_sources")++;
+                stall(literalCounter("commit.blocked.waiting_sources"));
                 cpiBlockReason = "cpi.backend.sources";
             } else if (!uop->issued) {
-                literalCounter("commit.blocked.port_starved")++;
+                stall(literalCounter("commit.blocked.port_starved"));
                 cpiBlockReason = "cpi.backend.ports";
             } else if (uop->hasTail) {
-                literalCounter("commit.blocked.executing_fused")++;
+                stall(literalCounter("commit.blocked.executing_fused"));
                 cpiBlockReason = "cpi.exec.fused";
             } else if (uop->isLoad()) {
-                literalCounter("commit.blocked.executing_load")++;
+                stall(literalCounter("commit.blocked.executing_load"));
                 cpiBlockReason = "cpi.exec.load";
             } else if (uop->isStore()) {
-                literalCounter("commit.blocked.executing_store")++;
+                stall(literalCounter("commit.blocked.executing_store"));
                 cpiBlockReason = "cpi.exec.store";
             } else {
-                literalCounter("commit.blocked.executing")++;
+                stall(literalCounter("commit.blocked.executing"));
                 cpiBlockReason = "cpi.exec.other";
             }
             return;
@@ -1570,7 +1585,7 @@ Pipeline::commitStageImpl()
                 }
             }
             if (blocked) {
-                literalCounter("commit.blocked.catalyst_unresolved")++;
+                stall(literalCounter("commit.blocked.catalyst_unresolved"));
                 cpiBlockReason = "cpi.fusion.catalyst";
                 return;
             }
@@ -1634,11 +1649,11 @@ Pipeline::commitStageImpl()
     }
 }
 
-void
+bool
 Pipeline::drainStores()
 {
     if (drainQueue.empty() || cycle < drainBusyUntil)
-        return;
+        return false;
     const DrainEntry &store = drainQueue.front();
     const uint64_t first_line = store.begin / params.lineBytes;
     const uint64_t last_line = (store.end - 1) / params.lineBytes;
@@ -1649,6 +1664,7 @@ Pipeline::drainStores()
     literalCounter("sq.drained")++;
     storeFilter.remove(store.begin, store.end);
     drainQueue.pop_front();
+    return true;
 }
 
 // ---------------------------------------------------------------------
@@ -1719,7 +1735,6 @@ Pipeline::squashFrom(uint64_t seq_min, const char *reason)
     aq.clear();
     decodePipe.clear();
     activeNcsHeads = 0;
-    pendingNcsf = 0;
 
     // Remove squashed seqs from survivors' wakeup lists (both halves:
     // a stale tail-half entry would corrupt the notReady count of a
@@ -1787,6 +1802,87 @@ Pipeline::squashFrom(uint64_t seq_min, const char *reason)
 // Main loop
 // ---------------------------------------------------------------------
 
+void
+Pipeline::stall(Stat &stat)
+{
+    stat++;
+    helios_assert(numCycleStalls < cycleStalls.size(),
+                  "more stalls in one cycle than stages");
+    cycleStalls[numCycleStalls++] = &stat;
+}
+
+void
+Pipeline::sampleOccupancy(uint64_t weight)
+{
+    if (!params.sampleHistograms)
+        return;
+    histRob->addSample(rob.size(), weight);
+    histIq->addSample(iqCount, weight);
+    histLq->addSample(lqList.size(), weight);
+    histSq->addSample(sqList.size(), weight);
+}
+
+void
+Pipeline::notifyCycleEnd()
+{
+    notify(&PipelineObserver::onCycleEnd,
+           CycleView{.cycle = cycle, .rob = &rob, .aq = &aq,
+                     .lq = &lqList, .sq = &sqList, .iqCount = iqCount,
+                     .drainCount = drainQueue.size(),
+                     .inflightCount = inflightCount,
+                     .cpiCategory = cpiCategory,
+                     .headBlocked = headBlocked, .blockedPc = blockedPc});
+}
+
+/**
+ * A cycle in which no stage moved anything leaves the machine as it
+ * found it, so the next cycle repeats it unless a stage compares the
+ * cycle against a time. The wakes below are every such comparison: a
+ * due completion event, the end of a fetch block, the decode-pipe
+ * head's ready cycle, the end of a store drain and, for a waiting
+ * divide, the divider's busy time. A wake at or before the quiet cycle
+ * had already passed there, so it changes nothing ahead.
+ */
+void
+Pipeline::skipQuietCycles(uint64_t limit)
+{
+    uint64_t wake = limit;
+    const auto due = [&](uint64_t at) {
+        if (at >= cycle)
+            wake = std::min(wake, at);
+    };
+    due(fetchBlockedUntil);
+    if (!decodePipe.empty())
+        due(decodePipe.front().readyCycle);
+    if (!drainQueue.empty())
+        due(drainBusyUntil);
+    if (readyHead)
+        due(divBusyUntil);
+    // Every pending event is due within one lap of the wheel.
+    const uint64_t lap_end = std::min(wake, cycle + wheel.size());
+    for (uint64_t at = cycle; at < lap_end; ++at) {
+        if (wheel[at & wheelMask] != noEvent) {
+            wake = at;
+            break;
+        }
+    }
+    if (wake <= cycle)
+        return;
+
+    const uint64_t skipped = wake - cycle;
+    for (unsigned i = 0; i < numCycleStalls; ++i)
+        *cycleStalls[i] += skipped;
+    sampleOccupancy(skipped);
+    if (observers.empty()) {
+        cycle = wake;
+        return;
+    }
+    while (cycle < wake) {
+        ++cycle;
+        notifyCycleEnd();
+    }
+}
+
 PipelineResult
 Pipeline::run()
 {
@@ -1795,33 +1891,20 @@ Pipeline::run()
     bool drained = false;
 
     while (cycle < params.maxCycles) {
-        commitStage();
-        drainStores();
-        completeExecution();
-        issueStage();
-        dispatchStage();
-        renameStage();
-        aqInsertStage();
-        fetchStage();
+        numCycleStalls = 0;
+        bool moved = commitStage();
+        moved |= drainStores();
+        moved |= completeExecution();
+        moved |= issueStage();
+        moved |= dispatchStage();
+        moved |= renameStage();
+        moved |= aqInsertStage();
+        moved |= fetchStage();
         ++cycle;
 
-        if (params.sampleHistograms) {
-            histRob->addSample(rob.size());
-            histIq->addSample(iqCount);
-            histLq->addSample(lqList.size());
-            histSq->addSample(sqList.size());
-        }
-
+        sampleOccupancy(1);
         if (!observers.empty())
-            notify(&PipelineObserver::onCycleEnd,
-                   CycleView{.cycle = cycle, .rob = &rob, .aq = &aq,
-                             .lq = &lqList, .sq = &sqList,
-                             .iqCount = iqCount,
-                             .drainCount = drainQueue.size(),
-                             .inflightCount = inflightCount,
-                             .cpiCategory = cpiCategory,
-                             .headBlocked = headBlocked,
-                             .blockedPc = blockedPc});
+            notifyCycleEnd();
 
         // Sampled-simulation warmup boundary: latch the headline
         // counters the first cycle the commit count crosses the armed
@@ -1846,11 +1929,19 @@ Pipeline::run()
             break;
         }
 
+        // A quiet cycle commits nothing, so the skip neither latches
+        // the watch nor drains; it stops on the cycle cap and where
+        // the deadlock check below would fire.
+        if (!moved)
+            skipQuietCycles(std::min(params.maxCycles,
+                                     last_progress_cycle +
+                                         deadlockHorizon + 1));
+
         const uint64_t committed = hot.commitInsts.value();
         if (committed != last_commit_count) {
             last_commit_count = committed;
             last_progress_cycle = cycle;
-        } else if (cycle - last_progress_cycle > 200000) {
+        } else if (cycle - last_progress_cycle > deadlockHorizon) {
             if (!rob.empty()) {
                 const Uop *head = rob.front();
                 warn("ROB head seq=%llu pc=0x%llx fused=%d "

@@ -69,7 +69,10 @@ class Pipeline
     Pipeline(const CoreParams &params, HartFeed &feed);
     ~Pipeline();
 
-    /** Run until the feed is exhausted and the pipeline drains. */
+    /** Run until the feed is exhausted and the pipeline drains. A
+     *  cycle in which no stage moves anything repeats until the next
+     *  due event, so run() counts those cycles without running the
+     *  stages; every stat and observer still sees each one. */
     PipelineResult run();
 
     /** Statistics collected during run(). */
@@ -124,20 +127,35 @@ class Pipeline
 
   private:
     // ---- per-cycle stages (called in reverse pipeline order) ----
-    void commitStage();
+    // Each returns whether it moved anything this cycle (see run()).
+    bool commitStage();
     void commitStageImpl();
-    void drainStores();
-    void completeExecution();
-    void issueStage();
-    void dispatchStage();
+    bool drainStores();
+    bool completeExecution();
+    bool issueStage();
+    bool dispatchStage();
     /** Room in the ROB, IQ, LQ (for a load) and SQ (for a store) for
      *  one more µ-op; counts the dispatch.stall.* it hits. */
     bool backendHasRoom(bool load, bool store);
     /** Enter the renamed-queue head into the ROB and the IQ/LQ/SQ. */
     void enterBackend(Uop *uop);
-    void renameStage();
-    void aqInsertStage();
-    void fetchStage();
+    bool renameStage();
+    bool aqInsertStage();
+    bool fetchStage();
+
+    // ---- quiet cycles ----
+    /** Count one cycle of a per-cycle stall (a stage's stall counter,
+     *  a commit.blocked.* reason or the cycle's cpi.* charge) and
+     *  remember @a stat, so a skipped quiet run charges it too. */
+    void stall(Stat &stat);
+    /** After a cycle that moved nothing, account each cycle up to the
+     *  next one that can differ from it (at most @a limit) as a repeat
+     *  of it, and move `cycle` there. */
+    void skipQuietCycles(uint64_t limit);
+    /** Sample the occupancy histograms @a weight times. */
+    void sampleOccupancy(uint64_t weight);
+    /** Hand the observers the view of the cycle that just ended. */
+    void notifyCycleEnd();
 
     // ---- fusion ----
     void applyConsecutiveFusion(std::vector<Uop *> &group);
@@ -442,6 +460,11 @@ class Pipeline
     uint64_t wheelMask = 0;
     uint32_t freeEvents = noEvent;
 
+    /** The Stats stall() bumped this cycle; at most one per stage
+     *  plus the cpi.* charge. */
+    std::array<Stat *, 8> cycleStalls{};
+    unsigned numCycleStalls = 0;
+
     unsigned iqCount = 0;
     CommitWatch watch;
     uint64_t divBusyUntil = 0;
@@ -471,7 +494,6 @@ class Pipeline
     std::vector<RatEntry> rat;
 
     unsigned activeNcsHeads = 0; ///< renamed, marker not yet
-    unsigned pendingNcsf = 0;    ///< fused-in-AQ, marker pending
 };
 
 } // namespace helios

@@ -269,16 +269,23 @@ TEST(Pipeline, DeterministicAcrossRuns)
 
 TEST(Pipeline, MaxCyclesCapRespected)
 {
+    // mcf's cold caches leave long quiet runs for run() to skip. The
+    // cap lies inside the one from cycle 239 to 401, and the run must
+    // stop exactly on it.
+    constexpr uint64_t cap = 300;
     const Workload &w = findWorkload("605.mcf_s");
     CoreParams params = CoreParams::icelake(FusionMode::None);
-    params.maxCycles = 1'000;
+    params.maxCycles = cap;
     Memory mem;
     Hart hart(mem);
     hart.reset(w.program());
     HartFeed feed(hart, UINT64_MAX);
     Pipeline pipeline(params, feed);
     PipelineResult result = pipeline.run();
-    EXPECT_LE(result.cycles, 1'000u);
+    EXPECT_EQ(result.cycles, cap);
+    const CpiStack stack = pipeline.stats().cpiStack();
+    EXPECT_EQ(stack.totalCycles(), cap);
+    EXPECT_TRUE(stack.exact()) << stack.toString();
 }
 
 TEST(Pipeline, FusionImprovesGeomeanOrdering)
