@@ -1,22 +1,26 @@
 #include "common/json.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 
 #include "common/logging.hh"
 
 namespace helios
 {
 
-std::string
-jsonEscape(const std::string &text)
+namespace
 {
-    std::string out;
-    out.reserve(text.size());
+
+/** The deepest nesting JsonValue::parse() accepts. */
+constexpr unsigned kMaxDepth = 512;
+
+void
+appendEscaped(std::string &out, const std::string &text)
+{
     for (char c : text) {
         switch (c) {
           case '"': out += "\\\""; break;
@@ -34,6 +38,25 @@ jsonEscape(const std::string &text)
             }
         }
     }
+}
+
+template <typename Integer>
+void
+appendInteger(std::string &out, Integer value)
+{
+    char buf[24];
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value);
+    out.append(buf, end);
+}
+
+} // namespace
+
+std::string
+jsonEscape(const std::string &text)
+{
+    std::string out;
+    out.reserve(text.size());
+    appendEscaped(out, text);
     return out;
 }
 
@@ -52,20 +75,17 @@ formatShortestDouble(double value)
 
 JsonValue::JsonValue(int64_t value)
 {
-    if (value >= 0) {
-        kind_ = Kind::Uint;
-        uinteger = uint64_t(value);
-    } else {
-        kind_ = Kind::Int;
-        integer = value;
-    }
+    if (value >= 0)
+        value_.emplace<uint64_t>(uint64_t(value));
+    else
+        value_.emplace<int64_t>(value);
 }
 
 JsonValue
 JsonValue::array()
 {
     JsonValue value;
-    value.kind_ = Kind::Array;
+    value.value_.emplace<Items>();
     return value;
 }
 
@@ -73,43 +93,44 @@ JsonValue
 JsonValue::object()
 {
     JsonValue value;
-    value.kind_ = Kind::Object;
+    value.value_.emplace<Fields>();
     return value;
 }
 
 bool
 JsonValue::asBool() const
 {
-    if (kind_ != Kind::Bool)
-        fatal("json: expected a boolean");
-    return boolean;
+    if (const bool *value = std::get_if<bool>(&value_))
+        return *value;
+    fatal("json: expected a boolean");
 }
 
 uint64_t
 JsonValue::asUint() const
 {
-    if (kind_ != Kind::Uint)
-        fatal("json: expected a non-negative integer");
-    return uinteger;
+    if (const uint64_t *value = std::get_if<uint64_t>(&value_))
+        return *value;
+    fatal("json: expected a non-negative integer");
 }
 
 int64_t
 JsonValue::asInt() const
 {
-    if (kind_ == Kind::Int)
-        return integer;
-    if (kind_ == Kind::Uint && uinteger <= uint64_t(INT64_MAX))
-        return int64_t(uinteger);
+    if (const int64_t *value = std::get_if<int64_t>(&value_))
+        return *value;
+    const uint64_t *value = std::get_if<uint64_t>(&value_);
+    if (value && *value <= uint64_t(INT64_MAX))
+        return int64_t(*value);
     fatal("json: expected an integer in int64 range");
 }
 
 double
 JsonValue::asDouble() const
 {
-    switch (kind_) {
-      case Kind::Real: return real;
-      case Kind::Uint: return double(uinteger);
-      case Kind::Int: return double(integer);
+    switch (kind()) {
+      case Kind::Real: return std::get<double>(value_);
+      case Kind::Uint: return double(std::get<uint64_t>(value_));
+      case Kind::Int: return double(std::get<int64_t>(value_));
       default: fatal("json: expected a number");
     }
 }
@@ -117,40 +138,42 @@ JsonValue::asDouble() const
 const std::string &
 JsonValue::asString() const
 {
-    if (kind_ != Kind::String)
-        fatal("json: expected a string");
-    return text;
+    if (const std::string *text = std::get_if<std::string>(&value_))
+        return *text;
+    fatal("json: expected a string");
 }
 
 size_t
 JsonValue::size() const
 {
-    if (kind_ == Kind::Array)
-        return items.size();
-    if (kind_ == Kind::Object)
-        return fields.size();
+    if (const Items *items = std::get_if<Items>(&value_))
+        return items->size();
+    if (const Fields *fields = std::get_if<Fields>(&value_))
+        return fields->size();
     fatal("json: size() on a scalar");
 }
 
 const JsonValue &
 JsonValue::at(size_t index) const
 {
-    if (kind_ != Kind::Array)
+    const Items *items = std::get_if<Items>(&value_);
+    if (!items)
         fatal("json: expected an array");
-    if (index >= items.size())
+    if (index >= items->size())
         fatal("json: array index %zu out of range (size %zu)", index,
-              items.size());
-    return items[index];
+              items->size());
+    return (*items)[index];
 }
 
 void
 JsonValue::push(JsonValue value)
 {
-    if (kind_ == Kind::Null)
-        kind_ = Kind::Array;
-    if (kind_ != Kind::Array)
+    if (isNull())
+        value_.emplace<Items>();
+    Items *items = std::get_if<Items>(&value_);
+    if (!items)
         fatal("json: push() on a non-array");
-    items.push_back(std::move(value));
+    items->push_back(std::move(value));
 }
 
 namespace
@@ -168,22 +191,32 @@ fieldPos(Fields &fields, const std::string &key)
 
 } // namespace
 
+const std::vector<std::pair<std::string, JsonValue>> &
+JsonValue::members() const
+{
+    static const Fields none;
+    const Fields *fields = std::get_if<Fields>(&value_);
+    return fields ? *fields : none;
+}
+
 bool
 JsonValue::has(const std::string &key) const
 {
-    if (kind_ != Kind::Object)
+    const Fields *fields = std::get_if<Fields>(&value_);
+    if (!fields)
         return false;
-    const auto it = fieldPos(fields, key);
-    return it != fields.end() && it->first == key;
+    const auto it = fieldPos(*fields, key);
+    return it != fields->end() && it->first == key;
 }
 
 const JsonValue &
 JsonValue::at(const std::string &key) const
 {
-    if (kind_ != Kind::Object)
+    const Fields *fields = std::get_if<Fields>(&value_);
+    if (!fields)
         fatal("json: expected an object (looking up '%s')", key.c_str());
-    const auto it = fieldPos(fields, key);
-    if (it == fields.end() || it->first != key)
+    const auto it = fieldPos(*fields, key);
+    if (it == fields->end() || it->first != key)
         fatal("json: missing key '%s'", key.c_str());
     return it->second;
 }
@@ -192,47 +225,37 @@ const JsonValue &
 JsonValue::get(const std::string &key) const
 {
     static const JsonValue null_value;
-    if (kind_ != Kind::Object)
+    const Fields *fields = std::get_if<Fields>(&value_);
+    if (!fields)
         return null_value;
-    const auto it = fieldPos(fields, key);
-    return it != fields.end() && it->first == key ? it->second
-                                                  : null_value;
+    const auto it = fieldPos(*fields, key);
+    return it != fields->end() && it->first == key ? it->second
+                                                   : null_value;
 }
 
 void
 JsonValue::set(const std::string &key, JsonValue value)
 {
-    if (kind_ == Kind::Null)
-        kind_ = Kind::Object;
-    if (kind_ != Kind::Object)
+    if (isNull())
+        value_.emplace<Fields>();
+    Fields *fields = std::get_if<Fields>(&value_);
+    if (!fields)
         fatal("json: set() on a non-object");
-    const auto it = fieldPos(fields, key);
-    if (it != fields.end() && it->first == key)
+    const auto it = fieldPos(*fields, key);
+    if (it != fields->end() && it->first == key)
         it->second = std::move(value);
     else
-        fields.emplace(it, key, std::move(value));
+        fields->emplace(it, key, std::move(value));
 }
 
 bool
 JsonValue::operator==(const JsonValue &other) const
 {
-    if (kind_ != other.kind_) {
-        // 5 and 5.0 parse to different kinds but mean the same number.
-        if (isNumber() && other.isNumber())
-            return asDouble() == other.asDouble();
-        return false;
-    }
-    switch (kind_) {
-      case Kind::Null: return true;
-      case Kind::Bool: return boolean == other.boolean;
-      case Kind::Uint: return uinteger == other.uinteger;
-      case Kind::Int: return integer == other.integer;
-      case Kind::Real: return real == other.real;
-      case Kind::String: return text == other.text;
-      case Kind::Array: return items == other.items;
-      case Kind::Object: return fields == other.fields;
-    }
-    return false;
+    // 5 and 5.0 parse to different kinds but mean the same number.
+    if (kind() != other.kind())
+        return isNumber() && other.isNumber() &&
+               asDouble() == other.asDouble();
+    return value_ == other.value_;
 }
 
 // ---------------------------------------------------------------------
@@ -251,20 +274,21 @@ JsonValue::write(std::string &out, int indent, int depth,
             out.append(size_t(indent) * d, ' ');
         }
     };
-    switch (kind_) {
+    switch (kind()) {
       case Kind::Null:
         out += "null";
         break;
       case Kind::Bool:
-        out += boolean ? "true" : "false";
+        out += std::get<bool>(value_) ? "true" : "false";
         break;
       case Kind::Uint:
-        out += strFormat("%llu", (unsigned long long)uinteger);
+        appendInteger(out, std::get<uint64_t>(value_));
         break;
       case Kind::Int:
-        out += strFormat("%lld", (long long)integer);
+        appendInteger(out, std::get<int64_t>(value_));
         break;
-      case Kind::Real:
+      case Kind::Real: {
+        const double real = std::get<double>(value_);
         // JSON has no NaN/Infinity literal; silently degrading to
         // null would corrupt a report, so refuse loudly instead.
         if (!std::isfinite(real))
@@ -272,12 +296,14 @@ JsonValue::write(std::string &out, int indent, int depth,
                   std::isnan(real) ? "NaN" : "Infinity");
         out += formatShortestDouble(real);
         break;
+      }
       case Kind::String:
         out += '"';
-        out += jsonEscape(text);
+        appendEscaped(out, std::get<std::string>(value_));
         out += '"';
         break;
-      case Kind::Array:
+      case Kind::Array: {
+        const Items &items = std::get<Items>(value_);
         out += '[';
         for (size_t i = 0; i < items.size(); ++i) {
             if (i)
@@ -289,14 +315,16 @@ JsonValue::write(std::string &out, int indent, int depth,
             newline(depth);
         out += ']';
         break;
-      case Kind::Object:
+      }
+      case Kind::Object: {
+        const Fields &fields = std::get<Fields>(value_);
         out += '{';
         for (size_t i = 0; i < fields.size(); ++i) {
             if (i)
                 out += ',';
             newline(depth + 1);
             out += '"';
-            out += jsonEscape(fields[i].first);
+            appendEscaped(out, fields[i].first);
             out += indent > 0 ? "\": " : "\":";
             fields[i].second.write(out, indent, depth + 1,
                                    compact_depth);
@@ -305,6 +333,7 @@ JsonValue::write(std::string &out, int indent, int depth,
             newline(depth);
         out += '}';
         break;
+      }
     }
 }
 
@@ -322,10 +351,13 @@ JsonValue::dump(int indent, int compact_depth) const
 // Parser
 // ---------------------------------------------------------------------
 
-namespace
-{
-
-class Parser
+/**
+ * Recursive descent over the document text. The elements of every
+ * open array and the members of every open object wait on two shared
+ * stacks; a closing bracket moves its own into a vector of exactly
+ * their count, so a parsed tree holds no growth slack.
+ */
+class JsonValue::Parser
 {
   public:
     explicit Parser(const std::string &text) : text(text) {}
@@ -383,6 +415,16 @@ class Parser
         return false;
     }
 
+    /** Enter one more array or object level. */
+    void
+    descend()
+    {
+        if (++depth > kMaxDepth)
+            fatal("json parse error at offset %zu: arrays and objects "
+                  "nested more than %u levels deep",
+                  pos, kMaxDepth);
+    }
+
     JsonValue
     parseValue()
     {
@@ -412,48 +454,90 @@ class Parser
     parseObject()
     {
         expect('{');
-        JsonValue object = JsonValue::object();
+        descend();
+        const size_t base = fields.size();
         skipSpace();
         if (peek() == '}') {
             ++pos;
-            return object;
-        }
-        for (;;) {
-            skipSpace();
-            std::string key = parseString();
-            skipSpace();
-            expect(':');
-            object.set(key, parseValue());
-            skipSpace();
-            if (peek() == ',') {
-                ++pos;
-                continue;
+        } else {
+            for (;;) {
+                skipSpace();
+                std::string key = parseString();
+                skipSpace();
+                expect(':');
+                JsonValue value = parseValue();
+                fields.emplace_back(std::move(key), std::move(value));
+                skipSpace();
+                if (peek() == ',') {
+                    ++pos;
+                    continue;
+                }
+                expect('}');
+                break;
             }
-            expect('}');
-            return object;
         }
+        --depth;
+
+        // Sorted keys, a repeated key keeping its last value, as
+        // set() would leave them. Written files are already sorted.
+        const auto first = fields.begin() + ptrdiff_t(base);
+        auto last = fields.end();
+        const auto sorted = [](const auto &a, const auto &b) {
+            return a.first < b.first;
+        };
+        const auto unsorted = [](const auto &a, const auto &b) {
+            return !(a.first < b.first);
+        };
+        if (std::adjacent_find(first, last, unsorted) != last) {
+            std::stable_sort(first, last, sorted);
+            auto kept = first;
+            for (auto it = first; it != last; ++it) {
+                const auto next = std::next(it);
+                if (next != last && next->first == it->first)
+                    continue;
+                if (kept != it)
+                    *kept = std::move(*it);
+                ++kept;
+            }
+            last = kept;
+        }
+        JsonValue object;
+        object.value_.emplace<Fields>(std::make_move_iterator(first),
+                                      std::make_move_iterator(last));
+        fields.resize(base);
+        return object;
     }
 
     JsonValue
     parseArray()
     {
         expect('[');
-        JsonValue array = JsonValue::array();
+        descend();
+        const size_t base = items.size();
         skipSpace();
         if (peek() == ']') {
             ++pos;
-            return array;
-        }
-        for (;;) {
-            array.push(parseValue());
-            skipSpace();
-            if (peek() == ',') {
-                ++pos;
-                continue;
+        } else {
+            for (;;) {
+                JsonValue value = parseValue();
+                items.push_back(std::move(value));
+                skipSpace();
+                if (peek() == ',') {
+                    ++pos;
+                    continue;
+                }
+                expect(']');
+                break;
             }
-            expect(']');
-            return array;
         }
+        --depth;
+
+        JsonValue array;
+        array.value_.emplace<Items>(
+            std::make_move_iterator(items.begin() + ptrdiff_t(base)),
+            std::make_move_iterator(items.end()));
+        items.resize(base);
+        return array;
     }
 
     std::string
@@ -462,15 +546,17 @@ class Parser
         expect('"');
         std::string out;
         for (;;) {
-            if (pos >= text.size())
+            // Copy the run of plain characters up to the next quote or
+            // escape in one append.
+            const size_t end = text.find_first_of("\"\\", pos);
+            if (end == std::string::npos) {
+                pos = text.size();
                 fail("unterminated string");
-            const char c = text[pos++];
-            if (c == '"')
-                return out;
-            if (c != '\\') {
-                out += c;
-                continue;
             }
+            out.append(text, pos, end - pos);
+            pos = end + 1;
+            if (text[end] == '"')
+                return out;
             if (pos >= text.size())
                 fail("unterminated escape");
             const char esc = text[pos++];
@@ -530,7 +616,7 @@ class Parser
         }
         while (pos < text.size()) {
             const char c = text[pos];
-            if (std::isdigit(static_cast<unsigned char>(c))) {
+            if (c >= '0' && c <= '9') {
                 ++pos;
             } else if (c == '.' || c == 'e' || c == 'E' || c == '+' ||
                        c == '-') {
@@ -540,37 +626,42 @@ class Parser
                 break;
             }
         }
-        const std::string token = text.substr(start, pos - start);
-        if (token.empty() || token == "-")
+        // The token is [first, last); it is read where it lies.
+        const char *const first = text.data() + start;
+        const char *const last = text.data() + pos;
+        if (first == last || (negative && last - first == 1))
             fail("bad number");
-        errno = 0;
         if (!is_real) {
-            char *end = nullptr;
+            // An integer that does not fit its type falls through to a
+            // double. A '+' sign is taken, as strtoull took it.
             if (negative) {
-                const long long value =
-                    std::strtoll(token.c_str(), &end, 10);
-                if (*end == '\0' && errno != ERANGE)
-                    return JsonValue(int64_t(value));
+                int64_t value = 0;
+                const auto [end, ec] = std::from_chars(first, last, value);
+                if (ec == std::errc() && end == last)
+                    return JsonValue(value);
             } else {
-                const unsigned long long value =
-                    std::strtoull(token.c_str(), &end, 10);
-                if (*end == '\0' && errno != ERANGE)
-                    return JsonValue(uint64_t(value));
+                uint64_t value = 0;
+                const auto [end, ec] = std::from_chars(
+                    *first == '+' ? first + 1 : first, last, value);
+                if (ec == std::errc() && end == last)
+                    return JsonValue(value);
             }
-            errno = 0; // integer overflow: fall through to double
         }
+        // strtod reads on past the token only into "inf", "nan" or a
+        // hex number, and a token it does not read to its end is bad.
         char *end = nullptr;
-        const double value = std::strtod(token.c_str(), &end);
-        if (*end != '\0')
+        const double value = std::strtod(first, &end);
+        if (end != last)
             fail("bad number");
         return JsonValue(value);
     }
 
     const std::string &text;
     size_t pos = 0;
+    unsigned depth = 0;
+    Items items;   ///< elements of the open arrays, innermost last
+    Fields fields; ///< members of the open objects, innermost last
 };
-
-} // namespace
 
 JsonValue
 JsonValue::parse(const std::string &text)

@@ -15,7 +15,9 @@
 #include <climits>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace helios
@@ -23,7 +25,8 @@ namespace helios
 
 /** One JSON value (null / bool / integer / real / string / array /
  *  object). Objects keep their keys sorted so output is
- *  deterministic. */
+ *  deterministic. A value is one variant over the eight kinds, so it
+ *  takes 40 bytes whatever it holds, and an object member 72. */
 class JsonValue
 {
   public:
@@ -41,27 +44,28 @@ class JsonValue
 
     JsonValue() = default;
     JsonValue(std::nullptr_t) {}
-    JsonValue(bool value) : kind_(Kind::Bool), boolean(value) {}
-    JsonValue(uint64_t value) : kind_(Kind::Uint), uinteger(value) {}
+    JsonValue(bool value) : value_(std::in_place_type<bool>, value) {}
+    JsonValue(uint64_t value) : value_(std::in_place_type<uint64_t>, value)
+    {}
     JsonValue(int64_t value);
     JsonValue(int value) : JsonValue(int64_t(value)) {}
     JsonValue(unsigned value) : JsonValue(uint64_t(value)) {}
-    JsonValue(double value) : kind_(Kind::Real), real(value) {}
+    JsonValue(double value) : value_(std::in_place_type<double>, value) {}
     JsonValue(std::string value)
-        : kind_(Kind::String), text(std::move(value))
+        : value_(std::in_place_type<std::string>, std::move(value))
     {}
     JsonValue(const char *value) : JsonValue(std::string(value)) {}
 
     static JsonValue array();
     static JsonValue object();
 
-    Kind kind() const { return kind_; }
-    bool isNull() const { return kind_ == Kind::Null; }
-    bool isString() const { return kind_ == Kind::String; }
+    Kind kind() const { return Kind(value_.index()); }
+    bool isNull() const { return kind() == Kind::Null; }
+    bool isString() const { return kind() == Kind::String; }
     bool isNumber() const
     {
-        return kind_ == Kind::Uint || kind_ == Kind::Int ||
-               kind_ == Kind::Real;
+        return kind() == Kind::Uint || kind() == Kind::Int ||
+               kind() == Kind::Real;
     }
 
     // Typed accessors; fatal() on kind mismatch so malformed report
@@ -84,11 +88,9 @@ class JsonValue
     /** Null value when the key is missing. */
     const JsonValue &get(const std::string &key) const;
     void set(const std::string &key, JsonValue value);
+    /** The sorted members; empty when this is not an object. */
     const std::vector<std::pair<std::string, JsonValue>> &
-    members() const
-    {
-        return fields;
-    }
+    members() const;
 
     bool operator==(const JsonValue &other) const;
 
@@ -97,24 +99,43 @@ class JsonValue
      *  deeper one compactly, on one line. */
     std::string dump(int indent = 0, int compact_depth = INT_MAX) const;
 
-    /** Parse a complete JSON document; fatal() on syntax errors. */
+    /** Parse a complete JSON document; fatal() on syntax errors and
+     *  on arrays and objects nested more than 512 levels deep (the
+     *  files this repository writes nest about 6), so a hostile file
+     *  gets a named error instead of a stack overflow. No parsed
+     *  array or object holds spare capacity. */
     static JsonValue parse(const std::string &text);
 
   private:
+    class Parser;
+
+    // std::vector tolerates the incomplete element type where node
+    // containers would not be guaranteed to.
+    using Items = std::vector<JsonValue>;
+    using Fields = std::vector<std::pair<std::string, JsonValue>>; ///< by key
+    using Value = std::variant<std::monostate, bool, uint64_t, int64_t,
+                               double, std::string, Items, Fields>;
+
+    // kind() is the variant's index.
+    template <Kind K>
+    using Alternative = std::variant_alternative_t<size_t(K), Value>;
+    static_assert(std::is_same_v<Alternative<Kind::Null>, std::monostate> &&
+                  std::is_same_v<Alternative<Kind::Bool>, bool> &&
+                  std::is_same_v<Alternative<Kind::Uint>, uint64_t> &&
+                  std::is_same_v<Alternative<Kind::Int>, int64_t> &&
+                  std::is_same_v<Alternative<Kind::Real>, double> &&
+                  std::is_same_v<Alternative<Kind::String>, std::string> &&
+                  std::is_same_v<Alternative<Kind::Array>, Items> &&
+                  std::is_same_v<Alternative<Kind::Object>, Fields> &&
+                  std::variant_size_v<Value> == 8);
+
     void write(std::string &out, int indent, int depth,
                int compact_depth) const;
 
-    Kind kind_ = Kind::Null;
-    bool boolean = false;
-    uint64_t uinteger = 0;
-    int64_t integer = 0;
-    double real = 0.0;
-    std::string text;
-    std::vector<JsonValue> items;
-    // Sorted by key (std::vector tolerates the incomplete element
-    // type where node containers would not be guaranteed to).
-    std::vector<std::pair<std::string, JsonValue>> fields;
+    Value value_;
 };
+
+static_assert(sizeof(JsonValue) <= 40);
 
 /** Escape @a text for embedding in a JSON string literal. */
 std::string jsonEscape(const std::string &text);

@@ -45,33 +45,6 @@ Histogram::linear(uint64_t max, uint64_t step)
 }
 
 void
-Histogram::addSample(uint64_t value, uint64_t weight)
-{
-    if (weight == 0)
-        return;
-    // First bucket whose inclusive upper bound covers the value;
-    // everything above the last bound lands in the overflow bucket.
-    // Bucket i of an evenly spaced layout covers (i step, (i+1) step].
-    size_t index;
-    if (step)
-        index = value ? std::min<uint64_t>((value - 1) / step,
-                                           bounds.size())
-                      : 0;
-    else
-        index = std::lower_bound(bounds.begin(), bounds.end(), value) -
-                bounds.begin();
-    buckets[index] += weight;
-    if (total == 0) {
-        lo = hi = value;
-    } else {
-        lo = std::min(lo, value);
-        hi = std::max(hi, value);
-    }
-    total += weight;
-    weightedSum += value * weight;
-}
-
-void
 Histogram::merge(const Histogram &other)
 {
     helios_assert(bounds == other.bounds,

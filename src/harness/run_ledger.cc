@@ -28,7 +28,7 @@ recordRunToLedger(const RunResult &result, uint64_t max_insts)
         return LedgerOutcome::Disarmed;
 
     const uint64_t budget = normalizeBudget(max_insts);
-    const RunReport report = makeRunReport(result, budget);
+    RunReport report = makeRunReport(result, budget);
 
     LedgerKey key;
     key.programHash = result.programHash;
@@ -47,7 +47,7 @@ recordRunToLedger(const RunResult &result, uint64_t max_insts)
 
     RunReportFile file;
     file.generator = "helios-ledger";
-    file.runs.push_back(report);
+    file.runs.push_back(std::move(report));
 
     return ledger->record(key, std::move(meta), file.toJsonText())
                ? LedgerOutcome::Recorded
@@ -100,7 +100,7 @@ recordSampledToLedger(const SampledResult &result)
     if (!ledger)
         return LedgerOutcome::Disarmed;
 
-    const RunReport report = makeSampledRunReport(result);
+    RunReport report = makeSampledRunReport(result);
 
     LedgerKey key;
     key.programHash = result.programHash;
@@ -129,7 +129,7 @@ recordSampledToLedger(const SampledResult &result)
 
     RunReportFile file;
     file.generator = "helios-ledger";
-    file.runs.push_back(report);
+    file.runs.push_back(std::move(report));
 
     return ledger->record(key, std::move(meta), file.toJsonText())
                ? LedgerOutcome::Recorded

@@ -137,7 +137,7 @@ Checkpoint::serialize() const
     appendU64(out, output.size());
     out += output;
     appendU64(out, sys.stdinData.size());
-    out += sys.stdinData;
+    out += sys.stdinData.view();
     return out;
 }
 
@@ -201,10 +201,10 @@ Checkpoint::deserialize(const std::string &bytes)
         fatal("checkpoint: output blob size disagrees with header");
     ckpt.output = output_blob;
 
-    const std::string stdin_blob = in.blob(in.u64());
+    std::string stdin_blob = in.blob(in.u64());
     if (stdin_blob.size() != header.at("stdin_bytes").asUint())
         fatal("checkpoint: stdin blob size disagrees with header");
-    ckpt.sys.stdinData = stdin_blob;
+    ckpt.sys.stdinData = SharedBytes(std::move(stdin_blob));
 
     if (!in.done())
         fatal("checkpoint: trailing bytes after payload");

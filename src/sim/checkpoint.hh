@@ -10,7 +10,9 @@
  * stdin bytes, deterministic clock phase), collected output and every
  * resident memory page. Checkpoints are configuration-independent
  * (purely architectural), so one checkpoint set serves a whole
- * configuration sweep.
+ * configuration sweep. The stdin bytes are a shared handle
+ * (SharedBytes): every checkpoint cut from one run, and every hart
+ * restored from one, holds the one buffer the run was given.
  *
  * On-disk form: an 8-byte magic, a length-prefixed JSON header with
  * every scalar field (human-inspectable with `head`), then a binary

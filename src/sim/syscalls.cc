@@ -73,7 +73,7 @@ SyscallEmulator::reset(uint64_t brk_base, uint64_t brk_limit)
     brk = brk_base;
     brkBase = brk_base;
     brkLimit = brk_limit;
-    stdinData.clear();
+    stdinData = {};
     stdinPos = 0;
     clockTicks = 0;
 }
@@ -81,7 +81,7 @@ SyscallEmulator::reset(uint64_t brk_base, uint64_t brk_limit)
 void
 SyscallEmulator::setStdin(std::string data)
 {
-    stdinData = std::move(data);
+    stdinData = SharedBytes(std::move(data));
     stdinPos = 0;
 }
 

@@ -22,7 +22,9 @@
 #define SIM_SYSCALLS_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <string_view>
 
 #include "isa/riscv.hh"
 
@@ -30,6 +32,36 @@ namespace helios
 {
 
 class Memory;
+
+/**
+ * Immutable bytes held by handle: a copy shares the buffer instead of
+ * copying the bytes, so every checkpoint cut from one run and every
+ * hart restored from them read the one stdin buffer the run was given.
+ * Equality compares contents.
+ */
+class SharedBytes
+{
+  public:
+    SharedBytes() = default;
+    explicit SharedBytes(std::string bytes)
+        : bytes(bytes.empty() ? nullptr
+                              : std::make_shared<const std::string>(
+                                    std::move(bytes)))
+    {}
+
+    size_t size() const { return bytes ? bytes->size() : 0; }
+    const char *data() const { return bytes ? bytes->data() : ""; }
+    std::string_view view() const { return {data(), size()}; }
+
+    bool
+    operator==(const SharedBytes &other) const
+    {
+        return bytes == other.bytes || view() == other.view();
+    }
+
+  private:
+    std::shared_ptr<const std::string> bytes; ///< null when empty
+};
 
 /**
  * The shim's complete mutable state, as dumb data. Checkpoints
@@ -42,7 +74,7 @@ struct SyscallState
     uint64_t brk = 0;
     uint64_t brkBase = 0;
     uint64_t brkLimit = 0;
-    std::string stdinData;
+    SharedBytes stdinData; ///< the whole input, read or not
     uint64_t stdinPos = 0;
     uint64_t clockTicks = 0;
 
@@ -89,17 +121,19 @@ class SyscallEmulator
 
     uint64_t currentBrk() const { return brk; }
 
-    /** Snapshot the full shim state (checkpointing). */
+    /** Snapshot the full shim state (checkpointing); the snapshot
+     *  shares the stdin buffer. */
     SyscallState state() const;
 
-    /** Reinstate a snapshot taken by state(). */
+    /** Reinstate a snapshot taken by state(), sharing its stdin
+     *  buffer. */
     void restoreState(const SyscallState &state);
 
   private:
     uint64_t brk = 0;
     uint64_t brkBase = 0;
     uint64_t brkLimit = 0;
-    std::string stdinData;
+    SharedBytes stdinData;
     uint64_t stdinPos = 0;
     uint64_t clockTicks = 0;
 };

@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "asm/assembler.hh"
 #include "common/logging.hh"
@@ -227,13 +228,15 @@ TEST(Checkpoint, PostSmcCutContinues)
     }
 }
 
-TEST(Checkpoint, MidStdinCutPreservesReadPosition)
+namespace
 {
-    // Two read(2) calls drain a 8-byte stdin buffer in halves; a cut
-    // between them must carry the buffer *and* the read position, or
-    // the second read replays the first half. The guest sums all the
-    // bytes it read and exits with the sum, so any replay or loss
-    // changes the exit code.
+
+/** Two read(2) calls drain an 8-byte stdin buffer in halves; the
+ *  guest sums the bytes it read and exits with the sum, so any replay
+ *  or loss changes the exit code. */
+Program
+stdinSumProgram()
+{
     const Program assembled = assemble(R"(
         li s0, 0
         la a1, buf
@@ -260,6 +263,16 @@ TEST(Checkpoint, MidStdinCutPreservesReadPosition)
     )");
     Program prog = loadElf(buildElfImage(assembled));
     prog.stdinData = std::string("\x01\x02\x03\x04\x05\x06\x07\x08", 8);
+    return prog;
+}
+
+} // namespace
+
+TEST(Checkpoint, MidStdinCutPreservesReadPosition)
+{
+    // A cut between the two reads must carry the buffer *and* the
+    // read position, or the second read replays the first half.
+    const Program prog = stdinSumProgram();
 
     Memory mem;
     Hart hart(mem);
@@ -277,6 +290,55 @@ TEST(Checkpoint, MidStdinCutPreservesReadPosition)
                 << "mid-stdin " << hartPathName(path)
                 << " continuation diverged at cut " << cut;
     }
+}
+
+TEST(Checkpoint, CutsFromOneRunShareTheStdinBuffer)
+{
+    // A cut and a restore copy the stdin buffer's handle, not its
+    // bytes: every checkpoint of one run, and every hart restored from
+    // one, reads the one buffer the run was given.
+    const Program prog = stdinSumProgram();
+    Memory mem;
+    Hart hart(mem);
+    hart.reset(prog);
+    const uint64_t total = hart.runFast();
+    ASSERT_TRUE(hart.exited());
+    const EndState full = capture(hart, mem);
+
+    Memory cut_mem;
+    Hart cutter(cut_mem);
+    cutter.reset(prog);
+    std::vector<Checkpoint> cuts;
+    for (uint64_t cut = 1; cut < total; ++cut) {
+        cutter.runFast(1);
+        cuts.push_back(cutter.makeCheckpoint(prog.sourceHash));
+    }
+    ASSERT_GE(cuts.size(), 2u);
+    EXPECT_EQ(cuts.front().sys.stdinPos, 0u);
+    EXPECT_EQ(cuts.back().sys.stdinPos, 8u);
+    const char *const shared = cuts.front().sys.stdinData.data();
+    for (const Checkpoint &ckpt : cuts) {
+        EXPECT_EQ(ckpt.sys.stdinData.data(), shared)
+            << "cut " << ckpt.instIndex << " copied the stdin bytes";
+        EXPECT_EQ(ckpt.sys.stdinData.view(), prog.stdinData);
+
+        Memory restored_mem;
+        Hart restored(restored_mem);
+        restored.restoreCheckpoint(ckpt);
+        EXPECT_EQ(restored.makeCheckpoint(prog.sourceHash)
+                      .sys.stdinData.data(),
+                  shared)
+            << "restoring cut " << ckpt.instIndex
+            << " copied the stdin bytes";
+        restored.runFast();
+        EXPECT_EQ(capture(restored, restored_mem), full)
+            << "continuation diverged at cut " << ckpt.instIndex;
+    }
+
+    // A deserialized checkpoint holds its own copy, equal in content.
+    const Checkpoint copy = Checkpoint::deserialize(cuts[0].serialize());
+    EXPECT_NE(copy.sys.stdinData.data(), shared);
+    EXPECT_TRUE(copy == cuts[0]);
 }
 
 TEST(Checkpoint, MidOutputCutPreservesCollectedBytes)

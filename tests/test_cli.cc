@@ -765,6 +765,22 @@ TEST(CompareReports, MalformedJsonExitsTwo)
     std::remove(path.c_str());
 }
 
+TEST(CompareReports, DeeplyNestedJsonExitsTwo)
+{
+    // 200,000 levels once overflowed the parser's stack (SIGSEGV);
+    // past its nesting bound the parser names the error instead.
+    const std::string path = writeTemp(
+        "cli_deep.json",
+        std::string(200000, '[') + std::string(200000, ']'));
+    std::string out;
+    EXPECT_EQ(runTool(COMPARE_REPORTS_BIN, path + " " + path, out), 2);
+    EXPECT_NE(out.find("json parse error at offset 513: arrays and "
+                       "objects nested more than 512 levels deep"),
+              std::string::npos)
+        << out;
+    std::remove(path.c_str());
+}
+
 TEST(CompareReports, SelfCompareIsCleanAndIgnoresHostSection)
 {
     // Two reports of the same run, one carrying a host section: the

@@ -1,7 +1,7 @@
 /**
  * @file
  * The committed suite baseline (bench/baselines/suite.json) is the one
- * pin of simulated behaviour in tier-1. Two checks keep it honest:
+ * pin of simulated behaviour in tier-1. Three checks keep it honest:
  *
  * - Two representative cells (mcf and qsort under Helios), re-run at
  *   the baseline's budget, must reproduce their baseline runs exactly,
@@ -10,7 +10,8 @@
  *   suite workload and fusion mode at the default budget, with this
  *   build's program and configuration hashes, so an edited kernel, a
  *   new kernel or a changed CoreParams default shows up here before
- *   CI's full sweep runs.
+ *   CI's full sweep runs. Written back, the parsed file must equal
+ *   the committed bytes.
  * - Without simulating, OracleFusion must bound Helios kernel by
  *   kernel, except where a listed, measured cause says why not.
  *
@@ -19,8 +20,10 @@
  * names every counter that moved.
  */
 
+#include <fstream>
 #include <iterator>
 #include <map>
+#include <sstream>
 #include <string>
 #include <utility>
 
@@ -93,7 +96,15 @@ TEST(Golden, CellsMatchSuiteBaseline)
 
 TEST(Golden, SuiteBaselineIsCurrent)
 {
-    const RunReportFile baseline = RunReportFile::load(SUITE_BASELINE);
+    std::ifstream in(SUITE_BASELINE);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    const RunReportFile baseline = RunReportFile::fromJsonText(bytes.str());
+    // Parsing and writing the file back reproduces it byte for byte, so
+    // the report schema and the JSON writer still spell every value as
+    // the committed baseline does.
+    EXPECT_TRUE(baseline.toJsonText() == bytes.str())
+        << "the baseline does not survive parse and dump byte for byte";
     EXPECT_TRUE(baseline.host.isNull())
         << "the baseline carries a host section (HELIOS_METRICS was "
            "set); "

@@ -3,10 +3,14 @@
  * JSON double-emission regression tests: finite values must round-trip
  * through the shortest decimal form that parses back exactly, and
  * non-finite values must be rejected loudly — silently emitting `nan`
- * (not JSON) or degrading to null would corrupt a report file.
+ * (not JSON) or degrading to null would corrupt a report file. Then
+ * the value model: each kind round-trips with its kind and spelling,
+ * parsed keys come out sorted with a repeated key's last value, and
+ * nesting past the parser's bound is a named error.
  */
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <string>
@@ -129,4 +133,115 @@ TEST(JsonDouble, NestedNonFiniteIsStillCaught)
     inner.push(JsonValue(std::numeric_limits<double>::infinity()));
     object.set("series", inner);
     EXPECT_THROW(object.dump(2), FatalError);
+}
+
+// ---------------------------------------------------------------------
+// The value model: every kind survives dump → parse with its kind and
+// its exact spelling, and numbers compare by value across kinds.
+
+TEST(JsonValue, EachKindRoundTrips)
+{
+    using Kind = JsonValue::Kind;
+    const struct
+    {
+        const char *text; ///< as dump() writes it
+        Kind kind;
+    } rows[] = {
+        {"0", Kind::Uint},
+        {"18446744073709551615", Kind::Uint}, // UINT64_MAX
+        {"-9223372036854775808", Kind::Int},  // INT64_MIN
+        {"-1", Kind::Int},
+        {"0.1", Kind::Real},
+        {"1e+300", Kind::Real},
+        {"\"\"", Kind::String},
+        {"\"\\\"\\\\\\n\\r\\t\\u0001\\u001f\"", Kind::String},
+        {"[]", Kind::Array},
+        {"{}", Kind::Object},
+    };
+    for (const auto &row : rows) {
+        const JsonValue value = JsonValue::parse(row.text);
+        EXPECT_EQ(value.kind(), row.kind) << row.text;
+        EXPECT_EQ(value.dump(), row.text);
+        EXPECT_EQ(value.dump(2), std::string(row.text) + "\n");
+        const JsonValue again = JsonValue::parse(value.dump());
+        EXPECT_EQ(again.kind(), row.kind) << row.text;
+        EXPECT_TRUE(again == value) << row.text;
+    }
+    EXPECT_EQ(JsonValue::parse("18446744073709551615").asUint(),
+              UINT64_MAX);
+    EXPECT_EQ(JsonValue::parse("-9223372036854775808").asInt(), INT64_MIN);
+    EXPECT_EQ(JsonValue::parse("1e300").dump(), "1e+300");
+    EXPECT_EQ(JsonValue::parse("\"\\\"\\\\\\n\\r\\t\\u0001\\u001f\"")
+                  .asString(),
+              "\"\\\n\r\t\x01\x1f");
+    // The escapes dump() never writes still parse.
+    EXPECT_EQ(JsonValue::parse("\"\\/\\b\\f\\u00e9\"").asString(),
+              "/\b\f\xc3\xa9");
+    // One past an integer type's range is a real, not an error.
+    EXPECT_EQ(JsonValue::parse("18446744073709551616").kind(), Kind::Real);
+    EXPECT_EQ(JsonValue::parse("-9223372036854775809").kind(), Kind::Real);
+}
+
+TEST(JsonValue, NumbersCompareByValueAcrossKinds)
+{
+    EXPECT_EQ(JsonValue::parse("5").kind(), JsonValue::Kind::Uint);
+    EXPECT_EQ(JsonValue::parse("5.0").kind(), JsonValue::Kind::Real);
+    EXPECT_TRUE(JsonValue::parse("5") == JsonValue::parse("5.0"));
+    EXPECT_TRUE(JsonValue(5) == JsonValue(5.0));
+    EXPECT_TRUE(JsonValue(-1) == JsonValue(-1.0));
+    EXPECT_FALSE(JsonValue(5) == JsonValue(5.5));
+    EXPECT_FALSE(JsonValue(5) == JsonValue("5"));
+    EXPECT_TRUE(JsonValue::parse("[5]") == JsonValue::parse("[5.0]"));
+}
+
+TEST(JsonValue, UnsortedKeysParseSorted)
+{
+    const JsonValue value =
+        JsonValue::parse("{\"b\": 2, \"c\": {\"z\": 1, \"y\": 0}, \"a\": 1}");
+    EXPECT_EQ(value.dump(), "{\"a\":1,\"b\":2,\"c\":{\"y\":0,\"z\":1}}");
+    EXPECT_EQ(value.at("b").asUint(), 2u);
+    EXPECT_EQ(value.at("c").at("y").asUint(), 0u);
+}
+
+TEST(JsonValue, RepeatedKeyKeepsItsLastValue)
+{
+    const JsonValue value =
+        JsonValue::parse("{\"k\": 1, \"a\": [], \"k\": 2, \"b\": 0, "
+                         "\"k\": \"last\"}");
+    EXPECT_EQ(value.size(), 3u);
+    EXPECT_EQ(value.at("k").asString(), "last");
+    EXPECT_EQ(value.dump(), "{\"a\":[],\"b\":0,\"k\":\"last\"}");
+    // set() agrees: the last write wins.
+    JsonValue built = JsonValue::object();
+    built.set("k", JsonValue(1));
+    built.set("a", JsonValue::array());
+    built.set("k", JsonValue(2));
+    built.set("b", JsonValue(0));
+    built.set("k", JsonValue("last"));
+    EXPECT_TRUE(built == value);
+}
+
+TEST(JsonValue, DeepNestingIsANamedError)
+{
+    const auto nested = [](size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    EXPECT_EQ(JsonValue::parse(nested(512)).size(), 1u);
+    try {
+        JsonValue::parse(nested(513));
+        FAIL() << "513 levels must not parse";
+    } catch (const FatalError &error) {
+        EXPECT_NE(std::string(error.what())
+                      .find("json parse error at offset 513: arrays and "
+                            "objects nested more than 512 levels deep"),
+                  std::string::npos)
+            << error.what();
+    }
+    EXPECT_THROW(JsonValue::parse(nested(200000)), FatalError);
+    EXPECT_THROW(JsonValue::parse(std::string(200000, '[')), FatalError);
+    std::string objects;
+    for (int i = 0; i < 600; ++i)
+        objects += "{\"k\":";
+    EXPECT_THROW(JsonValue::parse(objects + "0" + std::string(600, '}')),
+                 FatalError);
 }
