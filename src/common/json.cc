@@ -262,18 +262,35 @@ JsonValue::operator==(const JsonValue &other) const
 // Writer
 // ---------------------------------------------------------------------
 
+namespace
+{
+
+/** Break the line and indent it to @a depth when pretty-printing. */
+void
+newline(std::string &out, int indent, size_t depth)
+{
+    if (indent > 0) {
+        out += '\n';
+        out.append(size_t(indent) * depth, ' ');
+    }
+}
+
+void
+appendKey(std::string &out, const std::string &key, int indent)
+{
+    out += '"';
+    appendEscaped(out, key);
+    out += indent > 0 ? "\": " : "\":";
+}
+
+} // namespace
+
 void
 JsonValue::write(std::string &out, int indent, int depth,
                  int compact_depth) const
 {
     if (depth >= compact_depth)
         indent = 0;
-    const auto newline = [&](int d) {
-        if (indent > 0) {
-            out += '\n';
-            out.append(size_t(indent) * d, ' ');
-        }
-    };
     switch (kind()) {
       case Kind::Null:
         out += "null";
@@ -308,11 +325,11 @@ JsonValue::write(std::string &out, int indent, int depth,
         for (size_t i = 0; i < items.size(); ++i) {
             if (i)
                 out += ',';
-            newline(depth + 1);
+            newline(out, indent, size_t(depth) + 1);
             items[i].write(out, indent, depth + 1, compact_depth);
         }
         if (!items.empty())
-            newline(depth);
+            newline(out, indent, size_t(depth));
         out += ']';
         break;
       }
@@ -322,15 +339,13 @@ JsonValue::write(std::string &out, int indent, int depth,
         for (size_t i = 0; i < fields.size(); ++i) {
             if (i)
                 out += ',';
-            newline(depth + 1);
-            out += '"';
-            appendEscaped(out, fields[i].first);
-            out += indent > 0 ? "\": " : "\":";
+            newline(out, indent, size_t(depth) + 1);
+            appendKey(out, fields[i].first, indent);
             fields[i].second.write(out, indent, depth + 1,
                                    compact_depth);
         }
         if (!fields.empty())
-            newline(depth);
+            newline(out, indent, size_t(depth));
         out += '}';
         break;
       }
@@ -341,10 +356,73 @@ std::string
 JsonValue::dump(int indent, int compact_depth) const
 {
     std::string out;
-    write(out, indent, 0, compact_depth);
-    if (indent > 0)
-        out += '\n';
+    JsonWriter(out, indent, compact_depth).value(*this);
     return out;
+}
+
+int
+JsonWriter::indentAt(size_t depth) const
+{
+    return int(depth) >= compactDepth ? 0 : indent;
+}
+
+void
+JsonWriter::next()
+{
+    if (keyed) {
+        keyed = false;
+        return;
+    }
+    if (levels.empty())
+        return;
+    Level &level = levels.back();
+    helios_assert(level.close == ']', "json writer: a member needs a key");
+    if (level.count++)
+        out += ',';
+    newline(out, indentAt(levels.size() - 1), levels.size());
+}
+
+void
+JsonWriter::open(char bracket, char close)
+{
+    next();
+    out += bracket;
+    levels.push_back({close});
+}
+
+void
+JsonWriter::key(const std::string &key)
+{
+    helios_assert(!keyed && !levels.empty() && levels.back().close == '}',
+                  "json writer: a key outside an object");
+    if (levels.back().count++)
+        out += ',';
+    const int object_indent = indentAt(levels.size() - 1);
+    newline(out, object_indent, levels.size());
+    appendKey(out, key, object_indent);
+    keyed = true;
+}
+
+void
+JsonWriter::value(const JsonValue &value)
+{
+    next();
+    value.write(out, indent, int(levels.size()), compactDepth);
+    if (levels.empty() && indent > 0)
+        out += '\n';
+}
+
+void
+JsonWriter::end()
+{
+    helios_assert(!keyed && !levels.empty(), "json writer: nothing to close");
+    const Level level = levels.back();
+    levels.pop_back();
+    if (level.count)
+        newline(out, indentAt(levels.size()), levels.size());
+    out += level.close;
+    if (levels.empty() && indent > 0)
+        out += '\n';
 }
 
 // ---------------------------------------------------------------------
@@ -352,24 +430,111 @@ JsonValue::dump(int indent, int compact_depth) const
 // ---------------------------------------------------------------------
 
 /**
- * Recursive descent over the document text. The elements of every
- * open array and the members of every open object wait on two shared
- * stacks; a closing bracket moves its own into a vector of exactly
- * their count, so a parsed tree holds no growth slack.
+ * Recursive descent over the document text. Each production either
+ * builds its value or, with Build false, checks and steps over it
+ * building nothing; both fail alike. The elements of every open array
+ * and the members of every open object wait on two shared stacks; a
+ * closing bracket moves its own into a vector of exactly their count,
+ * so a parsed tree holds no growth slack.
  */
 class JsonValue::Parser
 {
   public:
-    explicit Parser(const std::string &text) : text(text) {}
+    /** Read @a text from @a pos, inside @a depth open arrays and
+     *  objects; errors name offsets into the whole text. */
+    explicit Parser(const std::string &text, size_t pos = 0,
+                    unsigned depth = 0)
+        : text(text), pos(pos), depth(depth)
+    {}
 
     JsonValue
     document()
     {
-        JsonValue value = parseValue();
+        JsonValue value = parseValue<true>();
+        finish();
+        return value;
+    }
+
+    /** Build the value at the cursor. */
+    JsonValue value() { return parseValue<true>(); }
+
+    /** Check the value at the cursor and step over it. */
+    void skip() { parseValue<false>(); }
+
+    /** Fail unless only whitespace is left. */
+    void
+    finish()
+    {
         skipSpace();
         if (pos != text.size())
             fail("trailing garbage");
-        return value;
+    }
+
+    /** Whether the value at the cursor opens @a bracket. */
+    bool
+    opens(char bracket)
+    {
+        skipSpace();
+        return peek() == bracket;
+    }
+
+    size_t offset() const { return pos; }
+
+    /** Walk the object at the cursor: @a member(key) runs after each
+     *  key's colon and consumes that member's value. Keys are built
+     *  only when @a Build is set. */
+    template <bool Build, typename Member>
+    void
+    object(Member member)
+    {
+        expect('{');
+        descend();
+        skipSpace();
+        if (peek() == '}') {
+            ++pos;
+        } else {
+            for (;;) {
+                skipSpace();
+                std::string key = parseString<Build>();
+                skipSpace();
+                expect(':');
+                member(std::move(key));
+                skipSpace();
+                if (peek() == ',') {
+                    ++pos;
+                    continue;
+                }
+                expect('}');
+                break;
+            }
+        }
+        --depth;
+    }
+
+    /** Walk the array at the cursor: @a element() consumes each
+     *  element. */
+    template <typename Element>
+    void
+    array(Element element)
+    {
+        expect('[');
+        descend();
+        skipSpace();
+        if (peek() == ']') {
+            ++pos;
+        } else {
+            for (;;) {
+                element();
+                skipSpace();
+                if (peek() == ',') {
+                    ++pos;
+                    continue;
+                }
+                expect(']');
+                break;
+            }
+        }
+        --depth;
     }
 
   private:
@@ -425,14 +590,15 @@ class JsonValue::Parser
                   pos, kMaxDepth);
     }
 
+    template <bool Build>
     JsonValue
     parseValue()
     {
         skipSpace();
         switch (peek()) {
-          case '{': return parseObject();
-          case '[': return parseArray();
-          case '"': return JsonValue(parseString());
+          case '{': return parseObject<Build>();
+          case '[': return parseArray<Build>();
+          case '"': return JsonValue(parseString<Build>());
           case 't':
             if (!consume("true"))
                 fail("bad literal");
@@ -450,33 +616,18 @@ class JsonValue::Parser
         }
     }
 
+    template <bool Build>
     JsonValue
     parseObject()
     {
-        expect('{');
-        descend();
         const size_t base = fields.size();
-        skipSpace();
-        if (peek() == '}') {
-            ++pos;
-        } else {
-            for (;;) {
-                skipSpace();
-                std::string key = parseString();
-                skipSpace();
-                expect(':');
-                JsonValue value = parseValue();
+        object<Build>([&](std::string key) {
+            JsonValue value = parseValue<Build>();
+            if constexpr (Build)
                 fields.emplace_back(std::move(key), std::move(value));
-                skipSpace();
-                if (peek() == ',') {
-                    ++pos;
-                    continue;
-                }
-                expect('}');
-                break;
-            }
-        }
-        --depth;
+        });
+        if constexpr (!Build)
+            return JsonValue();
 
         // Sorted keys, a repeated key keeping its last value, as
         // set() would leave them. Written files are already sorted.
@@ -508,29 +659,18 @@ class JsonValue::Parser
         return object;
     }
 
+    template <bool Build>
     JsonValue
     parseArray()
     {
-        expect('[');
-        descend();
         const size_t base = items.size();
-        skipSpace();
-        if (peek() == ']') {
-            ++pos;
-        } else {
-            for (;;) {
-                JsonValue value = parseValue();
+        array([&] {
+            JsonValue value = parseValue<Build>();
+            if constexpr (Build)
                 items.push_back(std::move(value));
-                skipSpace();
-                if (peek() == ',') {
-                    ++pos;
-                    continue;
-                }
-                expect(']');
-                break;
-            }
-        }
-        --depth;
+        });
+        if constexpr (!Build)
+            return JsonValue();
 
         JsonValue array;
         array.value_.emplace<Items>(
@@ -540,20 +680,31 @@ class JsonValue::Parser
         return array;
     }
 
+    /** The string at the cursor; empty unless @a Build is set. */
+    template <bool Build>
     std::string
     parseString()
     {
         expect('"');
         std::string out;
+        const auto put = [&](char c) {
+            if constexpr (Build)
+                out += c;
+        };
+        const char *const data = text.data();
+        const size_t size = text.size();
         for (;;) {
             // Copy the run of plain characters up to the next quote or
             // escape in one append.
-            const size_t end = text.find_first_of("\"\\", pos);
-            if (end == std::string::npos) {
-                pos = text.size();
+            size_t end = pos;
+            while (end < size && data[end] != '"' && data[end] != '\\')
+                ++end;
+            if (end == size) {
+                pos = size;
                 fail("unterminated string");
             }
-            out.append(text, pos, end - pos);
+            if constexpr (Build)
+                out.append(text, pos, end - pos);
             pos = end + 1;
             if (text[end] == '"')
                 return out;
@@ -561,14 +712,14 @@ class JsonValue::Parser
                 fail("unterminated escape");
             const char esc = text[pos++];
             switch (esc) {
-              case '"': out += '"'; break;
-              case '\\': out += '\\'; break;
-              case '/': out += '/'; break;
-              case 'b': out += '\b'; break;
-              case 'f': out += '\f'; break;
-              case 'n': out += '\n'; break;
-              case 'r': out += '\r'; break;
-              case 't': out += '\t'; break;
+              case '"': put('"'); break;
+              case '\\': put('\\'); break;
+              case '/': put('/'); break;
+              case 'b': put('\b'); break;
+              case 'f': put('\f'); break;
+              case 'n': put('\n'); break;
+              case 'r': put('\r'); break;
+              case 't': put('\t'); break;
               case 'u': {
                 if (pos + 4 > text.size())
                     fail("truncated \\u escape");
@@ -588,14 +739,14 @@ class JsonValue::Parser
                 // Encode as UTF-8 (no surrogate-pair support; the
                 // telemetry layer never emits any).
                 if (code < 0x80) {
-                    out += char(code);
+                    put(char(code));
                 } else if (code < 0x800) {
-                    out += char(0xc0 | (code >> 6));
-                    out += char(0x80 | (code & 0x3f));
+                    put(char(0xc0 | (code >> 6)));
+                    put(char(0x80 | (code & 0x3f)));
                 } else {
-                    out += char(0xe0 | (code >> 12));
-                    out += char(0x80 | ((code >> 6) & 0x3f));
-                    out += char(0x80 | (code & 0x3f));
+                    put(char(0xe0 | (code >> 12)));
+                    put(char(0x80 | ((code >> 6) & 0x3f)));
+                    put(char(0x80 | (code & 0x3f)));
                 }
                 break;
               }
@@ -657,8 +808,8 @@ class JsonValue::Parser
     }
 
     const std::string &text;
-    size_t pos = 0;
-    unsigned depth = 0;
+    size_t pos;
+    unsigned depth;
     Items items;   ///< elements of the open arrays, innermost last
     Fields fields; ///< members of the open objects, innermost last
 };
@@ -667,6 +818,58 @@ JsonValue
 JsonValue::parse(const std::string &text)
 {
     return Parser(text).document();
+}
+
+// ---------------------------------------------------------------------
+// Reader
+// ---------------------------------------------------------------------
+
+JsonReader::JsonReader(const std::string &text,
+                       std::initializer_list<const char *> deferred)
+    : text(text)
+{
+    for (const char *key : deferred)
+        deferred_.emplace_back(key, std::string::npos);
+    JsonValue::Parser parser(text);
+    if (parser.opens('{')) {
+        head_ = JsonValue::object();
+        parser.object<true>([&](std::string key) {
+            for (auto &[name, at] : deferred_) {
+                if (name == key) {
+                    at = parser.offset();
+                    parser.skip();
+                    return;
+                }
+            }
+            head_.set(key, parser.value());
+        });
+    } else {
+        parser.skip();
+    }
+    parser.finish();
+}
+
+void
+JsonReader::forEach(const std::string &key,
+                    const std::function<void(const JsonValue &)> &visit)
+    const
+{
+    const auto each = [&](const JsonValue &list) {
+        for (size_t i = 0; i < list.size(); ++i)
+            visit(list.at(i));
+    };
+    for (const auto &[name, at] : deferred_) {
+        if (name != key || at == std::string::npos)
+            continue;
+        // Members sit one level below the root.
+        JsonValue::Parser parser(text, at, 1);
+        if (parser.opens('['))
+            parser.array([&] { visit(parser.value()); });
+        else
+            each(parser.value());
+        return;
+    }
+    each(head_.at(key));
 }
 
 } // namespace helios

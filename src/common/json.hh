@@ -7,6 +7,10 @@
  * bench/compare_reports without external dependencies. Integers are
  * kept exact up to the full uint64_t/int64_t range — simulator
  * counters do not survive a detour through double.
+ *
+ * A document too large to hold as one tree is written with JsonWriter
+ * and read with JsonReader, a piece at a time; both produce and accept
+ * exactly the bytes dump() and parse() do.
  */
 
 #ifndef COMMON_JSON_HH
@@ -14,6 +18,8 @@
 
 #include <climits>
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -108,6 +114,8 @@ class JsonValue
 
   private:
     class Parser;
+    friend class JsonReader;
+    friend class JsonWriter;
 
     // std::vector tolerates the incomplete element type where node
     // containers would not be guaranteed to.
@@ -136,6 +144,90 @@ class JsonValue
 };
 
 static_assert(sizeof(JsonValue) <= 40);
+
+/**
+ * Writes one JSON document a piece at a time, byte for byte as
+ * JsonValue::dump(indent, compact_depth) writes the same tree, so a
+ * document need never exist as one tree. Arrays and objects are
+ * opened and closed explicitly, everything else is a complete value;
+ * an object's members must come in sorted key order, as a JsonValue
+ * holds them. The caller may take the text out of @a out between
+ * values.
+ */
+class JsonWriter
+{
+  public:
+    JsonWriter(std::string &out, int indent = 0,
+               int compact_depth = INT_MAX)
+        : out(out), indent(indent), compactDepth(compact_depth)
+    {}
+
+    void beginArray() { open('[', ']'); }
+    void beginObject() { open('{', '}'); }
+    /** Name the next member of the open object. */
+    void key(const std::string &key);
+    /** The document, the next element of the open array, or the value
+     *  of the member just named. */
+    void value(const JsonValue &value);
+    /** Close the innermost open array or object. */
+    void end();
+
+  private:
+    /** Start the next value: a separator and line break inside an
+     *  array, nothing after a key or at the root. */
+    void next();
+    void open(char bracket, char close);
+    /** The indent of the array or object at @a depth. */
+    int indentAt(size_t depth) const;
+
+    struct Level
+    {
+        char close = 0;
+        size_t count = 0;
+    };
+
+    std::string &out;
+    const int indent;
+    const int compactDepth;
+    std::vector<Level> levels; ///< the open arrays and objects
+    bool keyed = false;        ///< a key awaits its value
+};
+
+/**
+ * Reads one JSON document whose root is an object, holding at most one
+ * element of its deferred array members at a time. The constructor
+ * checks all of @a text with JsonValue::parse()'s grammar (the same
+ * errors at the same offsets, the same nesting bound counted from the
+ * root) and builds every top-level member but the @a deferred ones,
+ * whose places it notes; a repeated key keeps its last value. The
+ * text must outlive the reader.
+ */
+class JsonReader
+{
+  public:
+    JsonReader(const std::string &text,
+               std::initializer_list<const char *> deferred);
+    JsonReader(std::string &&, std::initializer_list<const char *>) =
+        delete;
+
+    /** The root object without its deferred members; Null when the
+     *  root is not an object. */
+    const JsonValue &head() const { return head_; }
+
+    /** Call @a visit with each element of the root's member @a key as
+     *  at(key), size() and at(i) would reach it, with their errors. A
+     *  deferred array is built one element at a time. */
+    void forEach(const std::string &key,
+                 const std::function<void(const JsonValue &)> &visit)
+        const;
+
+  private:
+    const std::string &text;
+    JsonValue head_;
+    /** Each deferred key and where its last value starts (npos when
+     *  the root has no such member). */
+    std::vector<std::pair<std::string, size_t>> deferred_;
+};
 
 /** Escape @a text for embedding in a JSON string literal. */
 std::string jsonEscape(const std::string &text);

@@ -1,7 +1,7 @@
 #include "harness/run_report.hh"
 
+#include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "common/logging.hh"
 #include "harness/differential.hh"
@@ -17,6 +17,8 @@ namespace helios
 
 namespace
 {
+
+const char *const kSchema = "helios-run-report";
 
 JsonValue
 histogramToJson(const Histogram &hist)
@@ -315,7 +317,7 @@ JsonValue
 RunReportFile::toJson() const
 {
     JsonValue value = JsonValue::object();
-    value.set("schema", JsonValue(std::string("helios-run-report")));
+    value.set("schema", JsonValue(kSchema));
     value.set("version", JsonValue(uint64_t(version)));
     value.set("generator", JsonValue(generator));
 
@@ -336,58 +338,134 @@ RunReportFile::toJson() const
     return value;
 }
 
-RunReportFile
-RunReportFile::fromJson(const JsonValue &value)
+namespace
 {
-    if (value.get("schema").asString() != "helios-run-report")
+
+/**
+ * The one conversion behind fromJson(), fromJsonText() and load():
+ * the schema, version and generator are judged from @a head before
+ * anything else, then each run and each verdict that @a for_each
+ * reaches is converted in turn. @a head holds the root's members but
+ * for the runs and verdicts, which it may or may not hold.
+ */
+template <typename ForEach>
+RunReportFile
+readFile(const JsonValue &head, ForEach for_each)
+{
+    if (head.get("schema").asString() != kSchema)
         fatal("run report: not a helios-run-report file");
     RunReportFile file;
-    file.version = unsigned(value.at("version").asUint());
+    file.version = unsigned(head.at("version").asUint());
     if (file.version > kRunReportVersion)
         fatal("run report: schema version %u is newer than this "
               "build understands (%u)",
               file.version, kRunReportVersion);
-    file.generator = value.get("generator").isString()
-                         ? value.get("generator").asString()
+    file.generator = head.get("generator").isString()
+                         ? head.get("generator").asString()
                          : std::string();
 
-    const JsonValue &run_array = value.at("runs");
-    for (size_t i = 0; i < run_array.size(); ++i)
-        file.runs.push_back(RunReport::fromJson(run_array.at(i)));
-
-    const JsonValue &verdict_array = value.at("verdicts");
-    for (size_t i = 0; i < verdict_array.size(); ++i)
-        file.verdicts.push_back(
-            ReportVerdict::fromJson(verdict_array.at(i)));
+    for_each("runs", [&](const JsonValue &run) {
+        file.runs.push_back(RunReport::fromJson(run));
+    });
+    for_each("verdicts", [&](const JsonValue &verdict) {
+        file.verdicts.push_back(ReportVerdict::fromJson(verdict));
+    });
 
     // Additive in schema v3; carried opaquely (the host section
     // describes the producing machine, not the simulated result).
-    if (value.has("host"))
-        file.host = value.at("host");
+    if (head.has("host"))
+        file.host = head.at("host");
     return file;
+}
+
+/**
+ * The one writer behind toJsonText() and save(): the bytes of
+ * toJson().dump(2, 2) + "\n", with each run's and each verdict's tree
+ * built, written and dropped in turn. Depth 0 is the file object and
+ * depth 1 its lists, so every run and verdict (depth 2) is written
+ * compactly on a line of its own. The text collects in @a out, and
+ * @a drain runs after each run and verdict and at the end, free to
+ * take it away.
+ */
+template <typename Drain>
+void
+writeFile(const RunReportFile &file, std::string &out, Drain drain)
+{
+    JsonWriter writer(out, 2, 2);
+    writer.beginObject();
+    // The members in sorted order, as toJson()'s object holds them.
+    writer.key("generator");
+    writer.value(JsonValue(file.generator));
+    if (!file.host.isNull()) {
+        writer.key("host");
+        writer.value(file.host);
+    }
+    writer.key("runs");
+    writer.beginArray();
+    for (const RunReport &run : file.runs) {
+        writer.value(run.toJson());
+        drain();
+    }
+    writer.end();
+    writer.key("schema");
+    writer.value(JsonValue(kSchema));
+    writer.key("verdicts");
+    writer.beginArray();
+    for (const ReportVerdict &verdict : file.verdicts) {
+        writer.value(verdict.toJson());
+        drain();
+    }
+    writer.end();
+    writer.key("version");
+    writer.value(JsonValue(uint64_t(file.version)));
+    writer.end();
+    out += '\n';
+    drain();
+}
+
+} // namespace
+
+RunReportFile
+RunReportFile::fromJson(const JsonValue &value)
+{
+    return readFile(value, [&](const char *key, const auto &visit) {
+        const JsonValue &list = value.at(key);
+        for (size_t i = 0; i < list.size(); ++i)
+            visit(list.at(i));
+    });
 }
 
 std::string
 RunReportFile::toJsonText() const
 {
-    // Depth 0 is the file object and depth 1 its runs array, so every
-    // run (depth 2) is written compactly on a line of its own.
-    return toJson().dump(2, 2) + "\n";
+    std::string text;
+    writeFile(*this, text, [] {});
+    return text;
 }
 
 RunReportFile
 RunReportFile::fromJsonText(const std::string &text)
 {
-    return fromJson(JsonValue::parse(text));
+    // The reader checks all of the text before the head is judged;
+    // then each run and verdict is parsed, converted and dropped.
+    const JsonReader reader(text, {"runs", "verdicts"});
+    return readFile(reader.head(),
+                    [&](const char *key, const auto &visit) {
+                        reader.forEach(key, visit);
+                    });
 }
 
 void
 RunReportFile::save(const std::string &path) const
 {
-    std::ofstream out(path);
+    std::ofstream out(path, std::ios::binary);
     if (!out)
         fatal("run report: cannot open '%s' for writing", path.c_str());
-    out << toJsonText();
+    std::string piece;
+    writeFile(*this, piece, [&] {
+        out.write(piece.data(), std::streamsize(piece.size()));
+        piece.clear();
+    });
     if (!out)
         fatal("run report: write to '%s' failed", path.c_str());
 }
@@ -395,12 +473,20 @@ RunReportFile::save(const std::string &path) const
 RunReportFile
 RunReportFile::load(const std::string &path)
 {
-    std::ifstream in(path);
+    std::ifstream in(path, std::ios::binary);
     if (!in)
         fatal("run report: cannot open '%s'", path.c_str());
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return fromJsonText(buffer.str());
+    // One string of the file's size, read in place; whatever the size
+    // did not cover (a pipe) follows in chunks.
+    std::error_code ec;
+    const uintmax_t size = std::filesystem::file_size(path, ec);
+    std::string text(ec ? 0 : size_t(size), '\0');
+    in.read(text.data(), std::streamsize(text.size()));
+    text.resize(size_t(in.gcount()));
+    char chunk[1 << 16];
+    while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0)
+        text.append(chunk, size_t(in.gcount()));
+    return fromJsonText(text);
 }
 
 bool

@@ -164,21 +164,28 @@ struct RunReportFile
     const RunReport *find(const std::string &workload,
                           const std::string &mode) const;
 
+    /** The whole file as one tree, and back; for tests that craft
+     *  files. */
     JsonValue toJson() const;
     static RunReportFile fromJson(const JsonValue &value);
 
     /** Serialize to JSON text: the top level indented, each run and
-     *  verdict compact on one line, so a file diffs run by run. */
+     *  verdict compact on one line, so a file diffs run by run. The
+     *  bytes are toJson().dump(2, 2) and a newline, but only one run's
+     *  or verdict's tree exists at a time. */
     std::string toJsonText() const;
 
-    /** Parse back from JSON text; fatal() on malformed input or an
-     *  unsupported schema version. */
+    /** Parse back from JSON text, holding one run's tree at a time;
+     *  fatal() on malformed input or an unsupported schema version,
+     *  with the error fromJson(JsonValue::parse(text)) gives. */
     static RunReportFile fromJsonText(const std::string &text);
 
-    /** Write to @a path (fatal() on I/O failure). */
+    /** Write to @a path, as toJsonText() writes (fatal() on I/O
+     *  failure). */
     void save(const std::string &path) const;
 
-    /** Load from @a path (fatal() on I/O failure or bad schema). */
+    /** Load from @a path, as fromJsonText() reads (fatal() on I/O
+     *  failure or bad schema). */
     static RunReportFile load(const std::string &path);
 
     bool operator==(const RunReportFile &other) const;

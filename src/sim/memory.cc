@@ -133,14 +133,27 @@ Memory::checksum() const
 {
     uint64_t hash = 1469598103934665603ULL; // FNV offset basis
     constexpr uint64_t prime = 1099511628211ULL;
+    // FNV-1a over eight zero bytes is eight multiplies by the prime,
+    // so a zero word takes one multiply by its eighth power.
+    constexpr uint64_t prime8 =
+        prime * prime * prime * prime * prime * prime * prime * prime;
+    static_assert(pageSize % 8 == 0);
     forEachResidentPage([&](uint64_t index, const uint8_t *data) {
         for (unsigned shift = 0; shift < 64; shift += 8) {
             hash ^= (index >> shift) & 0xff;
             hash *= prime;
         }
-        for (size_t i = 0; i < pageSize; ++i) {
-            hash ^= data[i];
-            hash *= prime;
+        for (size_t i = 0; i < pageSize; i += 8) {
+            uint64_t word = 0;
+            std::memcpy(&word, data + i, sizeof(word));
+            if (word == 0) {
+                hash *= prime8;
+                continue;
+            }
+            for (size_t b = i; b < i + 8; ++b) {
+                hash ^= data[b];
+                hash *= prime;
+            }
         }
     });
     return hash;

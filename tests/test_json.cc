@@ -6,14 +6,18 @@
  * (not JSON) or degrading to null would corrupt a report file. Then
  * the value model: each kind round-trips with its kind and spelling,
  * parsed keys come out sorted with a repeated key's last value, and
- * nesting past the parser's bound is a named error.
+ * nesting past the parser's bound is a named error. Last, the piece-
+ * at-a-time pair: JsonWriter writes what dump() writes, and JsonReader
+ * fails where parse() fails.
  */
 
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -244,4 +248,129 @@ TEST(JsonValue, DeepNestingIsANamedError)
         objects += "{\"k\":";
     EXPECT_THROW(JsonValue::parse(objects + "0" + std::string(600, '}')),
                  FatalError);
+}
+
+namespace
+{
+
+/** Write @a value through @a writer, opening and closing each of its
+ *  arrays and objects. */
+void
+stream(JsonWriter &writer, const JsonValue &value)
+{
+    if (value.kind() == JsonValue::Kind::Array) {
+        writer.beginArray();
+        for (size_t i = 0; i < value.size(); ++i)
+            stream(writer, value.at(i));
+        writer.end();
+    } else if (value.kind() == JsonValue::Kind::Object) {
+        writer.beginObject();
+        for (const auto &[key, member] : value.members()) {
+            writer.key(key);
+            stream(writer, member);
+        }
+        writer.end();
+    } else {
+        writer.value(value);
+    }
+}
+
+/** The what() of @a read's FatalError; empty when it succeeds. */
+template <typename Read>
+std::string
+errorOf(Read read)
+{
+    try {
+        read();
+    } catch (const FatalError &error) {
+        return error.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(JsonWriter, StreamsTheBytesDumpWrites)
+{
+    const JsonValue value = JsonValue::parse(
+        R"({"a":[1,[],{},{"b":[2,-3]}],"c":{"d":"e\n\"","f":-1.5},"g":[]})");
+    for (int indent : {0, 2, 4}) {
+        for (int compact : {0, 1, 2, 3, INT_MAX}) {
+            std::string out;
+            JsonWriter writer(out, indent, compact);
+            stream(writer, value);
+            EXPECT_EQ(out, value.dump(indent, compact))
+                << "indent " << indent << ", compact depth " << compact;
+        }
+    }
+    // Whole values at any level, and a scalar root.
+    std::string out;
+    JsonWriter writer(out, 2, 2);
+    writer.beginObject();
+    writer.key("a");
+    writer.value(value.at("a"));
+    writer.key("c");
+    writer.beginObject();
+    writer.key("d");
+    writer.value(value.at("c").at("d"));
+    writer.key("f");
+    writer.value(value.at("c").at("f"));
+    writer.end();
+    writer.key("g");
+    writer.value(value.at("g"));
+    writer.end();
+    EXPECT_EQ(out, value.dump(2, 2));
+    std::string scalar;
+    JsonWriter(scalar, 2).value(JsonValue(5));
+    EXPECT_EQ(scalar, JsonValue(5).dump(2));
+}
+
+TEST(JsonReader, DefersMembersAndKeepsTheParserErrors)
+{
+    const std::string text = R"({"list": [{"x": 1}, [2], "three"],
+        "kept": [true, {"k": 2}], "list": [{"x": 4}, 5], "other": 6})";
+    const JsonValue whole = JsonValue::parse(text);
+    const JsonReader reader(text, {"list", "absent"});
+    EXPECT_EQ(reader.head().dump(), R"({"kept":[true,{"k":2}],"other":6})");
+    std::vector<std::string> seen;
+    reader.forEach("list", [&](const JsonValue &element) {
+        seen.push_back(element.dump());
+    });
+    EXPECT_EQ(seen, (std::vector<std::string>{R"({"x":4})", "5"}));
+    // A member the head holds, or none at all, reads as JsonValue
+    // would have it.
+    seen.clear();
+    reader.forEach("kept", [&](const JsonValue &element) {
+        seen.push_back(element.dump());
+    });
+    EXPECT_EQ(seen, (std::vector<std::string>{"true", R"({"k":2})"}));
+    EXPECT_EQ(errorOf([&] { reader.forEach("absent", [](auto &) {}); }),
+              errorOf([&] { whole.at("absent"); }));
+    EXPECT_EQ(errorOf([&] { reader.forEach("other", [](auto &) {}); }),
+              errorOf([&] { whole.at("other").size(); }));
+
+    // A root that is not an object has no head.
+    const std::string root_array = "[1, 2]";
+    const JsonReader array(root_array, {"list"});
+    EXPECT_TRUE(array.head().isNull());
+    EXPECT_EQ(errorOf([&] { array.forEach("list", [](auto &) {}); }),
+              errorOf([&] { JsonValue::parse(root_array).at("list"); }));
+
+    // Every syntax error, in a deferred member or not, at the offset
+    // parse() names.
+    const std::vector<std::string> malformed = {
+        "", "  ", "{", "[1, 2", "{\"list\": [1, 2,]}",
+        "{\"list\": [1e]}", "{\"list\": [\"\\q\"]}",
+        "{\"list\": [\"\\u12g4\"]}", "{\"list\": [\"open]}",
+        "{\"a\": tru}", "{\"a\" 1}", "{\"list\": []} x",
+        "{\"list\": [nul]}", "{1: 2}", std::string(513, '['),
+        "{\"list\": " + std::string(512, '[')};
+    for (const std::string &bad : malformed) {
+        const std::string expected =
+            errorOf([&] { JsonValue::parse(bad); });
+        EXPECT_NE(expected, "") << bad;
+        EXPECT_EQ(errorOf([&] { JsonReader(bad, {"list"}); }), expected)
+            << bad;
+        EXPECT_EQ(errorOf([&] { JsonReader(bad, {}); }), expected) << bad;
+    }
 }

@@ -107,6 +107,22 @@ TEST(Memory, ChecksumMatchesNaiveReference)
     touch(0x7f0000000ULL, 0x55);
     touch(0x400000000ULL + 7, 0x66); // same high page twice
 
+    // Zero words take a one-multiply path: an all-zero page, a word
+    // with one nonzero byte at each of its eight offsets, and a page
+    // of random bytes.
+    const uint64_t zero_page = 0x20000;
+    for (unsigned i = 0; i < 8; ++i)
+        touch(zero_page + i, 0x00);
+    const uint64_t sparse_page = 0x31000;
+    for (unsigned offset = 0; offset < 8; ++offset)
+        touch(sparse_page + 64 * offset + offset, uint8_t(0x80 | offset));
+    const uint64_t random_page = 0x42000;
+    uint64_t state = 0x9e3779b97f4a7c15ULL;
+    for (uint64_t i = 0; i < Memory::pageSize; ++i) {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        touch(random_page + i, uint8_t(state >> 56));
+    }
+
     // Every tracked page is resident and vice versa along the walk,
     // in strictly ascending order.
     std::vector<uint64_t> visited;

@@ -19,7 +19,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -685,6 +688,213 @@ TEST(RunReport, CarriesStatsHistogramsAndCpiStack)
     const RunReport back = RunReport::fromJson(report.toJson());
     EXPECT_EQ(back, report);
     EXPECT_TRUE(back.cpiStack().exact());
+}
+
+namespace
+{
+
+/** A file of @a runs crc32 runs over the modes in turn; with
+ *  @a extras, two verdicts and a host section too. */
+RunReportFile
+reportFile(size_t runs, bool extras)
+{
+    RunReportFile file;
+    file.generator = "test_telemetry";
+    for (size_t i = 0; i < runs; ++i)
+        file.add(telemetryRun("crc32", allModes[i % std::size(allModes)],
+                              nullptr),
+                 smokeBudget);
+    if (!extras)
+        return file;
+    file.verdicts.push_back({"crc32", "Helios", "arch_state",
+                             "a \"quoted\"\tdetail"});
+    file.verdicts.push_back({"sha", "NoFusion", "ipc_regression", ""});
+    JsonValue phases = JsonValue::object();
+    phases.set("sweep_s", JsonValue(1.25));
+    phases.set("write_s", JsonValue(0.5));
+    file.host = JsonValue::object();
+    file.host.set("peak_rss_mb", JsonValue(33.5));
+    file.host.set("phases", std::move(phases));
+    return file;
+}
+
+/** The whole file as read from @a text, or the error reading it. */
+struct ReadOutcome
+{
+    std::optional<RunReportFile> file;
+    std::string error;
+};
+
+template <typename Read>
+ReadOutcome
+readOutcome(Read read)
+{
+    try {
+        return {read(), ""};
+    } catch (const FatalError &error) {
+        return {std::nullopt, error.what()};
+    }
+}
+
+/** A temporary path of this test's own. */
+std::string
+testPath(const char *name)
+{
+    const ::testing::TestInfo *test =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    const std::string dir = ::testing::TempDir() + "telemetry_" +
+                            test->name() + "/";
+    std::filesystem::create_directories(dir);
+    return dir + name;
+}
+
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
+}
+
+} // namespace
+
+TEST(RunReport, WriterMatchesTheWholeTreeDump)
+{
+    // save() and toJsonText() write one run and one verdict at a time,
+    // and their bytes are those of the whole tree's dump.
+    const std::string path = testPath("report.json");
+    for (const RunReportFile &file :
+         {reportFile(2, true), reportFile(0, false)}) {
+        const std::string expected = file.toJson().dump(2, 2) + "\n";
+        EXPECT_EQ(file.toJsonText(), expected);
+        file.save(path);
+        EXPECT_EQ(fileBytes(path), expected);
+    }
+}
+
+TEST(RunReport, ReaderMatchesTheWholeTreeParse)
+{
+    // fromJsonText() and load() read one run at a time; what they read
+    // or the error they raise is that of converting the whole parsed
+    // tree.
+    const RunReportFile file = reportFile(3, true);
+    const JsonValue json = file.toJson();
+    const std::string text = file.toJsonText();
+    const auto textOf = [](const JsonValue &value) {
+        return value.dump(2, 2) + "\n";
+    };
+    const auto with = [&](JsonValue value, const char *key,
+                          JsonValue member) {
+        value.set(key, std::move(member));
+        return value;
+    };
+    /** The runs array with run @a index replaced. */
+    const auto runsWith = [&](size_t index, const JsonValue &run) {
+        JsonValue runs = JsonValue::array();
+        for (size_t i = 0; i < json.at("runs").size(); ++i)
+            runs.push(i == index ? run : json.at("runs").at(i));
+        return runs;
+    };
+    JsonValue no_schema = JsonValue::object();
+    for (const auto &[key, member] : json.members())
+        if (key != "schema")
+            no_schema.set(key, member);
+    const JsonValue newer =
+        with(json, "version", JsonValue(uint64_t{kRunReportVersion + 1}));
+    JsonValue runs_object = JsonValue::object();
+    runs_object.set("first", json.at("runs").at(0));
+    /** The first run holds @a levels nested arrays: with the file
+     *  object, the runs array and the run object, 3 + levels deep. */
+    const auto nested = [&](size_t levels) {
+        const JsonValue run =
+            with(json.at("runs").at(0), "deep", JsonValue("DEEP"));
+        std::string out = textOf(with(json, "runs", runsWith(0, run)));
+        out.replace(out.find("\"DEEP\""), 6,
+                    std::string(levels, '[') + std::string(levels, ']'));
+        return out;
+    };
+    size_t third = 0;
+    for (int i = 0; i < 3; ++i)
+        third = text.find("\n    {", third + 1);
+    const std::string end_of_object = text.substr(0, text.rfind("\n}"));
+
+    const std::vector<std::pair<std::string, std::string>> rows = {
+        {"as written", text},
+        {"truncated inside the third run", text.substr(0, third + 200)},
+        {"a run that is not an object",
+         textOf(with(json, "runs", runsWith(1, JsonValue(7))))},
+        {"runs a string", textOf(with(json, "runs", JsonValue("none")))},
+        {"runs an empty object",
+         textOf(with(json, "runs", JsonValue::object()))},
+        {"runs an object", textOf(with(json, "runs", runs_object))},
+        {"no runs",
+         std::string(text).replace(text.find("\"runs\""), 6, "\"runz\"")},
+        {"no schema", textOf(no_schema)},
+        {"a newer version", textOf(newer)},
+        {"a newer version with a run it cannot convert",
+         textOf(with(newer, "runs", runsWith(1, JsonValue(7))))},
+        {"a repeated runs key, the array last", "{\"runs\": 5," +
+                                                    text.substr(1)},
+        {"a repeated runs key, an empty array last",
+         end_of_object + ",\n  \"runs\": []\n}\n"},
+        {"a run nested 512 levels from the root", nested(509)},
+        {"a run nested 513 levels from the root", nested(510)},
+        {"trailing garbage", text + "x"},
+        {"indented by dump(2)", json.dump(2)},
+        {"a root that is not an object", "[1, 2]"},
+        {"empty", ""},
+    };
+    std::map<std::string, ReadOutcome> outcomes;
+    const std::string path = testPath("report.json");
+    for (const auto &[name, row] : rows) {
+        SCOPED_TRACE(name);
+        const ReadOutcome reference = readOutcome([&] {
+            return RunReportFile::fromJson(JsonValue::parse(row));
+        });
+        {
+            std::ofstream out(path, std::ios::binary);
+            out << row;
+        }
+        for (const ReadOutcome &read :
+             {readOutcome([&] { return RunReportFile::fromJsonText(row); }),
+              readOutcome([&] { return RunReportFile::load(path); })}) {
+            EXPECT_EQ(read.error, reference.error);
+            ASSERT_EQ(read.file.has_value(), reference.file.has_value());
+            if (read.file) {
+                EXPECT_TRUE(*read.file == *reference.file);
+            }
+        }
+        outcomes[name] = reference;
+    }
+
+    // The table covers what it means to.
+    const auto read = [&](const char *name) { return outcomes.at(name); };
+    EXPECT_TRUE(read("as written").file == file);
+    EXPECT_TRUE(read("indented by dump(2)").file == file);
+    EXPECT_TRUE(read("a repeated runs key, the array last").file == file);
+    EXPECT_TRUE(read("a run nested 512 levels from the root").file == file);
+    EXPECT_EQ(read("runs an empty object").file->runs.size(), 0u);
+    EXPECT_EQ(read("a repeated runs key, an empty array last")
+                  .file->runs.size(),
+              0u);
+    EXPECT_NE(read("truncated inside the third run")
+                  .error.find("json parse error at offset"),
+              std::string::npos);
+    EXPECT_NE(read("a run nested 513 levels from the root")
+                  .error.find("nested more than 512 levels deep"),
+              std::string::npos);
+    const std::string version_error =
+        read("a newer version").error;
+    EXPECT_NE(version_error.find("is newer than this build"),
+              std::string::npos);
+    EXPECT_EQ(read("a newer version with a run it cannot convert").error,
+              version_error);
+    for (const char *name :
+         {"a run that is not an object", "runs a string", "runs an object",
+          "no runs", "no schema", "trailing garbage",
+          "a root that is not an object", "empty"})
+        EXPECT_NE(read(name).error, "") << name;
 }
 
 TEST(RunReport, FindAndVersionGate)
