@@ -52,6 +52,7 @@ class HostMetrics
     static HostMetrics &global();
 
     void enable() { on.store(true, std::memory_order_relaxed); }
+    void disable() { on.store(false, std::memory_order_relaxed); }
     bool
     enabled() const
     {

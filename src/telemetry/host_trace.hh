@@ -42,6 +42,7 @@ class HostTracer
     static HostTracer &global();
 
     void enable() { on.store(true, std::memory_order_relaxed); }
+    void disable() { on.store(false, std::memory_order_relaxed); }
     bool
     enabled() const
     {

@@ -130,7 +130,7 @@ Pipeline::Pipeline(const CoreParams &p, HartFeed &f)
     inflightSlots.resize(ring, nullptr);
     unresolvedKind.resize(ring, unresolvedNone);
     fetchRing.resize(ring);
-    tailCommitted.resize(ring, false);
+    tailCommitted.resize(ring, 0);
     inflightMask = ring - 1;
     feedSeq = fetchSeq = feed.nextSeq();
     // Events are due 1..maxCompletionLatency cycles ahead, so a wheel
@@ -202,6 +202,7 @@ void
 Pipeline::readyInsert(Uop *uop)
 {
     uop->inReadyList = true;
+    ++readyCount[unsigned(uop->port)];
     Uop *at = readyTail;
     while (at && at->seq > uop->seq)
         at = at->readyPrev;
@@ -234,6 +235,7 @@ Pipeline::readyRemove(Uop *uop)
     uop->readyPrev = nullptr;
     uop->readyNext = nullptr;
     uop->inReadyList = false;
+    --readyCount[unsigned(uop->port)];
 }
 
 // ---------------------------------------------------------------------
@@ -268,7 +270,7 @@ Pipeline::fetchStage()
             }
             helios_assert(fetchRing[slot].seq == feedSeq,
                           "feed skipped a seq");
-            tailCommitted[slot] = false;
+            tailCommitted[slot] = 0;
             ++feedSeq;
         }
         const DynInst &dyn = fetchRing[fetchSeq & inflightMask];
@@ -278,22 +280,18 @@ Pipeline::fetchStage()
         uop->seq = dyn.seq;
         uop->uid = nextUid++;
         uop->dyn = &dyn;
-        uop->fetchCycle = cycle;
+        uop->refreshFacts();
+        stamp(uop->fetchCycle);
         uop->fetchHistory = bpred.fusionHistory();
         inflightInsert(uop);
         group.uops.push_back(uop);
         notify(&PipelineObserver::onFetch, *uop, cycle);
         hot.fetchUops++;
-        if (dyn.inst.isStore()) {
-            helios_assert(unresolvedKind[dyn.seq & inflightMask] ==
-                              unresolvedNone,
+        if (uop->isMem()) {
+            uint8_t &kind = unresolvedKind[dyn.seq & inflightMask];
+            helios_assert(kind == unresolvedNone,
                           "unresolved ring collision");
-            unresolvedKind[dyn.seq & inflightMask] = unresolvedStore;
-        } else if (dyn.inst.isLoad()) {
-            helios_assert(unresolvedKind[dyn.seq & inflightMask] ==
-                              unresolvedNone,
-                          "unresolved ring collision");
-            unresolvedKind[dyn.seq & inflightMask] = unresolvedLoad;
+            kind = uop->isStore() ? unresolvedStore : unresolvedLoad;
         }
 
         // Instruction cache: charge a stall when a new line misses.
@@ -307,7 +305,7 @@ Pipeline::fetchStage()
             }
         }
 
-        if (dyn.inst.isControl()) {
+        if (uop->port == PortClass::Branch) {
             const bool correct = bpred.predictAndCheck(
                 dyn.pc, dyn.inst, dyn.taken, dyn.nextPc);
             if (!correct) {
@@ -371,6 +369,7 @@ Pipeline::applyConsecutiveFusion(std::vector<Uop *> &group)
                 head->idiom = idiom;
                 head->hasTail = true;
                 head->tailDyn = tail->dyn;
+                head->refreshFacts();
                 notify(&PipelineObserver::onFusePair, *head, *tail->dyn,
                        head->fusion, /*absorbed=*/true, cycle);
                 uopPool.release(inflightErase(tail->seq));
@@ -443,6 +442,8 @@ Pipeline::tryPredictedFusion(Uop *tail)
 
     tail->isTailMarker = true;
     tail->pairSeq = head->seq;
+    head->refreshFacts();
+    tail->refreshFacts();
 
     notify(&PipelineObserver::onFusePair, *head, *tail->dyn,
            FusionKind::NcsfMem, /*absorbed=*/false, cycle);
@@ -471,10 +472,10 @@ int
 Pipeline::storeNuclei(const Uop &uop, StoreNucleus out[2])
 {
     int count = 0;
-    if (uop.dyn->inst.isStore())
+    if (uop.mem & Uop::HeadStore)
         out[count++] = {uop.seq, uop.dyn->effAddr,
                         uop.dyn->effAddr + uop.dyn->memSize()};
-    if (uop.hasTail && uop.tailDyn->inst.isStore())
+    if (uop.mem & Uop::TailStore)
         out[count++] = {uop.tailDyn->seq, uop.tailDyn->effAddr,
                         uop.tailDyn->effAddr + uop.tailDyn->memSize()};
     return count;
@@ -513,7 +514,12 @@ Pipeline::catalystTaint(const Uop *head, const Uop *tail) const
         else
             taint &= ~(1u << reg);
     };
-    const auto reads = [](uint32_t taint, const Instruction &inst) {
+    // Bit 0 (x0) is never set, and a head source a µ-op does not read
+    // is x0.
+    const auto reads = [](uint32_t taint, const Uop *u) {
+        return (((taint >> u->headRs1) | (taint >> u->headRs2)) & 1) != 0;
+    };
+    const auto tail_reads = [](uint32_t taint, const Instruction &inst) {
         return (inst.readsRs1() && ((taint >> inst.rs1) & 1)) ||
                (inst.readsRs2() && ((taint >> inst.rs2) & 1));
     };
@@ -522,48 +528,46 @@ Pipeline::catalystTaint(const Uop *head, const Uop *tail) const
 
     // The tail nucleus' destination is invisible to the catalyst (WaR
     // deferral), so only the head's register output seeds the taint.
-    if (head->dyn->inst.writesReg())
-        set(on_head, head->dyn->inst.rd, true);
+    if (head->headRd)
+        set(on_head, head->headRd, true);
     for (uint64_t seq = head->seq + 1; seq < tail->seq; ++seq) {
         const Uop *u = findInflight(seq);
         if (!u)
             continue;
-        const Instruction &inst = u->dyn->inst;
         if (u->isTailMarker) {
-            if (inst.writesReg())
-                set(on_load, inst.rd, true);
+            if (u->headRd)
+                set(on_load, u->headRd, true);
             continue;
         }
         answer.store |= u->isStore();
-        answer.serializing |= inst.isSerializing();
+        answer.serializing |= u->serializing;
 
         // A catalyst load made to wait on the head (or on a dependent
         // catalyst store) by the store-set predictor depends on the
         // head for scheduling.
         const bool from_head =
-            reads(on_head, inst) ||
-            (u->hasTail && reads(on_head, u->tailDyn->inst)) ||
+            reads(on_head, u) ||
+            (u->hasTail && tail_reads(on_head, u->tailDyn->inst)) ||
             u->waitStoreSeq == head->seq ||
             std::find(head_dependent.begin(), head_dependent.end(),
                       u->waitStoreSeq) != head_dependent.end();
         if (from_head)
             head_dependent.push_back(u->seq);
-        const bool from_load = u->isLoad() || reads(on_load, inst);
+        const bool from_load = u->isLoad() || reads(on_load, u);
 
-        if (inst.writesReg()) {
-            set(on_head, inst.rd, from_head);
-            set(on_load, inst.rd, from_load);
+        if (u->headRd) {
+            set(on_head, u->headRd, from_head);
+            set(on_load, u->headRd, from_load);
         }
         // CSF pairs produce the tail value in place; a pending NCSF
         // tail destination stays owned by the old producer.
-        if (u->hasTail && u->tailDyn->inst.writesReg() &&
-            u->fusion != FusionKind::NcsfMem) {
-            set(on_head, u->tailDyn->inst.rd, from_head);
-            set(on_load, u->tailDyn->inst.rd, from_load);
+        if (u->tailRd && u->fusion != FusionKind::NcsfMem) {
+            set(on_head, u->tailRd, from_head);
+            set(on_load, u->tailRd, from_load);
         }
     }
-    answer.deadlock = reads(on_head, tail->dyn->inst);
-    answer.lateRaw = reads(on_load, tail->dyn->inst);
+    answer.deadlock = reads(on_head, tail);
+    answer.lateRaw = reads(on_load, tail);
     return answer;
 }
 
@@ -587,8 +591,7 @@ Pipeline::oracleLookup(const Uop *tail) const
         const Uop *cand = aq[index];
         const uint64_t distance = t.seq - cand->seq;
         // A serializing catalyst µ-op unfuses every pair around it.
-        if (distance > params.maxFusionDistance ||
-            cand->dyn->inst.isSerializing())
+        if (distance > params.maxFusionDistance || cand->serializing)
             break;
         if (!cand->isTailMarker && sameMemKind(cand, tail)) {
             if (cand->fusion == FusionKind::None && !cand->hasTail &&
@@ -637,23 +640,27 @@ Pipeline::aqInsertStage()
 
             // Fusion-predictor lookup at Decode: Helios asks its
             // tournament predictor, OracleFusion the address oracle.
+            // Nothing else predicts before the AQ, so only a µ-op
+            // looked up here can try to fuse.
+            bool predicted = false;
             if (uop->isMem() && uop->fusion == FusionKind::None) {
                 if (params.fusion == FusionMode::Helios)
                     uop->fpPred = fusionPred->lookup(uop->dyn->pc,
                                                      uop->fetchHistory);
                 else if (params.fusion == FusionMode::Oracle)
                     uop->fpPred = oracleLookup(uop);
+                predicted = uop->fpPred.valid;
             }
 
             uop->inAq = true;
-            uop->aqCycle = cycle;
+            stamp(uop->aqCycle);
             // The oracle's walk and squash's chop() both rely on the AQ
             // holding µ-ops in ascending seq order.
             helios_assert(aq.empty() || aq.back()->seq < uop->seq,
                           "AQ out of program order");
             aq.push_back(uop);
 
-            if (uop->fpPred.valid)
+            if (predicted)
                 tryPredictedFusion(uop);
         }
         decodePipe.pop_front();
@@ -676,25 +683,23 @@ Pipeline::attachDependency(Uop *consumer, uint64_t producer_seq,
         return false;
     // The paper requires fused pairs to deliver their two destination
     // registers to dependents independently (Section II-B): route the
-    // dependency to the producing half. reg < 0 (non-register
-    // dependences, e.g. store sets) waits for full completion.
-    const bool tail_half = reg >= 0 && producer->hasTail &&
-                           producer->tailDyn->inst.writesReg() &&
-                           producer->tailDyn->inst.rd == unsigned(reg);
-    const bool head_half = reg >= 0 && !tail_half &&
-                           producer->dyn->inst.writesReg() &&
-                           producer->dyn->inst.rd == unsigned(reg);
+    // dependency to the producing half. reg <= 0 (x0, or a
+    // non-register dependence such as a store set) waits for full
+    // completion.
+    const bool tail_half = reg > 0 && producer->tailRd == reg;
+    const bool head_half =
+        reg > 0 && !tail_half && producer->headRd == reg;
     if (tail_half) {
         if (producer->tailDone)
             return false;
-        producer->dependentsTail.push_back(consumer->seq);
+        addWakeEdge(producer->wakeTail, consumer);
     } else if (head_half) {
         if (producer->headDone)
             return false;
-        producer->dependents.push_back(consumer->seq);
+        addWakeEdge(producer->wakeHead, consumer);
     } else {
         // Wait for full completion (final event wakes head list).
-        producer->dependents.push_back(consumer->seq);
+        addWakeEdge(producer->wakeHead, consumer);
     }
     ++consumer->notReady;
     return true;
@@ -712,7 +717,7 @@ void
 Pipeline::addStoreSetDependency(Uop *uop)
 {
     uint64_t store_seq = storeSets.loadDependence(uop->dyn->pc);
-    if (uop->hasTail && uop->tailDyn->inst.isLoad()) {
+    if (uop->mem & Uop::TailLoad) {
         const uint64_t tail_dep =
             storeSets.loadDependence(uop->tailDyn->pc);
         if (store_seq == StoreSets::invalidSeq ||
@@ -730,7 +735,6 @@ Pipeline::addStoreSetDependency(Uop *uop)
 void
 Pipeline::renameNormal(Uop *uop)
 {
-    const Instruction &inst = uop->dyn->inst;
     bool helios_pending = uop->fusion == FusionKind::NcsfMem;
 
     // Max Active NCS saturation: a head nucleus entering Rename while
@@ -745,16 +749,16 @@ Pipeline::renameNormal(Uop *uop)
         marker->isTailMarker = false;
         marker->pairSeq = 0;
         marker->fpPred.valid = false;
+        marker->refreshFacts();
         breakPair(marker, "fusion.fp_nest_limited", ProfBreak::NestLimit);
         helios_pending = false;
     }
 
     // ---- sources ----
-    if (inst.readsRs1())
-        addSourceDependency(uop, inst.rs1);
-    if (inst.readsRs2())
-        addSourceDependency(uop, inst.rs2);
+    addSourceDependency(uop, uop->headRs1);
+    addSourceDependency(uop, uop->headRs2);
     if (uop->hasTail && !helios_pending) {
+        const Instruction &inst = uop->dyn->inst;
         const Instruction &t = uop->tailDyn->inst;
         switch (uop->fusion) {
           case FusionKind::CsfMem:
@@ -791,27 +795,14 @@ Pipeline::renameNormal(Uop *uop)
     }
 
     // ---- destinations & RAT ----
-    if (inst.writesReg())
-        rat[inst.rd].producerSeq = uop->seq;
-    if (uop->hasTail && uop->tailDyn->inst.writesReg()) {
-        const uint8_t tail_rd = uop->tailDyn->inst.rd;
-        switch (uop->fusion) {
-          case FusionKind::CsfMem:
-            // Consecutive: no catalyst, RAT updates immediately.
-            rat[tail_rd].producerSeq = uop->seq;
-            break;
-          case FusionKind::CsfOther:
-            // Idioms write a single architectural register (tail.rd ==
-            // head.rd), already renamed above.
-            break;
-          case FusionKind::NcsfMem:
-            // WaR deferral: RAT update happens when the tail marker
-            // renames (Section IV-B2).
-            break;
-          default:
-            break;
-        }
-    }
+    if (uop->headRd)
+        rat[uop->headRd].producerSeq = uop->seq;
+    // A consecutive memory pair has no catalyst: its tail destination
+    // renames now. An idiom writes one architectural register (tail.rd
+    // == head.rd), renamed above; an NCSF pair's tail destination
+    // renames with its marker (WaR deferral, Section IV-B2).
+    if (uop->tailRd && uop->fusion == FusionKind::CsfMem)
+        rat[uop->tailRd].producerSeq = uop->seq;
 
     // ---- activate a Helios NCSF nest ----
     if (helios_pending)
@@ -835,8 +826,6 @@ Pipeline::renameMarker(Uop *marker)
     helios_assert(head && head->hasTail && !head->ncsReady,
                   "tail marker without pending head");
 
-    const Instruction &tail = marker->dyn->inst;
-
     // Deadlock detection (load pairs only: store pairs write nothing).
     // The hardware uses the Deadlock-Tag propagation of Section IV-B2;
     // the simulator computes its precise outcome with an exact walk.
@@ -858,22 +847,24 @@ Pipeline::renameMarker(Uop *marker)
     if (taint.lateRaw && marker->profBreak == ProfBreak::None)
         breakPair(marker, "fusion.unfuse_late_raw", ProfBreak::LateRaw);
 
-    // Capture the program-order-correct producers of the tail sources.
+    // Capture the program-order-correct producers of the tail sources
+    // (the marker's own nucleus is the tail).
     marker->tailProducers[0] =
-        tail.readsRs1() ? rat[tail.rs1].producerSeq : invalidSeq;
-    marker->tailProducers[1] = tail.isStore() && tail.readsRs2()
-                                   ? rat[tail.rs2].producerSeq
-                                   : invalidSeq;
+        marker->headRs1 ? rat[marker->headRs1].producerSeq : invalidSeq;
+    marker->tailProducers[1] =
+        (marker->mem & Uop::HeadStore) && marker->headRs2
+            ? rat[marker->headRs2].producerSeq
+            : invalidSeq;
 
-    if (tail.writesReg()) {
+    if (marker->headRd) {
         if (marker->profBreak != ProfBreak::None) {
             // The tail will re-dispatch as its own µ-op: younger
             // µ-ops must see it as the producer.
-            rat[tail.rd].producerSeq = marker->seq;
+            rat[marker->headRd].producerSeq = marker->seq;
         } else {
             // Deferred RAT update for the tail destination (the
             // paper's WaR buffer, Section IV-B2).
-            rat[tail.rd].producerSeq = head->seq;
+            rat[marker->headRd].producerSeq = head->seq;
         }
     }
 
@@ -903,7 +894,7 @@ Pipeline::renameStage()
         else
             renameNormal(uop);
         uop->inAq = false;
-        uop->renameCycle = cycle;
+        stamp(uop->renameCycle);
         aq.pop_front();
         renamedQueue.push_back(uop);
         ++renamed;
@@ -923,6 +914,7 @@ Pipeline::unfuseInPlace(Uop *head, ProfBreak reason)
     head->fusion = FusionKind::None;
     head->hasTail = false;
     head->ncsReady = true;
+    head->refreshFacts();
     if (head->profBreak == ProfBreak::None)
         head->profBreak = reason;
 }
@@ -951,7 +943,8 @@ Pipeline::dispatchStage()
                 // The tail re-dispatches as its own µ-op: two dispatch
                 // slots plus fresh ROB/IQ/LQ/SQ entries.
                 if (slots < 2 ||
-                    !backendHasRoom(uop->dyn->isLoad(), uop->dyn->isStore()))
+                    !backendHasRoom(uop->mem & Uop::HeadLoad,
+                                    uop->mem & Uop::HeadStore))
                     break;
 
                 notify(&PipelineObserver::onUnfuse, *head, uop->seq, cycle);
@@ -964,12 +957,13 @@ Pipeline::dispatchStage()
                 uop->isTailMarker = false;
                 uop->pairSeq = 0;
                 uop->ncsReady = true;
+                uop->refreshFacts();
                 // The RAT already points at the marker (renameMarker).
                 for (uint64_t producer_seq : uop->tailProducers)
                     attachDependency(uop, producer_seq, -1);
-                if (uop->dyn->isLoad())
+                if (uop->isLoad())
                     addStoreSetDependency(uop);
-                if (uop->dyn->isStore()) {
+                if (uop->isStore()) {
                     // renameNormal's store-set chain, left uncounted.
                     const uint64_t previous =
                         storeSets.storeRenamed(uop->dyn->pc, uop->seq);
@@ -984,10 +978,8 @@ Pipeline::dispatchStage()
 
             // Validation: repair/complete the head's tail sources and
             // set NCS Ready (one dispatch slot, Section IV-B2).
-            attachDependency(head, uop->tailProducers[0],
-                             uop->dyn->inst.rs1);
-            attachDependency(head, uop->tailProducers[1],
-                             uop->dyn->inst.rs2);
+            attachDependency(head, uop->tailProducers[0], uop->headRs1);
+            attachDependency(head, uop->tailProducers[1], uop->headRs2);
             head->ncsReady = true;
             maybeReady(head);
             literalCounter("fusion.validated")++;
@@ -1037,7 +1029,7 @@ Pipeline::enterBackend(Uop *uop)
     rob.push_back(uop);
     ++iqCount;
     uop->inIq = true;
-    uop->dispatchCycle = cycle;
+    stamp(uop->dispatchCycle);
     if (uop->isLoad())
         lqList.push_back(uop);
     if (uop->isStore())
@@ -1127,7 +1119,7 @@ Pipeline::executeStore(Uop *uop)
     uop->addrKnown = true;
     storeFilter.add(uop->memBegin, uop->memEnd);
     unresolvedKind[uop->seq & inflightMask] = unresolvedNone;
-    if (uop->hasTail && uop->tailDyn->inst.isStore())
+    if (uop->mem & Uop::TailStore)
         unresolvedKind[uop->tailDyn->seq & inflightMask] =
             unresolvedNone;
     hot.execStores++;
@@ -1153,7 +1145,7 @@ Pipeline::executeStore(Uop *uop)
         uint64_t violator_pc = load->dyn->pc;
         for (int n = 0; n < num_stores && !violated; ++n) {
             const StoreNucleus &store = stores[n];
-            if (load->seq > store.seq && load->dyn->inst.isMem() &&
+            if (load->seq > store.seq && (load->mem & Uop::HeadMem) &&
                 rangesOverlap(load->dyn->effAddr,
                               load->dyn->effAddr + load->dyn->memSize(),
                               store.begin, store.end)) {
@@ -1185,7 +1177,7 @@ Pipeline::executeStore(Uop *uop)
 }
 
 void
-Pipeline::pushEvent(uint64_t due, const Uop *uop, uint8_t kind)
+Pipeline::pushEvent(uint64_t due, Uop *uop, uint8_t kind)
 {
     helios_assert(due > cycle && due - cycle <= wheelMask,
                   "completion event beyond the timing wheel");
@@ -1197,7 +1189,7 @@ Pipeline::pushEvent(uint64_t due, const Uop *uop, uint8_t kind)
         eventPool.emplace_back();
     }
     uint32_t &slot = wheel[due & wheelMask];
-    eventPool[node] = {uop->seq, uop->uid, slot, kind};
+    eventPool[node] = {uop, uop->uid, slot, kind};
     slot = node;
 }
 
@@ -1215,10 +1207,11 @@ Pipeline::scheduleSplitCompletion(Uop *uop, unsigned head_latency,
                                   unsigned tail_latency)
 {
     uop->issued = true;
-    uop->issueCycle = cycle;
     const uint64_t head_done = cycle + std::max(1u, head_latency);
     const uint64_t tail_done = cycle + std::max(1u, tail_latency);
-    uop->doneCycle = std::max(head_done, tail_done);
+    stamp(uop->issueCycle);
+    if (!observers.empty())
+        uop->doneCycle = std::max(head_done, tail_done);
     if (uop->inIq) {
         uop->inIq = false;
         --iqCount;
@@ -1226,7 +1219,7 @@ Pipeline::scheduleSplitCompletion(Uop *uop, unsigned head_latency,
     // Each destination register is delivered at its own latency
     // (Section II-B); the µ-op is commit-eligible once both are.
     if (head_done == tail_done) {
-        pushEvent(uop->doneCycle, uop, 2);
+        pushEvent(head_done, uop, 2);
     } else if (head_done < tail_done) {
         pushEvent(head_done, uop, 0);
         pushEvent(tail_done, uop, 2);
@@ -1241,68 +1234,58 @@ bool
 Pipeline::issueStage()
 {
     bool moved = false;
-    unsigned alu = params.aluPorts;
-    unsigned mul = params.mulPorts;
-    unsigned div = params.divPorts;
-    unsigned load = params.loadPorts;
-    unsigned store = params.storePorts;
-    unsigned branch = params.branchPorts;
+    // Per port class, in PortClass order: the free ports, and the
+    // ready µ-ops not yet walked past. A class is open while it has
+    // both (and, for the divider, while it is idle); once none is, no
+    // µ-op further down the list can issue.
+    std::array<unsigned, numPortClasses> free = {
+        params.aluPorts,  params.branchPorts, params.mulPorts,
+        params.divPorts,  params.loadPorts,   params.storePorts};
+    std::array<unsigned, numPortClasses> ahead = readyCount;
+    constexpr unsigned div_bit = 1u << unsigned(PortClass::Div);
+    unsigned open = 0;
+    for (unsigned cls = 0; cls < numPortClasses; ++cls)
+        if (free[cls] && ahead[cls])
+            open |= 1u << cls;
+    if (cycle < divBusyUntil)
+        open &= ~div_bit;
 
-    // Walk the intrusive ready list oldest-first. Scheduling never
-    // touches the list, so capturing `next` up front keeps the walk
-    // valid across the immediate readyRemove of an issued µ-op.
+    // Walk the intrusive ready list oldest-first, across every class,
+    // so a store still executes before a younger load of the same
+    // cycle. A µ-op whose class is closed is skipped on its port field
+    // alone. Scheduling never touches the list, so capturing `next` up
+    // front keeps the walk valid across the immediate readyRemove of
+    // an issued µ-op.
     Uop *next = nullptr;
-    for (Uop *uop = readyHead; uop; uop = next) {
+    for (Uop *uop = readyHead; uop && open; uop = next) {
         next = uop->readyNext;
-        if (alu + mul + div + load + store + branch == 0)
-            break;
+        const PortClass port = uop->port;
+        const unsigned cls = unsigned(port);
+        const unsigned bit = 1u << cls;
+        const bool can_issue = open & bit;
+        if (--ahead[cls] == 0)
+            open &= ~bit;
+        if (!can_issue)
+            continue;
+        if (--free[cls] == 0)
+            open &= ~bit;
 
-        unsigned latency = 0;
+        unsigned latency = params.aluLatency;
         // A fused load pair delivers each destination register at its
         // own latency (Section II-B); every other µ-op completes whole.
         std::optional<unsigned> tail_latency;
-        OpClass cls = uop->dyn->inst.info().cls;
-        if (uop->isMem())
-            cls = uop->isLoad() ? OpClass::Load : OpClass::Store;
-        switch (cls) {
-          case OpClass::IntAlu:
-          case OpClass::Serializing:
-            if (alu == 0)
-                continue;
-            --alu;
-            latency = params.aluLatency;
-            break;
-          case OpClass::Branch:
-            if (branch == 0)
-                continue;
-            --branch;
-            latency = params.aluLatency;
-            break;
-          case OpClass::IntMul:
-            if (mul == 0)
-                continue;
-            --mul;
+        switch (port) {
+          case PortClass::Mul:
             latency = params.mulLatency;
             break;
-          case OpClass::IntDiv:
-            if (div == 0 || cycle < divBusyUntil)
-                continue;
-            --div;
+          case PortClass::Div:
             latency = params.divLatency;
             divBusyUntil = cycle + params.divLatency;
+            if (cycle < divBusyUntil)
+                open &= ~div_bit;
             break;
-          case OpClass::Load:
-          case OpClass::Store: {
-            const bool is_load = uop->isLoad();
-            if (is_load) {
-                if (load == 0)
-                    continue;
-                --load;
-            } else {
-                if (store == 0)
-                    continue;
-                --store;
-            }
+          case PortClass::Load:
+          case PortClass::Store: {
             // Address-based fusion validation (case 5, Section IV-C).
             if (uop->fusion == FusionKind::NcsfMem &&
                 !validateFusedAddresses(uop)) {
@@ -1315,7 +1298,7 @@ Pipeline::issueStage()
                     fusionPred->resolve(uop->fpPred, true);
                 literalCounter("fusion.fp_correct")++;
             }
-            if (!is_load) {
+            if (port == PortClass::Store) {
                 latency = executeStore(uop);
                 break;
             }
@@ -1323,14 +1306,13 @@ Pipeline::issueStage()
             uop->addrKnown = true;
             loadFilter.add(uop->memBegin, uop->memEnd);
             unresolvedKind[uop->seq & inflightMask] = unresolvedNone;
-            if (uop->hasTail && uop->tailDyn->inst.isLoad())
+            if (uop->mem & Uop::TailLoad)
                 unresolvedKind[uop->tailDyn->seq & inflightMask] =
                     unresolvedNone;
             hot.execLoads++;
             // Each nucleus forwards / accesses the cache and delivers
             // its destination independently (Section II-B).
-            if (uop->hasTail && uop->dyn->inst.isMem() &&
-                uop->tailDyn->inst.isMem()) {
+            if ((uop->mem & Uop::HeadMem) && (uop->mem & Uop::TailMem)) {
                 latency = loadHalfLatency(
                     uop->seq, uop->dyn->effAddr,
                     uop->dyn->effAddr + uop->dyn->memSize());
@@ -1343,8 +1325,7 @@ Pipeline::issueStage()
                 loadHalfLatency(uop->seq, uop->memBegin, uop->memEnd);
             break;
           }
-          default:
-            latency = params.aluLatency;
+          default: // ALU and branch ports
             break;
         }
 
@@ -1372,16 +1353,50 @@ Pipeline::issueStage()
 // ---------------------------------------------------------------------
 
 void
-Pipeline::wakeDependents(std::vector<uint64_t> &list)
+Pipeline::addWakeEdge(uint32_t &chain, Uop *consumer)
 {
-    for (uint64_t dep_seq : list) {
-        Uop *dep = findInflight(dep_seq);
-        if (!dep)
-            continue;
-        --dep->notReady;
-        maybeReady(dep);
+    uint32_t edge = freeWakeEdges;
+    if (edge != noWakeEdge) {
+        freeWakeEdges = wakeEdges[edge].next;
+    } else {
+        edge = uint32_t(wakeEdges.size());
+        wakeEdges.emplace_back();
     }
-    list.clear();
+    wakeEdges[edge] = {consumer, consumer->seq, chain};
+    chain = edge;
+}
+
+void
+Pipeline::wakeDependents(uint32_t &chain)
+{
+    uint32_t edge = chain;
+    chain = noWakeEdge;
+    while (edge != noWakeEdge) {
+        WakeEdge &node = wakeEdges[edge];
+        --node.uop->notReady;
+        maybeReady(node.uop);
+        const uint32_t next = node.next;
+        node.next = freeWakeEdges;
+        freeWakeEdges = edge;
+        edge = next;
+    }
+}
+
+void
+Pipeline::dropWakeEdges(uint32_t &chain, uint64_t seq_min)
+{
+    uint32_t *link = &chain;
+    while (*link != noWakeEdge) {
+        const uint32_t edge = *link;
+        WakeEdge &node = wakeEdges[edge];
+        if (node.seq < seq_min) {
+            link = &node.next;
+            continue;
+        }
+        *link = node.next;
+        node.next = freeWakeEdges;
+        freeWakeEdges = edge;
+    }
 }
 
 bool
@@ -1413,24 +1428,24 @@ Pipeline::completeExecution()
         freeEvents = node;
         node = event.next;
 
-        Uop *uop = findInflight(event.seq);
-        if (!uop || uop->uid != event.uid || uop->done)
+        Uop *uop = event.uop;
+        if (uop->uid != event.uid || uop->done)
             continue; // squashed (and possibly refetched)
         if (event.kind == 0) {
             uop->headDone = true;
-            wakeDependents(uop->dependents);
+            wakeDependents(uop->wakeHead);
             continue;
         }
         if (event.kind == 1) {
             uop->tailDone = true;
-            wakeDependents(uop->dependentsTail);
+            wakeDependents(uop->wakeTail);
             continue;
         }
         uop->done = true;
         uop->headDone = true;
         uop->tailDone = true;
-        wakeDependents(uop->dependents);
-        wakeDependents(uop->dependentsTail);
+        wakeDependents(uop->wakeHead);
+        wakeDependents(uop->wakeTail);
 
         if (uop->isStore())
             storeSets.storeCompleted(uop->dyn->pc, uop->seq);
@@ -1604,7 +1619,7 @@ Pipeline::commitStageImpl()
             countFusedPair(uop);
             // A flush inside an NCSF pair's catalyst must not fetch
             // its retired tail again (fetchFrom skips it).
-            tailCommitted[uop->tailDyn->seq & inflightMask] = true;
+            tailCommitted[uop->tailDyn->seq & inflightMask] = 1;
         }
 
         // UCH training (Helios): unfused committed memory µ-ops look
@@ -1736,13 +1751,12 @@ Pipeline::squashFrom(uint64_t seq_min, const char *reason)
     decodePipe.clear();
     activeNcsHeads = 0;
 
-    // Remove squashed seqs from survivors' wakeup lists (both halves:
-    // a stale tail-half entry would corrupt the notReady count of a
-    // refetched µ-op that reuses the squashed sequence number).
-    const auto stale = [seq_min](uint64_t dep) { return dep >= seq_min; };
+    // Unlink the squashed µ-ops from survivors' wakeup chains (both
+    // halves: a stale edge would decrement the notReady count of
+    // whatever µ-op reuses the squashed record).
     for (Uop *uop : rob) {
-        std::erase_if(uop->dependents, stale);
-        std::erase_if(uop->dependentsTail, stale);
+        dropWakeEdges(uop->wakeHead, seq_min);
+        dropWakeEdges(uop->wakeTail, seq_min);
     }
 
     // Sweep the squashed seq range in ascending order: fire the
@@ -1757,6 +1771,11 @@ Pipeline::squashFrom(uint64_t seq_min, const char *reason)
             continue;
         ++squashed_count;
         notify(&PipelineObserver::onSquash, *uop, cycle, reason);
+        dropWakeEdges(uop->wakeHead, 0);
+        dropWakeEdges(uop->wakeTail, 0);
+        // A completion event still due finds the released record
+        // done, or holding a younger uid.
+        uop->done = true;
         if (uop->isTailMarker) {
             // The head is older; if it survived we would have moved
             // the flush point above, so the head is squashed too.
@@ -1781,10 +1800,10 @@ Pipeline::squashFrom(uint64_t seq_min, const char *reason)
     for (RatEntry &entry : rat)
         entry.producerSeq = invalidSeq;
     for (const Uop *uop : rob) {
-        if (uop->dyn->inst.writesReg())
-            rat[uop->dyn->inst.rd].producerSeq = uop->seq;
-        if (uop->hasTail && uop->tailDyn->inst.writesReg())
-            rat[uop->tailDyn->inst.rd].producerSeq = uop->seq;
+        if (uop->headRd)
+            rat[uop->headRd].producerSeq = uop->seq;
+        if (uop->tailRd)
+            rat[uop->tailRd].producerSeq = uop->seq;
     }
 
     storeSets.squash(seq_min);
@@ -1949,7 +1968,7 @@ Pipeline::run()
                      static_cast<unsigned long long>(head->seq),
                      static_cast<unsigned long long>(head->dyn->pc),
                      int(head->fusion), int(head->ncsReady),
-                     head->notReady, int(head->issued),
+                     int(head->notReady), int(head->issued),
                      int(head->done));
             }
             panic("pipeline deadlock at cycle %llu (committed %llu)",

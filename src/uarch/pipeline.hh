@@ -156,6 +156,14 @@ class Pipeline
     void sampleOccupancy(uint64_t weight);
     /** Hand the observers the view of the cycle that just ended. */
     void notifyCycleEnd();
+    /** Set one of a µ-op's stage stamps to this cycle. Only observers
+     *  read them, so an unobserved run skips the write. */
+    void
+    stamp(uint64_t &field)
+    {
+        if (!observers.empty())
+            field = cycle;
+    }
 
     // ---- fusion ----
     void applyConsecutiveFusion(std::vector<Uop *> &group);
@@ -213,8 +221,15 @@ class Pipeline
                                  unsigned tail_latency);
     unsigned loadHalfLatency(uint64_t load_seq, uint64_t begin,
                              uint64_t end);
-    void wakeDependents(std::vector<uint64_t> &list);
     void maybeReady(Uop *uop);
+
+    // ---- wakeup edges ----
+    /** Make @a consumer wait on the half whose chain is @a chain. */
+    void addWakeEdge(uint32_t &chain, Uop *consumer);
+    /** Wake every µ-op on @a chain and empty it. */
+    void wakeDependents(uint32_t &chain);
+    /** Unlink the µ-ops at or after @a seq_min from @a chain. */
+    void dropWakeEdges(uint32_t &chain, uint64_t seq_min);
 
     // ---- recovery ----
     /** Ask issueStage to flush from @a seq on (the oldest request of
@@ -381,7 +396,7 @@ class Pipeline
      * its tail can retire before a flush inside its catalyst.
      */
     std::vector<DynInst> fetchRing;
-    std::vector<bool> tailCommitted;
+    std::vector<uint8_t> tailCommitted; ///< bytes: no bit arithmetic per fetch
     uint64_t feedSeq = 0;  ///< seq of the next record from the feed
     uint64_t fetchSeq = 0; ///< next seq to fetch; below feedSeq: replay
 
@@ -434,9 +449,12 @@ class Pipeline
     std::vector<uint8_t> unresolvedKind;
 
     // Issue bookkeeping: ready µ-ops chain through their intrusive
-    // readyPrev/readyNext links in ascending seq order.
+    // readyPrev/readyNext links in ascending seq order; readyCount
+    // counts them per port class, so issue stops walking once no
+    // µ-op further down could take a free port.
     Uop *readyHead = nullptr;
     Uop *readyTail = nullptr;
+    std::array<unsigned, numPortClasses> readyCount{};
 
     /**
      * Completion events on a timing wheel: slot `c & wheelMask` chains
@@ -448,17 +466,37 @@ class Pipeline
      */
     struct Event
     {
-        uint64_t seq;
-        uint64_t uid;
+        Uop *uop;      ///< stale once uop->uid moves on or uop->done
+        uint32_t uid;
         uint32_t next; ///< next node in this slot or in the free list
         uint8_t kind;  ///< 0: head-half, 1: tail-half, 2: final
     };
     static constexpr uint32_t noEvent = ~0u;
-    void pushEvent(uint64_t due, const Uop *uop, uint8_t kind);
+    void pushEvent(uint64_t due, Uop *uop, uint8_t kind);
     std::vector<Event> eventPool;
     std::vector<uint32_t> wheel; ///< per-slot chain head (or noEvent)
     uint64_t wheelMask = 0;
     uint32_t freeEvents = noEvent;
+
+    /**
+     * Wakeup edges: a µ-op that others wait on heads two chains of
+     * them, one per result half (Uop::wakeHead, Uop::wakeTail), linked
+     * newest first through one flat pool whose released edges form a
+     * free list. Like the wheel, the pool allocates nothing in steady
+     * state, and the µ-op record holds two indices instead of two
+     * vectors. A waiting µ-op cannot issue, and so cannot commit,
+     * before every edge to it has woken it, and a squash unlinks the
+     * edges to the µ-ops it removes, so an edge always names a live
+     * µ-op. Wakeup order cannot move a number (see completeExecution).
+     */
+    struct WakeEdge
+    {
+        Uop *uop;      ///< the waiting µ-op
+        uint64_t seq;  ///< its seq, which a squash filters on
+        uint32_t next; ///< next edge of this chain or of the free list
+    };
+    std::vector<WakeEdge> wakeEdges;
+    uint32_t freeWakeEdges = noWakeEdge;
 
     /** The Stats stall() bumped this cycle; at most one per stage
      *  plus the cpi.* charge. */
@@ -468,7 +506,7 @@ class Pipeline
     unsigned iqCount = 0;
     CommitWatch watch;
     uint64_t divBusyUntil = 0;
-    uint64_t nextUid = 1;
+    uint32_t nextUid = 1;
 
     // Deferred flush request raised during issue (at most one/cycle).
     uint64_t flushRequestSeq = ~0ULL;

@@ -6,9 +6,11 @@
 #ifndef UARCH_UOP_HH
 #define UARCH_UOP_HH
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
+#include <type_traits>
 
 #include "fusion/fusion_predictor.hh"
 #include "fusion/idiom.hh"
@@ -55,6 +57,23 @@ profBreakName(ProfBreak reason)
     return "";
 }
 
+/** Which issue-port pool a µ-op draws from (Uop::port). */
+enum class PortClass : uint8_t
+{
+    Alu = 0, ///< integer ALU ops and serializing ops
+    Branch,
+    Mul,
+    Div,
+    Load,  ///< a µ-op with a load nucleus
+    Store, ///< a µ-op with a store nucleus and no load nucleus
+};
+
+/** Number of PortClass values. */
+constexpr unsigned numPortClasses = unsigned(PortClass::Store) + 1;
+
+/** End of a wakeup chain (Uop::wakeHead, Uop::wakeTail). */
+constexpr uint32_t noWakeEdge = ~0u;
+
 /**
  * One µ-op flowing through the pipeline.
  *
@@ -64,56 +83,97 @@ profBreakName(ProfBreak reason)
  * *tail marker* µ-op in the Allocation Queue which consumes
  * Rename/Dispatch slots and validates the pending NCSF'd µ-op
  * (Section IV-B).
+ *
+ * The first cache line is the hot block: everything wakeup, issue and
+ * commit test for every µ-op, including the facts refreshFacts()
+ * derives from the nuclei, so no stage goes back to the instruction
+ * for them. The record is trivially copyable (the µ-ops waiting on it
+ * chain through the pipeline's edge pool, not through vectors here),
+ * so recycle() is one copy of a fresh record.
  */
-struct Uop
+struct alignas(64) Uop
 {
+    /** Bits of `mem`. The µ-op bits say what the µ-op as a whole does
+     *  (a tail marker neither loads nor stores); the nucleus bits say
+     *  what `dyn` and, when fused, `tailDyn` do on their own. */
+    enum MemFact : uint8_t
+    {
+        MemLoad = 1 << 0,   ///< the µ-op loads
+        MemStore = 1 << 1,  ///< the µ-op stores
+        HeadLoad = 1 << 2,  ///< the head nucleus loads
+        HeadStore = 1 << 3, ///< the head nucleus stores
+        TailLoad = 1 << 4,  ///< the fused tail nucleus loads
+        TailStore = 1 << 5, ///< the fused tail nucleus stores
+        HeadMem = HeadLoad | HeadStore,
+        TailMem = TailLoad | TailStore,
+    };
+
+    // ---- hot block (first cache line) ----
     uint64_t seq = 0;     ///< dynamic sequence number (head nucleus)
-    uint64_t uid = 0;     ///< unique id (seq repeats after replay)
     const DynInst *dyn = nullptr;
-    uint16_t fetchHistory = 0; ///< global branch history at fetch
-
-    // ---- control flow ----
-    bool mispredictedBranch = false;
-
-    // ---- fusion ----
-    FusionKind fusion = FusionKind::None;
-    Idiom idiom = Idiom::None;
-    bool hasTail = false;
     const DynInst *tailDyn = nullptr;
-    bool isTailMarker = false;
-    uint64_t pairSeq = 0;      ///< marker <-> fused-head linkage
-    bool ncsReady = true;      ///< NCS Ready bit (Section IV-B2)
+    /** Issue ready list (intrusive, owned by Pipeline): doubly linked
+     *  in ascending seq order, so issue walks exactly the ready µ-ops
+     *  oldest-first. */
+    Uop *readyPrev = nullptr;
+    Uop *readyNext = nullptr;
+    /** Unique id, telling a refetched seq from its squashed namesake.
+     *  It wraps after 2^32 fetches; a completion event outlives its
+     *  µ-op's issue by a few hundred cycles, so no stale event can
+     *  meet a wrapped id. */
+    uint32_t uid = 0;
+    /** Chains of the µ-ops waiting on the head-half (or whole) result
+     *  and on the tail-half result, in Pipeline's wakeup-edge pool. */
+    uint32_t wakeHead = noWakeEdge;
+    uint32_t wakeTail = noWakeEdge;
+    uint8_t notReady = 0; ///< producers still awaited
+    // Facts of the nuclei, set by refreshFacts(). A register is 0
+    // (x0) where the nucleus writes or reads none; a tail marker's
+    // head nucleus is the pair's tail.
+    PortClass port = PortClass::Alu;
+    uint8_t mem = 0; ///< MemFact bits
+    FusionKind fusion = FusionKind::None;
+    uint8_t headRd = 0;
+    uint8_t tailRd = 0; ///< 0 unless fused
+    uint8_t headRs1 = 0;
+    uint8_t headRs2 = 0;
+    bool serializing : 1 = false; ///< the head nucleus serializes
+    // ---- fusion ----
+    bool hasTail : 1 = false;
+    bool isTailMarker : 1 = false;
+    bool ncsReady : 1 = true; ///< NCS Ready bit (Section IV-B2)
+    // ---- pipeline state ----
+    bool inAq : 1 = false;
+    bool dispatched : 1 = false;
+    bool inIq : 1 = false;
+    bool inReadyList : 1 = false;
+    bool issued : 1 = false;
+    bool headDone : 1 = false; ///< head-half result delivered
+    bool tailDone : 1 = false; ///< tail-half result delivered
+    bool done : 1 = false;     ///< fully complete (commit-eligible)
+    bool addrKnown : 1 = false;
+    bool mispredictedBranch : 1 = false;
     /** Why a once-fused pair was broken (first reason wins, None while
      *  it stands). A tail marker's reason makes Dispatch unfuse it. */
     ProfBreak profBreak = ProfBreak::None;
+
+    // ---- the rest: read once per µ-op or by observers ----
+    uint16_t fetchHistory = 0; ///< global branch history at fetch
+    Idiom idiom = Idiom::None;
     FpPrediction fpPred;
+    uint64_t pairSeq = 0; ///< marker <-> fused-head linkage
 
     /** Producers of a tail marker's rs1 and (for a store) rs2, captured
      *  when it renames (the program-order-correct lookup point); ~0
      *  where the tail reads no such register. */
     uint64_t tailProducers[2] = {~0ULL, ~0ULL};
+    uint64_t waitStoreSeq = ~0ULL; ///< store-set dependence
 
-    // ---- rename state ----
-    int notReady = 0;
-    std::vector<uint64_t> dependents; ///< woken by head-half completion
-    std::vector<uint64_t> dependentsTail; ///< woken by tail half
-    uint64_t waitStoreSeq = ~0ULL;    ///< store-set dependence
+    uint64_t memBegin = 0; ///< effective byte range (both nucleii)
+    uint64_t memEnd = 0;
 
-    // ---- issue ready list (intrusive, owned by Pipeline) ----
-    // Doubly linked in ascending seq order so issue walks exactly the
-    // ready µ-ops oldest-first.
-    Uop *readyPrev = nullptr;
-    Uop *readyNext = nullptr;
-    bool inReadyList = false;
-
-    // ---- pipeline state ----
-    bool inAq = false;
-    bool dispatched = false;
-    bool inIq = false;
-    bool issued = false;
-    bool headDone = false; ///< head-half result delivered
-    bool tailDone = false; ///< tail-half result delivered
-    bool done = false;     ///< fully complete (commit-eligible)
+    // Stage stamps, for observers only: a run with none attached
+    // leaves them 0.
     uint64_t fetchCycle = 0;
     uint64_t aqCycle = 0; ///< decode done, inserted into the AQ
     uint64_t renameCycle = 0;
@@ -121,48 +181,25 @@ struct Uop
     uint64_t issueCycle = 0;
     uint64_t doneCycle = 0;
 
-    // ---- memory state ----
-    bool addrKnown = false;
-    uint64_t memBegin = 0; ///< effective byte range (both nucleii)
-    uint64_t memEnd = 0;
-
     /**
-     * Reset to freshly-constructed state while keeping the heap
-     * capacity of the two dependency vectors, so a UopPool-recycled
-     * slot is indistinguishable from a new Uop but allocation-free in
-     * steady state. Exactness matters: pooled and heap-per-µ-op runs
-     * must be bit-identical (tests/test_perf_structures.cc). The slot
-     * is rebuilt in place rather than move-assigned from a temporary
-     * Uop, which would write the whole record twice.
+     * Derive the hot block's facts (`port`, `mem`, the registers and
+     * `serializing`) from dyn, tailDyn, hasTail and isTailMarker. Fetch
+     * calls it, and so does every change to those four: consecutive
+     * fusion, predicted fusion (head and marker), the nest-limit
+     * unfuse's marker, unfuseInPlace and a marker's conversion at
+     * Dispatch.
      */
-    void
-    recycle()
-    {
-        auto deps_head = std::move(dependents);
-        auto deps_tail = std::move(dependentsTail);
-        deps_head.clear();
-        deps_tail.clear();
-        std::destroy_at(this);
-        Uop *fresh = std::construct_at(this);
-        fresh->dependents = std::move(deps_head);
-        fresh->dependentsTail = std::move(deps_tail);
-    }
+    void refreshFacts();
 
-    bool
-    isLoad() const
-    {
-        return !isTailMarker &&
-               (dyn->isLoad() || (hasTail && tailDyn->isLoad()));
-    }
+    /** Reset to a fresh µ-op, so a UopPool-recycled slot is
+     *  indistinguishable from a new Uop. Exactness matters: pooled and
+     *  heap-per-µ-op runs must be bit-identical
+     *  (tests/test_perf_structures.cc). */
+    void recycle();
 
-    bool
-    isStore() const
-    {
-        return !isTailMarker &&
-               (dyn->isStore() || (hasTail && tailDyn->isStore()));
-    }
-
-    bool isMem() const { return isLoad() || isStore(); }
+    bool isLoad() const { return mem & MemLoad; }
+    bool isStore() const { return mem & MemStore; }
+    bool isMem() const { return mem & (MemLoad | MemStore); }
 
     /** Committed architectural instructions this µ-op represents. */
     unsigned archInsts() const { return hasTail ? 2 : 1; }
@@ -172,12 +209,12 @@ struct Uop
     computeMemRange()
     {
         bool have = false;
-        if (dyn->inst.isMem()) {
+        if (mem & HeadMem) {
             memBegin = dyn->effAddr;
             memEnd = dyn->effAddr + dyn->memSize();
             have = true;
         }
-        if (hasTail && tailDyn->inst.isMem()) {
+        if (mem & TailMem) {
             if (have) {
                 memBegin = std::min(memBegin, tailDyn->effAddr);
                 memEnd = std::max(memEnd,
@@ -188,13 +225,101 @@ struct Uop
             }
         }
     }
-
-    bool
-    overlaps(uint64_t begin, uint64_t end) const
-    {
-        return memBegin < end && begin < memEnd;
-    }
 };
+
+static_assert(std::is_trivially_copyable_v<Uop>,
+              "a Uop recycles by one copy");
+static_assert(offsetof(Uop, fetchHistory) == 64,
+              "the hot block fills exactly the first cache line");
+
+namespace uop_detail
+{
+
+/** What Uop::refreshFacts() reads of one nucleus' opcode. */
+struct OpFacts
+{
+    PortClass port = PortClass::Alu;
+    uint8_t mem = 0; ///< Uop::HeadLoad or Uop::HeadStore
+    bool writesRd = false;
+    bool readsRs1 = false;
+    bool readsRs2 = false;
+    bool serializing = false;
+};
+
+/** opTable packed to OpFacts, so a refresh reads one small entry per
+ *  nucleus. */
+inline constexpr std::array<OpFacts, size_t(Op::NumOps)> opFacts = [] {
+    std::array<OpFacts, size_t(Op::NumOps)> table{};
+    for (size_t op = 0; op < table.size(); ++op) {
+        const OpInfo &info = op_detail::opTable[op];
+        OpFacts &facts = table[op];
+        // The hart faults on an invalid opcode before the pipeline
+        // sees it, so OpClass::Invalid keeps the ALU default.
+        switch (info.cls) {
+          case OpClass::Branch: facts.port = PortClass::Branch; break;
+          case OpClass::IntMul: facts.port = PortClass::Mul; break;
+          case OpClass::IntDiv: facts.port = PortClass::Div; break;
+          case OpClass::Load: facts.port = PortClass::Load; break;
+          case OpClass::Store: facts.port = PortClass::Store; break;
+          default: break;
+        }
+        facts.mem = info.cls == OpClass::Load    ? Uop::HeadLoad
+                    : info.cls == OpClass::Store ? Uop::HeadStore
+                                                 : 0;
+        facts.writesRd = info.writesRd;
+        facts.readsRs1 = info.readsRs1;
+        facts.readsRs2 = info.readsRs2;
+        facts.serializing = info.cls == OpClass::Serializing;
+    }
+    return table;
+}();
+
+static_assert(Uop::TailLoad == Uop::HeadLoad << 2 &&
+              Uop::TailStore == Uop::HeadStore << 2 &&
+              Uop::MemLoad == Uop::HeadLoad >> 2 &&
+              Uop::MemStore == Uop::HeadStore >> 2);
+
+} // namespace uop_detail
+
+inline void
+Uop::refreshFacts()
+{
+    using uop_detail::opFacts;
+    const Instruction &head = dyn->inst;
+    const uop_detail::OpFacts &facts = opFacts[size_t(head.op)];
+    uint8_t bits = facts.mem;
+    tailRd = 0;
+    if (hasTail) {
+        const Instruction &tail = tailDyn->inst;
+        const uop_detail::OpFacts &tail_facts = opFacts[size_t(tail.op)];
+        // TailLoad and TailStore sit two bits above their head twins.
+        bits |= tail_facts.mem << 2;
+        tailRd = tail_facts.writesRd ? tail.rd : 0;
+    }
+    // MemLoad and MemStore sit two bits below HeadLoad and HeadStore.
+    if (!isTailMarker)
+        bits |= ((bits >> 2) | (bits >> 4)) & (MemLoad | MemStore);
+    mem = bits;
+    port = bits & MemLoad    ? PortClass::Load
+           : bits & MemStore ? PortClass::Store
+                             : facts.port;
+    headRd = facts.writesRd ? head.rd : 0;
+    headRs1 = facts.readsRs1 ? head.rs1 : 0;
+    headRs2 = facts.readsRs2 ? head.rs2 : 0;
+    serializing = facts.serializing;
+}
+
+/** What UopPool hands out and Uop::recycle() copies. Defined in its
+ *  own translation unit (uop.cc): seeing a mostly zero constant, GCC
+ *  turns the copy into a `rep stos` fill, which costs more than the
+ *  copy's twelve vector moves on every fetch. */
+extern const Uop freshUop;
+
+inline void
+Uop::recycle()
+{
+    *this = freshUop;
+}
 
 } // namespace helios
 

@@ -6,23 +6,24 @@
  * commits, is squashed or is absorbed into a fused head — millions of
  * times per run. The pool hands out slots from 256-entry slabs and
  * recycles released slots LIFO, so the working set is a few
- * cache-resident slabs, no allocator round-trip is paid per µ-op, and
- * a recycled Uop even keeps the heap capacity of its two dependency
- * vectors.
+ * cache-resident slabs and no allocator round-trip is paid per µ-op.
  *
  * Recycling must be *exact*: a recycled slot is reset to
- * freshly-constructed state (Uop::recycle()), so pooled and
- * heap-per-µ-op runs are bit-identical. CoreParams::poolRecycling ==
- * false selects a debug fallback that never reuses slots — every
- * alloc() gets a pristine slab entry — so a suspected recycling bug
- * can be bisected by diffing the two modes (see
- * tests/test_perf_structures.cc).
+ * freshly-constructed state (Uop::recycle(), one copy of freshUop), so
+ * pooled and heap-per-µ-op runs are bit-identical.
+ * CoreParams::poolRecycling == false selects a debug fallback that
+ * never reuses slots — every alloc() gets a pristine slab entry — so a
+ * suspected recycling bug can be bisected by diffing the two modes
+ * (see tests/test_perf_structures.cc).
  */
 
 #ifndef UARCH_UOP_POOL_HH
 #define UARCH_UOP_POOL_HH
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "uarch/uop.hh"
@@ -44,11 +45,19 @@ class UopPool
             uop->recycle();
             return uop;
         }
-        if (slabs.empty() || slabUsed == slabSize) {
-            slabs.push_back(std::make_unique<Uop[]>(slabSize));
+        if (!slab || slabUsed == slabSize) {
+            // Plain storage, aligned by hand: over-aligned operator new
+            // splits a chunk around every slab, and with one heap arena
+            // per worker thread the splinters raised a four-worker
+            // sweep's peak RSS by a quarter.
+            std::byte *storage =
+                slabs.emplace_back(new std::byte[slabBytes]).get();
+            const auto addr = reinterpret_cast<uintptr_t>(storage);
+            slab = reinterpret_cast<Uop *>(
+                (addr + alignof(Uop) - 1) & ~uintptr_t(alignof(Uop) - 1));
             slabUsed = 0;
         }
-        return &slabs.back()[slabUsed++];
+        return ::new (slab + slabUsed++) Uop(freshUop);
     }
 
     void
@@ -67,7 +76,12 @@ class UopPool
     static constexpr size_t slabSize = 256;
 
   private:
-    std::vector<std::unique_ptr<Uop[]>> slabs;
+    static constexpr size_t slabBytes =
+        slabSize * sizeof(Uop) + alignof(Uop) - 1;
+
+    // A Uop is trivially destructible, so a slab frees as bytes.
+    std::vector<std::unique_ptr<std::byte[]>> slabs;
+    Uop *slab = nullptr; ///< the newest slab's first µ-op
     std::vector<Uop *> freeList;
     size_t slabUsed = 0;
     bool recycleMode;

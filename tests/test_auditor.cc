@@ -152,6 +152,7 @@ makeUop(const DynInst &dyn)
     Uop uop;
     uop.seq = dyn.seq;
     uop.dyn = &dyn;
+    uop.refreshFacts();
     return uop;
 }
 
@@ -406,6 +407,7 @@ TEST(AuditorCorruption, EachPairRecordCheckDetected)
         uop.fusion = FusionKind::NcsfMem;
         uop.hasTail = true;
         uop.tailDyn = &with;
+        uop.refreshFacts();
         auditor.onCommit(uop, 4);
     };
     const struct

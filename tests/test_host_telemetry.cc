@@ -10,11 +10,12 @@
  * text) and the report round-trip including v1/v2 backward
  * compatibility.
  *
- * HostTracer/HostMetrics enablement is sticky for the process (the
- * real consumers enable once and exit), so tests that rely on the
- * disabled state assert it up front and capture their baselines
- * before flipping the switches; ctest runs every test in its own
- * process, which keeps them independent.
+ * HostTracer/HostMetrics enablement is process-wide (the real
+ * consumers enable once and exit). Every test that switches either on
+ * holds a TelemetryOff guard, which switches both off again when the
+ * test ends, so the tests pass in any order and in one process, not
+ * only under ctest's one process per test. Tests that rely on the
+ * disabled state assert it up front.
  */
 
 #include <gtest/gtest.h>
@@ -52,6 +53,21 @@ smallMatrix()
     return cells;
 }
 
+/** Switches the host tracer and the metrics registry off and empties
+ *  them when it goes out of scope, so a test that switched them on
+ *  leaves the process as it found it, even when an assertion ends the
+ *  test early. */
+struct TelemetryOff
+{
+    ~TelemetryOff()
+    {
+        HostTracer::global().disable();
+        HostTracer::global().clear();
+        HostMetrics::global().disable();
+        HostMetrics::global().reset();
+    }
+};
+
 void
 expectSameResult(const RunResult &a, const RunResult &b)
 {
@@ -67,7 +83,7 @@ expectSameResult(const RunResult &a, const RunResult &b)
 } // namespace
 
 // ---------------------------------------------------------------------
-// Disabled behaviour (must run before anything calls enable())
+// Disabled behaviour
 // ---------------------------------------------------------------------
 
 TEST(HostTelemetryDisabled, SpansRecordNothing)
@@ -97,6 +113,7 @@ TEST(HostTelemetryDisabled, MatrixRecordsNothing)
 
 TEST(HostTrace, SpanRecordsNameCategoryAndArgs)
 {
+    const TelemetryOff off;
     HostTracer::global().enable();
     HostTracer::global().clear();
     {
@@ -143,29 +160,28 @@ TEST(HostTrace, SpanRecordsNameCategoryAndArgs)
     EXPECT_TRUE(saw_thread_meta);
     EXPECT_TRUE(saw_assemble);
     EXPECT_TRUE(saw_report);
-    HostTracer::global().clear();
 }
 
 TEST(HostTrace, EndIsIdempotent)
 {
+    const TelemetryOff off;
     HostTracer::global().enable();
     HostTracer::global().clear();
     HostSpan span("once");
     span.end();
     span.end();
     EXPECT_EQ(HostTracer::global().numSpans(), 1u);
-    HostTracer::global().clear();
 }
 
 TEST(HostTrace, MatrixEmitsOneCellSpanPerCellAndChangesNoResult)
 {
-    // Telemetry-off baseline first — enablement is sticky, so it has
-    // to be captured before the switches flip (same process).
+    // Telemetry-off baseline first, captured before the switches flip.
     ASSERT_FALSE(HostTracer::global().enabled());
     ASSERT_FALSE(HostMetrics::global().enabled());
     const std::vector<MatrixCell> cells = smallMatrix();
     const std::vector<RunResult> baseline = runMatrix(cells, 2);
 
+    const TelemetryOff off;
     HostTracer::global().enable();
     HostTracer::global().clear();
     HostMetrics::global().enable();
@@ -204,13 +220,11 @@ TEST(HostTrace, MatrixEmitsOneCellSpanPerCellAndChangesNoResult)
     }
     EXPECT_EQ(HostMetrics::global().guestInstructions(), insts);
     EXPECT_EQ(HostMetrics::global().guestUops(), uops);
-
-    HostTracer::global().clear();
-    HostMetrics::global().reset();
 }
 
 TEST(HostMetricsRegistry, PrometheusTextIsWellFormed)
 {
+    const TelemetryOff off;
     HostMetrics::global().enable();
     HostMetrics::global().reset();
     HostMetrics::global().addPhaseSeconds("detailed-sim", 1.25);
@@ -246,11 +260,11 @@ TEST(HostMetricsRegistry, PrometheusTextIsWellFormed)
     EXPECT_NE(text.find("helios_guest_instructions_total 1000"),
               std::string::npos);
     EXPECT_GT(HostMetrics::peakRssBytes(), 0u);
-    HostMetrics::global().reset();
 }
 
 TEST(HostMetricsRegistry, JsonSectionCarriesBuildInfoAndCounters)
 {
+    const TelemetryOff off;
     HostMetrics::global().enable();
     HostMetrics::global().reset();
     HostMetrics::global().addPhaseSeconds("cell", 0.5);
@@ -265,7 +279,6 @@ TEST(HostMetricsRegistry, JsonSectionCarriesBuildInfoAndCounters)
     EXPECT_DOUBLE_EQ(host.at("phases").at("cell").asDouble(), 0.5);
     EXPECT_EQ(host.at("guest_instructions").asUint(), 42u);
     EXPECT_EQ(host.at("guest_uops").asUint(), 64u);
-    HostMetrics::global().reset();
 }
 
 // ---------------------------------------------------------------------
@@ -289,6 +302,7 @@ reportWithOneRun()
 
 TEST(ReportSchemaV3, HostSectionRoundTrips)
 {
+    const TelemetryOff off;
     HostMetrics::global().enable();
     HostMetrics::global().reset();
     HostMetrics::global().addPhaseSeconds("detailed-sim", 2.0);
@@ -309,7 +323,6 @@ TEST(ReportSchemaV3, HostSectionRoundTrips)
         RunReportFile::fromJsonText(file.toJsonText());
     EXPECT_TRUE(parsed == file);
     EXPECT_FALSE(parsed.host.isNull());
-    HostMetrics::global().reset();
 }
 
 TEST(ReportSchemaV3, HostSectionIsOptional)

@@ -13,7 +13,10 @@
  *  - the seq-indexed rings wrap without corruption: runs long enough
  *    to lap the inflight ring several times still commit in strict
  *    program order under every fusion mode, with the profiler's
- *    per-site partition invariants intact.
+ *    per-site partition invariants intact;
+ *
+ *  - the facts a µ-op caches at fetch (Uop::refreshFacts) never drift
+ *    from its nuclei, through every change of its fusion state.
  */
 
 #include <gtest/gtest.h>
@@ -109,8 +112,8 @@ TEST(UopPool, RecyclesSlotsLifoAndResetsState)
     Uop *first = pool.alloc();
     first->seq = 42;
     first->issued = true;
-    first->dependents.push_back(7);
-    first->dependentsTail.push_back(8);
+    first->wakeHead = 7;
+    first->wakeTail = 8;
     first->tailProducers[0] = 9;
 
     pool.release(first);
@@ -120,9 +123,10 @@ TEST(UopPool, RecyclesSlotsLifoAndResetsState)
     // ...with every field reset to a fresh µ-op.
     EXPECT_EQ(second->seq, 0u);
     EXPECT_FALSE(second->issued);
-    EXPECT_TRUE(second->dependents.empty());
-    EXPECT_TRUE(second->dependentsTail.empty());
+    EXPECT_EQ(second->wakeHead, noWakeEdge);
+    EXPECT_EQ(second->wakeTail, noWakeEdge);
     EXPECT_EQ(second->tailProducers[0], ~0ULL);
+    EXPECT_EQ(std::memcmp(second, &freshUop, sizeof(Uop)), 0);
 }
 
 TEST(UopPool, DebugModeNeverReusesSlots)
@@ -198,9 +202,7 @@ TEST(PoolRecycling, SquashStormBitIdenticalToDebugFallback)
     // fetch a pristine slot instead; any stale-field leak through
     // Uop::recycle() shows up as a diverging stat dump or checksum.
     for (const char *workload : {"sha", "620.omnetpp_s"}) {
-        for (FusionMode mode :
-             {FusionMode::None, FusionMode::Helios,
-              FusionMode::Oracle}) {
+        for (FusionMode mode : allModes) {
             CoreParams recycled = CoreParams::icelake(mode);
             recycled.audit = true;
             CoreParams pristine = recycled;
@@ -227,6 +229,107 @@ TEST(PoolRecycling, SquashStormBitIdenticalToDebugFallback)
             EXPECT_TRUE(b.auditViolations.empty()) << tag(workload, mode);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Cached µ-op facts
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** Recomputes a µ-op's facts from its nuclei with the instructions' own
+ *  predicates, not with Uop::refreshFacts(), at every fetch, issue and
+ *  commit, and keeps the first µ-op whose cached facts differ. */
+class FactsWatch : public PipelineObserver
+{
+  public:
+    void onFetch(const Uop &uop, uint64_t) override { check(uop, "fetch"); }
+    void onIssue(const Uop &uop, uint64_t) override { check(uop, "issue"); }
+    void onCommit(const Uop &uop, uint64_t) override { check(uop, "commit"); }
+
+    uint64_t checked = 0;
+    uint64_t drifted = 0;
+    std::string first; ///< the first drift, described
+
+  private:
+    void
+    check(const Uop &uop, const char *event)
+    {
+        ++checked;
+        const Instruction &head = uop.dyn->inst;
+        const Instruction *tail = uop.hasTail ? &uop.tailDyn->inst : nullptr;
+        const bool tail_loads = tail && tail->isLoad();
+        const bool tail_stores = tail && tail->isStore();
+        const bool loads = !uop.isTailMarker && (head.isLoad() || tail_loads);
+        const bool stores =
+            !uop.isTailMarker && (head.isStore() || tail_stores);
+
+        PortClass port = PortClass::Alu;
+        if (loads)
+            port = PortClass::Load;
+        else if (stores)
+            port = PortClass::Store;
+        else if (head.isLoad())
+            port = PortClass::Load;
+        else if (head.isStore())
+            port = PortClass::Store;
+        else if (head.isControl())
+            port = PortClass::Branch;
+        else if (head.info().cls == OpClass::IntMul)
+            port = PortClass::Mul;
+        else if (head.info().cls == OpClass::IntDiv)
+            port = PortClass::Div;
+
+        const bool same =
+            uop.isLoad() == loads && uop.isStore() == stores &&
+            bool(uop.mem & Uop::HeadLoad) == head.isLoad() &&
+            bool(uop.mem & Uop::HeadStore) == head.isStore() &&
+            bool(uop.mem & Uop::TailLoad) == tail_loads &&
+            bool(uop.mem & Uop::TailStore) == tail_stores &&
+            uop.port == port &&
+            uop.headRd == (head.writesReg() ? head.rd : 0) &&
+            uop.tailRd == (tail && tail->writesReg() ? tail->rd : 0) &&
+            uop.headRs1 == (head.readsRs1() ? head.rs1 : 0) &&
+            uop.headRs2 == (head.readsRs2() ? head.rs2 : 0) &&
+            uop.serializing == head.isSerializing();
+        if (same)
+            return;
+        if (!drifted++)
+            first = std::string("seq ") + std::to_string(uop.seq) +
+                    " at " + event + (uop.hasTail ? " (fused)" : "") +
+                    (uop.isTailMarker ? " (tail marker)" : "");
+    }
+};
+
+} // namespace
+
+TEST(UopFacts, CachedFactsMatchTheNucleiInEveryMode)
+{
+    // Every change of fusion state must refresh the facts: consecutive
+    // fusion, predicted fusion, the nest-limit unfuse, unfuseInPlace
+    // and a tail marker's conversion at Dispatch. The stats below show
+    // the suite reaches each of them at this budget.
+    uint64_t csf_pairs = 0, predicted = 0, nest_limited = 0, unfused = 0;
+    for (const Workload &workload : allWorkloads()) {
+        for (FusionMode mode : allModes) {
+            FactsWatch watch;
+            const RunResult result = observedRun(
+                workload, CoreParams::icelake(mode), 20'000, {&watch});
+            const std::string where = tag(workload.name.c_str(), mode);
+            EXPECT_EQ(watch.drifted, 0u) << where << ": " << watch.first;
+            EXPECT_GT(watch.checked, result.uops) << where;
+            csf_pairs += result.stat("pairs.csf_mem") +
+                         result.stat("pairs.csf_other");
+            predicted += result.stat("fusion.fp_applied");
+            nest_limited += result.stat("fusion.fp_nest_limited");
+            unfused += result.stat("fusion.unfused");
+        }
+    }
+    EXPECT_GT(csf_pairs, 0u);
+    EXPECT_GT(predicted, 0u);
+    EXPECT_GT(nest_limited, 0u);
+    EXPECT_GT(unfused, 0u);
 }
 
 // ---------------------------------------------------------------------
